@@ -36,6 +36,7 @@ from .datasets import dataset_names, dataset_path
 from .divergence import cressie_read
 from .estimation import ModelSpec, constraint_from_name, constraint_names, fit
 from .interactions import MarginalLogits
+from .rank import PivotError
 from .table import ContingencyTable, LogitType, TableParseError, read_counts
 
 EXIT_OK = 0
@@ -363,7 +364,7 @@ def _sweep_cell(args):
             linear_constraints=tuple(constraint_from_name(n) for n in names),
         )
         result = fit(counts, spec)
-    except Exception:
+    except (ValueError, PivotError):  # ValueError covers LinkDomainError
         return row
     row["deviance"] = result.deviance
     row["dof"] = result.dof

@@ -16,13 +16,21 @@ H0' u = h0, X spans the null space of H0', and
 
     v = X (X' F0 X)^-1 X' F0 (u + F0^-1 s0).
 
+One pivoted QR of H0 per iteration gives all three: the rank (dependent
+constraint rows are dropped), u, and an orthonormal X, which the
+convergence test reuses for the projected score X' s0.
+
 A cubic line search on f(t) = y' log pi(t) / n - h(t)' h(t) / 2 picks the
 step length.  Deflation pivots are frozen for the duration of one outer
-iteration so h stays smooth along the search path.
+iteration so h stays smooth along the search path.  A workspace computes
+the jacobians of pi, gamma and the marginal logits only when they are
+first read, so trial points of the line search, which need only h and
+the log-likelihood, never build them.
 """
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -346,34 +354,43 @@ def theta_from_prob(pi, basis=None):
 
 
 class _Workspace:
-    """All quantities needed at one theta: pi, invariants, jacobians."""
+    """All quantities needed at one theta: pi and the invariants, plus
+    their jacobians, which are built on first read."""
 
     def __init__(self, theta, spec, shape):
         self.theta = np.asarray(theta, dtype=np.float64)
         self.spec = spec
         self.shape = shape
-        i1, i2 = shape
-        ncells = i1 * i2
         z = np.append(self.theta, 0.0)
         z -= z.max()
         e = np.exp(z)
         self.pi = e / e.sum()
         self.pi2d = self.pi.reshape(shape)
-        cov = np.diag(self.pi) - np.outer(self.pi, self.pi)
-        self.dpi_dtheta = cov[:, :-1]
         fam = spec.family
-        lam = 0.0 if fam.is_kl else fam.lam
         c1, c2 = spec.pair[0].code, spec.pair[1].code
-        self.gamma = kernels.gamma_values(self.pi2d, c1, c2, lam, fam.is_kl)
-        self.gamma_jac_pi = kernels.gamma_jacobian_values(self.pi2d, c1, c2, lam, fam.is_kl)
-        rowm = self.pi2d.sum(axis=1)
-        colm = self.pi2d.sum(axis=0)
-        self.eta_row = kernels.marginal_logit_values(rowm, c1)
-        self.eta_col = kernels.marginal_logit_values(colm, c2)
-        self.eta_row_jac_pi = np.repeat(
-            kernels.marginal_logit_jacobian(rowm, c1), i2, axis=1
-        )
-        self.eta_col_jac_pi = np.tile(kernels.marginal_logit_jacobian(colm, c2), (1, i1))
+        self._gamma_args = (c1, c2, 0.0 if fam.is_kl else fam.lam, fam.is_kl)
+        self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
+        self.eta_row = kernels.marginal_logit_values(self.pi2d.sum(axis=1), c1)
+        self.eta_col = kernels.marginal_logit_values(self.pi2d.sum(axis=0), c2)
+
+    @cached_property
+    def dpi_dtheta(self):
+        cov = np.diag(self.pi) - np.outer(self.pi, self.pi)
+        return cov[:, :-1]
+
+    @cached_property
+    def gamma_jac_pi(self):
+        return kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args)
+
+    @cached_property
+    def eta_row_jac_pi(self):
+        jac = kernels.marginal_logit_jacobian(self.pi2d.sum(axis=1), self.spec.pair[0].code)
+        return np.repeat(jac, self.shape[1], axis=1)
+
+    @cached_property
+    def eta_col_jac_pi(self):
+        jac = kernels.marginal_logit_jacobian(self.pi2d.sum(axis=0), self.spec.pair[1].code)
+        return np.tile(jac, (1, self.shape[0]))
 
     def constraints(self, plan=None):
         """(h, jac_theta, plan); selects deflation pivots when plan is None."""
@@ -452,47 +469,38 @@ def constraint_eval(p, spec, plan=None):
     return h, jac.T
 
 
-def _reduce_rows(h, jac, warn):
-    """Drop linearly dependent constraint rows via pivoted QR."""
-    k = jac.shape[0]
+def _factor_constraints(h, jac, warn):
+    """Minimum-norm u with H' u = h and a null-space basis X of H', from one QR.
+
+    ``jac`` is H' (rows are constraint gradients).  A pivoted QR of H gives
+    the rank as the number of |diag R| above a ``matrix_rank``-style
+    tolerance; the leading ``rank`` pivoted rows are independent and the
+    rest are dropped, with a warning when ``warn`` is set.  With
+    H[:, P1] = Q1 R1, u = Q1 R1^-T h[P1] and X = Q2.
+    """
+    k, d = jac.shape
     if k == 0:
-        return h, jac
-    r = np.linalg.matrix_rank(jac)
-    if r == k:
-        return h, jac
-    if warn:
+        return np.zeros(d), np.eye(d)
+    q, r, piv = scipy.linalg.qr(jac.T, pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
+    if rank < k and warn:
         warnings.warn(
-            f"{k - r} of {k} constraint equations are redundant; dropping dependent rows",
+            f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows",
             RedundantConstraintWarning,
             stacklevel=3,
         )
-    _, _, piv = scipy.linalg.qr(jac.T, mode="economic", pivoting=True)
-    keep = np.sort(piv[:r])
-    return h[keep], jac[keep]
+    w = scipy.linalg.solve_triangular(r[:rank, :rank], h[piv[:rank]], trans="T")
+    return q[:, :rank] @ w, q[:, rank:]
 
 
-def _null_space(jac, d):
-    if jac.shape[0] == 0:
-        return np.eye(d)
-    return scipy.linalg.null_space(jac)
-
-
-def _direction(ws, y, h, jac, warn_redundant):
-    """Aitchison-Silvey direction v - u and its pieces at one workspace."""
-    s, info = ws.score_info(y)
-    d = ws.theta.shape[0]
-    h_red, jac_red = _reduce_rows(h, jac, warn_redundant)
-    if jac_red.shape[0] == 0:
-        u = np.zeros(d)
-        v = np.linalg.solve(info, s)
-        return v - u, v, u, s, info
-    u, *_ = np.linalg.lstsq(jac_red, h_red, rcond=None)
-    x = _null_space(jac_red, d)
+def _direction(s, info, u, x):
+    """Aitchison-Silvey direction v - u, with v = X (X' F X)^-1 X' (F u + s)."""
     if x.shape[1] == 0:
-        return -u, np.zeros(d), u, s, info
+        return -u, np.zeros_like(u)
     rhs = x.T @ (info @ u + s)
     v = x @ np.linalg.solve(x.T @ info @ x, rhs)
-    return v - u, v, u, s, info
+    return v - u, v
 
 
 def as_step(p, y, spec, plan=None):
@@ -505,7 +513,8 @@ def as_step(p, y, spec, plan=None):
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     ws = _param_workspace(p, spec)
     h, jac, _ = ws.constraints(plan)
-    _, v, _, _, _ = _direction(ws, y, h, jac, warn_redundant=True)
+    s, info = ws.score_info(y)
+    _, v = _direction(s, info, *_factor_constraints(h, jac, warn=True))
     return v, h, jac.T
 
 
@@ -609,6 +618,8 @@ def _as_counts(y, spec):
     y2d = np.asarray(y, dtype=np.float64)
     if y2d.ndim != 2:
         raise ValueError(f"counts must be a 2-d array, got shape {y2d.shape}")
+    if not np.all(np.isfinite(y2d)):
+        raise ValueError("counts must be finite")
     if np.any(y2d < 0):
         raise ValueError("counts must be non-negative")
     if y2d.sum() <= 0:
@@ -646,15 +657,15 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             break
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max()) if h.size else 0.0
+        u, x = _factor_constraints(h, jac, warn=(iterations == 1))
+        s0, info = ws.score_info(yv)
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
-            x = _null_space(_reduced_jac(h, jac), ws.theta.shape[0])
-            s0, _ = ws.score_info(yv)
             proj = float(np.abs(x.T @ s0).max()) if x.shape[1] else 0.0
             if proj <= tol_score * n:
                 converged = True
                 message = "converged"
                 break
-        direction, _, u, s0, _ = _direction(ws, yv, h, jac, warn_redundant=(iterations == 1))
+        direction, _ = _direction(s0, info, u, x)
         theta0 = ws.theta
         f0 = ll / n - 0.5 * float(h @ h)
         fp0 = float(s0 @ direction) / n - float(h @ (jac @ direction))
@@ -703,11 +714,6 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         spec=spec,
         message=message,
     )
-
-
-def _reduced_jac(h, jac):
-    _, jac_red = _reduce_rows(h, jac, warn=False)
-    return jac_red
 
 
 def _restoration_step(theta0, u, yv, spec, shape, plan, hnorm):

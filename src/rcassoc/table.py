@@ -14,6 +14,7 @@ the raw arrays underneath are plain 0-based numpy.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,8 @@ class ContingencyTable:
             raise ValueError(f"table must be 2-dimensional, got shape {probs.shape}")
         if probs.shape[0] < 2 or probs.shape[1] < 2:
             raise ValueError(f"table needs at least 2 categories per margin, got {probs.shape}")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("table entries must be finite")
         if np.any(probs < 0.0):
             raise ValueError("table entries must be non-negative")
         total = probs.sum()
@@ -120,6 +123,8 @@ class ContingencyTable:
     @classmethod
     def from_counts(cls, counts, row_logit="L", col_logit="L"):
         counts = np.asarray(counts, dtype=np.float64)
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         n = counts.sum()
@@ -208,7 +213,7 @@ def read_counts(path, row_logit="L", col_logit="L"):
     """Read a whitespace- or comma-delimited counts file into a table.
 
     Blank lines and ``#`` comments are skipped.  Every data row must carry
-    the same number of columns and parse as non-negative numbers.
+    the same number of columns and parse as finite non-negative numbers.
     """
     rows = []
     width = None
@@ -232,6 +237,10 @@ def read_counts(path, row_logit="L", col_logit="L"):
                     raise TableParseError(
                         f"could not parse {tok!r} as a number", line=lineno, column=colno
                     ) from None
+                if not math.isfinite(val):
+                    raise TableParseError(
+                        f"non-finite count {tok!r}", line=lineno, column=colno
+                    )
                 if val < 0:
                     raise TableParseError(
                         f"negative count {tok}", line=lineno, column=colno

@@ -146,6 +146,16 @@ def test_sweep_records_failed_cells(capsys):
     assert json.loads(rows[1][4]) is False
 
 
+def test_sweep_propagates_unexpected_errors(monkeypatch):
+    # only the documented fit failures become null cells; a bug surfaces
+    def broken_fit(table, spec):
+        raise RuntimeError("fitter bug")
+
+    monkeypatch.setattr(cli, "fit", broken_fit)
+    with pytest.raises(RuntimeError, match="fitter bug"):
+        main(["sweep", "mobility", "--pair", "GG"])
+
+
 def test_reconstruct_round_trip(capsys, tmp_path):
     table = load_mobility()
     rows, cols, gamma = extract_invariants(table)
@@ -239,6 +249,15 @@ def test_check_violations_exit_4(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "check", "mobility")
     assert code == 4
     assert payload["dependence"]["violations"] == ["synthetic violation"]
+
+
+def test_check_non_finite_cell_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("10 20 30\n40 nan 60\n70 80 90\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2, column 2" in err
 
 
 def test_counterexamples_text(capsys):

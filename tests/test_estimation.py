@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rcassoc.kernels
 from rcassoc import (
     CanonicalParam,
     ContingencyTable,
@@ -29,7 +30,7 @@ from rcassoc import (
     score_info,
     theta_from_prob,
 )
-from rcassoc.estimation import _cubic_local_max, _search
+from rcassoc.estimation import _cubic_local_max, _factor_constraints, _search
 
 PAPER_LAMBDA = -0.04
 
@@ -327,6 +328,60 @@ def test_duplicate_constraint_warns_and_matches(mobility_counts):
     assert doubled.deviance == pytest.approx(single.deviance, abs=1e-6)
 
 
+def test_factor_constraints_full_row_rank():
+    rng = np.random.default_rng(3)
+    jac = rng.normal(size=(6, 15))
+    h = rng.normal(size=6)
+    u, x = _factor_constraints(h, jac, warn=True)
+    u_ref, *_ = np.linalg.lstsq(jac, h, rcond=None)
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+    assert x.shape == (15, 9)
+    np.testing.assert_allclose(x.T @ x, np.eye(9), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(jac @ x, 0.0, rtol=0, atol=1e-10)
+
+
+def test_factor_constraints_drops_duplicated_row():
+    rng = np.random.default_rng(4)
+    jac = rng.normal(size=(4, 10))
+    h = rng.normal(size=4)
+    doubled_jac = np.vstack([jac, jac[1]])
+    doubled_h = np.append(h, h[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u, x = _factor_constraints(doubled_h, doubled_jac, warn=True)
+    redundant = [w for w in caught if issubclass(w.category, RedundantConstraintWarning)]
+    assert len(redundant) == 1
+    assert "1 of 5" in str(redundant[0].message)
+    u_ref, *_ = np.linalg.lstsq(jac, h, rcond=None)
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+    assert x.shape == (10, 6)
+    np.testing.assert_allclose(doubled_jac @ x, 0.0, rtol=0, atol=1e-10)
+
+
+def test_fit_work_per_iteration(mobility_counts, monkeypatch):
+    # jacobians are built once per outer iteration plus once at the returned
+    # point, never at line-search trial points; one QR per outer iteration
+    calls = {"jacobian": 0, "qr": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        rcassoc.kernels,
+        "gamma_jacobian_values",
+        counting("jacobian", rcassoc.kernels.gamma_jacobian_values),
+    )
+    monkeypatch.setattr(scipy.linalg, "qr", counting("qr", scipy.linalg.qr))
+    result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
+    assert result.converged
+    assert calls["jacobian"] == result.iterations + 1
+    assert calls["qr"] == result.iterations
+
+
 def test_custom_matches_named_constraint(mobility_counts):
     named = MarginalHomogeneity()
     row, col, gam, off = named.coefficients((5, 5))
@@ -366,6 +421,8 @@ def test_fit_rejects_bad_counts():
         fit(np.arange(5.0), spec)
     with pytest.raises(ValueError):
         fit(np.zeros((3, 3)), spec)
+    with pytest.raises(ValueError, match="finite"):
+        fit(np.array([[1.0, np.nan], [3.0, 4.0]]), _spec(1, pair=("L", "L")))
     prob_only = ContingencyTable.from_probabilities(np.full((5, 5), 0.04), "G", "G")
     with pytest.raises(ValueError):
         fit(prob_only, spec)

@@ -123,6 +123,10 @@ def test_constructor_validation():
         ContingencyTable(np.full((2, 2), 0.3))
     with pytest.raises(ValueError):
         ContingencyTable.from_counts([[1, 2], [3, -4]])
+    with pytest.raises(ValueError, match="finite"):
+        ContingencyTable(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        ContingencyTable.from_counts([[1, 2], [3, np.inf]])
     with pytest.raises(ValueError):
         ContingencyTable.from_probabilities(np.full((1, 4), 0.25))
     t = ContingencyTable.from_probabilities([[2.0, 2.0], [4.0, 2.0]], normalize=True)
@@ -169,6 +173,13 @@ def test_read_counts_errors(tmp_path):
     ragged.write_text("1 2 3\n4 5\n")
     with pytest.raises(TableParseError):
         read_counts(ragged)
+
+    for token in ("nan", "inf", "-Infinity"):
+        non_finite = tmp_path / "f.csv"
+        non_finite.write_text(f"1 2 3\n4 5 {token}\n")
+        with pytest.raises(TableParseError, match="non-finite") as err:
+            read_counts(non_finite)
+        assert err.value.line == 2 and err.value.column == 3
 
     neg = tmp_path / "c.csv"
     neg.write_text("1 2\n-3 4\n")
