@@ -5,7 +5,6 @@ logits, optionally rescaled through a Cressie-Read power link, with maximum
 likelihood fitting under rank and linear marginal constraints.
 """
 
-from ._numba import USE_NUMBA
 from .analysis import (
     DegenerateScoreError,
     DependenceReport,
@@ -65,7 +64,6 @@ from .rank import DeflationPlan, PivotError, deflate, pivot_select, rank_residua
 from .table import ContingencyTable, EventSet, LogitType, TableParseError, read_counts
 
 __all__ = [
-    "USE_NUMBA",
     "__version__",
     # tables
     "ContingencyTable",
@@ -141,3 +139,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# There is one kernel path, in numpy; the constant stays for benchmark
+# environment records, which state whether a compiled path was in use.
+USE_NUMBA = False

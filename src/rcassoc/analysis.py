@@ -393,17 +393,10 @@ def _order_flags(pi):
         if np.any(surv[i] - s_up > _SIGN_TOL):
             collapsed = False
             break
-    s = np.zeros((pi.shape[0] + 1, pi.shape[1] + 1))
-    s[1:, 1:] = pi.cumsum(axis=0).cumsum(axis=1)
-    i = np.arange(1, pi.shape[0])
-    j = np.arange(1, pi.shape[1])
-    last_r, last_c = pi.shape
-    grid = np.ix_(i, j)
-    # P(row > i, col > j) and P(row <= i, col > j) by inclusion-exclusion
-    p_hh = s[last_r, last_c] - s[i, last_c][:, None] - s[last_r, j][None, :] + s[grid]
-    p_lh = s[i, last_c][:, None] - s[grid]
-    s1 = p_hh / (s[last_r, last_c] - s[i, last_c])[:, None]
-    s0 = p_lh / s[i, last_c][:, None]
+    # global-logit quadrants: P(col > j | row > i) against P(col > j | row <= i)
+    p, p_row, _ = kernels.quadrant_values(pi, kernels.LOGIT_G, kernels.LOGIT_G)
+    s1 = p[1, :, 1, :] / p_row[1][:, None]
+    s0 = p[0, :, 1, :] / p_row[0][:, None]
     qd = bool(np.all(s1 - s0 >= -_SIGN_TOL))
     return sso, qd, collapsed, cum
 

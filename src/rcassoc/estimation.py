@@ -470,7 +470,8 @@ def constraint_eval(p, spec, plan=None):
 
 
 def _factor_constraints(h, jac, warn):
-    """Minimum-norm u with H' u = h and a null-space basis X of H', from one QR.
+    """Minimum-norm u with H' u = h, a null-space basis X of H' and the rank
+    of H, from one QR.
 
     ``jac`` is H' (rows are constraint gradients).  A pivoted QR of H gives
     the rank as the number of |diag R| above a ``matrix_rank``-style
@@ -480,7 +481,7 @@ def _factor_constraints(h, jac, warn):
     """
     k, d = jac.shape
     if k == 0:
-        return np.zeros(d), np.eye(d)
+        return np.zeros(d), np.eye(d), 0
     q, r, piv = scipy.linalg.qr(jac.T, pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
@@ -491,7 +492,7 @@ def _factor_constraints(h, jac, warn):
             stacklevel=3,
         )
     w = scipy.linalg.solve_triangular(r[:rank, :rank], h[piv[:rank]], trans="T")
-    return q[:, :rank] @ w, q[:, rank:]
+    return q[:, :rank] @ w, q[:, rank:], rank
 
 
 def _direction(s, info, u, x):
@@ -514,7 +515,8 @@ def as_step(p, y, spec, plan=None):
     ws = _param_workspace(p, spec)
     h, jac, _ = ws.constraints(plan)
     s, info = ws.score_info(y)
-    _, v = _direction(s, info, *_factor_constraints(h, jac, warn=True))
+    u, x, _ = _factor_constraints(h, jac, warn=True)
+    _, v = _direction(s, info, u, x)
     return v, h, jac.T
 
 
@@ -649,6 +651,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     message = "maximum iterations reached"
     iterations = 0
     for iterations in range(1, max_iter + 1):
+        at_iterate = None
         ws = _Workspace(theta, spec, shape)
         try:
             h, jac, plan = ws.constraints()
@@ -657,7 +660,9 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             break
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max()) if h.size else 0.0
-        u, x = _factor_constraints(h, jac, warn=(iterations == 1))
+        u, x, rank = _factor_constraints(h, jac, warn=(iterations == 1))
+        # what the result needs if the fit stops before theta moves again
+        at_iterate = ws, h, rank
         s0, info = ws.score_info(yv)
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
             proj = float(np.abs(x.T @ s0).max()) if x.shape[1] else 0.0
@@ -692,13 +697,19 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             continue
         theta = theta0 + t * direction
         prev_ll = ll
+    else:
+        at_iterate = None
 
-    ws = _Workspace(theta, spec, shape)
-    try:
-        h, jac, _ = ws.constraints()
-    except PivotError:
-        h, jac = np.zeros(0), np.zeros((0, theta.shape[0]))
-    dof = int(np.linalg.matrix_rank(jac)) if jac.size else 0
+    if at_iterate is None:
+        # theta moved after its last workspace, or the pivots failed there
+        ws = _Workspace(theta, spec, shape)
+        try:
+            h, jac, _ = ws.constraints()
+        except PivotError:
+            h, jac = np.zeros(0), np.zeros((0, theta.shape[0]))
+        dof = _factor_constraints(h, jac, warn=False)[2]
+    else:
+        ws, h, dof = at_iterate
     dev = _deviance(y2d, ws.pi2d)
     pval = float(chi2.sf(dev, dof)) if dof > 0 else float("nan")
     return FitResult(

@@ -1,35 +1,34 @@
-"""Hot numeric kernels: quadrant sums, scaled interactions, log-odds ratios.
-
-Every public function here dispatches between a numba ``@njit`` loop kernel
-and a vectorized numpy twin, selected once at import time (see ``_numba``).
-The two paths are exercised against each other in the test suite.
+"""Numeric kernels: quadrant probabilities, scaled interactions, log-odds ratios.
 
 Logit types are encoded as small integers (L=0, G=1, C=2, R=3) and the
 divergence scale as the pair ``(lam, is_kl)``; the object-level wrappers
 live in ``table``, ``divergence`` and ``interactions``.
 
-All event sets are contiguous index ranges, so a joint probability over a
-pair of events is an inclusion-exclusion of four entries of the padded
-2-D prefix-sum table.  Cut points are 1-based; the returned bounds are
-0-based half-open ranges.
+Every logit type on a margin of size I is one 0/1 event-indicator operator
+E: row ``b * (I-1) + x - 1`` marks the cells of event ``b`` at the 1-based
+cut ``x``, the b = 0 rows first.  It is built once per ``(size, code)`` and
+cached read-only, with a row of ones appended so that one product
+``E1 @ pi @ E2.T`` yields the joint probabilities of every event pair and
+both margins' event probabilities, for one table or a stack of tables.
+Each is a plain sum of the cells of its event, so its rounding error is
+relative to its own probability, not to the table total.  Cut points are
+1-based; event bounds are 0-based half-open ranges.
 """
 
-import numpy as np
+from functools import lru_cache
 
-from ._numba import USE_NUMBA, njit
+import numpy as np
 
 LOGIT_L = 0
 LOGIT_G = 1
 LOGIT_C = 2
 LOGIT_R = 3
 
+# signs of the four (u, v) quadrants in an interaction, shaped like the
+# joint probabilities (2, I1-1, 2, I2-1)
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(2, 1, 2, 1)
 
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
 
-
-@njit(cache=True)
 def _bounds(x, b, code, size):
     # 0-based half-open range of the event at cut x (1-based).
     if b == 0:
@@ -41,236 +40,67 @@ def _bounds(x, b, code, size):
     return x, size
 
 
-@njit(cache=True)
-def _padded_cumsum2(pi):
-    i1, i2 = pi.shape
-    s = np.zeros((i1 + 1, i2 + 1))
-    for h in range(i1):
-        acc = 0.0
-        for k in range(i2):
-            acc += pi[h, k]
-            s[h + 1, k + 1] = s[h, k + 1] + acc
-    return s
+@lru_cache(maxsize=64)
+def _operator(size, code):
+    """Event-indicator operator of one margin with a row of ones appended.
+
+    Shape (2(size-1) + 1, size); see the module docstring for the row order.
+    """
+    ops = np.zeros((2 * size - 1, size))
+    for b in (0, 1):
+        for x in range(1, size):
+            lo, hi = _bounds(x, b, code, size)
+            ops[b * (size - 1) + x - 1, lo:hi] = 1.0
+    ops[-1] = 1.0
+    ops.flags.writeable = False
+    return ops
 
 
-@njit(cache=True)
+def _quadrants(pis, c1, c2):
+    """Joint, row and column event probabilities of every cut pair.
+
+    Returns ``(p, p1, p2)`` with shapes ``(..., 2, I1-1, 2, I2-1)``,
+    ``(..., 2, I1-1)`` and ``(..., 2, I2-1)``, where
+    ``p[..., u, i-1, v, j-1]`` is the probability of row event ``u`` at cut
+    ``i`` together with column event ``v`` at cut ``j``.  All three are
+    blocks of ``E1 @ pi @ E2.T``: the appended rows of ones make its last
+    column the row events and its last row the column events.  For a stack
+    of tables the first product is one GEMM over all stacked rows.
+    """
+    head = pis.shape[:-2]
+    i1, i2 = pis.shape[-2:]
+    e2 = _operator(i2, c2)
+    right = (pis.reshape(-1, i2) @ e2.T).reshape(pis.shape[:-1] + (e2.shape[0],))
+    q = _operator(i1, c1) @ right
+    n1, n2 = 2 * (i1 - 1), 2 * (i2 - 1)
+    p = q[..., :n1, :n2].reshape(head + (2, i1 - 1, 2, i2 - 1))
+    p1 = q[..., :n1, n2].reshape(head + (2, i1 - 1))
+    p2 = q[..., n1, :n2].reshape(head + (2, i2 - 1))
+    return p, p1, p2
+
+
+def _rho(p, p1, p2):
+    return p / (p1[..., :, :, None, None] * p2[..., None, None, :, :])
+
+
+def _contrast(q):
+    """Signed sum over the four quadrants: q00 - q01 - q10 + q11."""
+    return q[..., 0, :, 0, :] - q[..., 0, :, 1, :] - q[..., 1, :, 0, :] + q[..., 1, :, 1, :]
+
+
 def _flink(u, lam, is_kl):
     if is_kl:
         return np.log(u)
     return (u ** lam - 1.0) / lam
 
 
-@njit(cache=True)
-def _gamma_nb(pi, c1, c2, lam, is_kl):
-    i1, i2 = pi.shape
-    s = _padded_cumsum2(pi)
-    out = np.empty((i1 - 1, i2 - 1))
-    for i in range(1, i1):
-        for j in range(1, i2):
-            acc = 0.0
-            for u in range(2):
-                lo1, hi1 = _bounds(i, u, c1, i1)
-                p1 = s[hi1, i2] - s[lo1, i2]
-                for v in range(2):
-                    lo2, hi2 = _bounds(j, v, c2, i2)
-                    p2 = s[i1, hi2] - s[i1, lo2]
-                    p = s[hi1, hi2] - s[lo1, hi2] - s[hi1, lo2] + s[lo1, lo2]
-                    rho = p / (p1 * p2)
-                    sgn = 1.0 if u == v else -1.0
-                    acc += sgn * _flink(rho, lam, is_kl)
-            out[i - 1, j - 1] = acc
-    return out
+def _gamma(pis, c1, c2, lam, is_kl):
+    return _contrast(_flink(_rho(*_quadrants(pis, c1, c2)), lam, is_kl))
 
 
-@njit(cache=True)
-def _lor_nb(pi, c1, c2):
-    i1, i2 = pi.shape
-    s = _padded_cumsum2(pi)
-    out = np.empty((i1 - 1, i2 - 1))
-    for i in range(1, i1):
-        for j in range(1, i2):
-            acc = 0.0
-            for u in range(2):
-                lo1, hi1 = _bounds(i, u, c1, i1)
-                for v in range(2):
-                    lo2, hi2 = _bounds(j, v, c2, i2)
-                    p = s[hi1, hi2] - s[lo1, hi2] - s[hi1, lo2] + s[lo1, lo2]
-                    sgn = 1.0 if u == v else -1.0
-                    acc += sgn * np.log(p)
-            out[i - 1, j - 1] = acc
-    return out
-
-
-@njit(cache=True)
-def _gamma_batch_nb(pis, c1, c2, lam, is_kl):
-    n, i1, i2 = pis.shape
-    out = np.empty((n, i1 - 1, i2 - 1))
-    for t in range(n):
-        out[t] = _gamma_nb(pis[t], c1, c2, lam, is_kl)
-    return out
-
-
-@njit(cache=True)
-def _lor_batch_nb(pis, c1, c2):
-    n, i1, i2 = pis.shape
-    out = np.empty((n, i1 - 1, i2 - 1))
-    for t in range(n):
-        out[t] = _lor_nb(pis[t], c1, c2)
-    return out
-
-
-@njit(cache=True)
-def _gamma_jacobian_nb(pi, c1, c2, lam, is_kl):
-    # d vec(gamma) / d vec(pi), both raveled in C order.
-    i1, i2 = pi.shape
-    s = _padded_cumsum2(pi)
-    jac = np.zeros(((i1 - 1) * (i2 - 1), i1 * i2))
-    for i in range(1, i1):
-        for j in range(1, i2):
-            row = (i - 1) * (i2 - 1) + (j - 1)
-            for u in range(2):
-                lo1, hi1 = _bounds(i, u, c1, i1)
-                p1 = s[hi1, i2] - s[lo1, i2]
-                for v in range(2):
-                    lo2, hi2 = _bounds(j, v, c2, i2)
-                    p2 = s[i1, hi2] - s[i1, lo2]
-                    p = s[hi1, hi2] - s[lo1, hi2] - s[hi1, lo2] + s[lo1, lo2]
-                    rho = p / (p1 * p2)
-                    sgn = 1.0 if u == v else -1.0
-                    # chain rule through log rho: F'(rho) * rho
-                    w = sgn if is_kl else sgn * rho ** lam
-                    wp = w / p
-                    w1 = w / p1
-                    w2 = w / p2
-                    for h in range(lo1, hi1):
-                        base = h * i2
-                        for k in range(lo2, hi2):
-                            jac[row, base + k] += wp
-                        for k in range(i2):
-                            jac[row, base + k] -= w1
-                    for k in range(lo2, hi2):
-                        for h in range(i1):
-                            jac[row, h * i2 + k] -= w2
-    return jac
-
-
-# ---------------------------------------------------------------------------
-# numpy twins
-# ---------------------------------------------------------------------------
-
-
-def _bounds_arrays(size, code):
-    """Per-cut event bounds, stacked: (lo0, hi0, lo1, hi1) arrays of length size-1."""
-    x = np.arange(1, size)
-    if code in (LOGIT_L, LOGIT_C):
-        lo0, hi0 = x - 1, x
-    else:
-        lo0, hi0 = np.zeros(size - 1, dtype=np.int64), x
-    if code in (LOGIT_L, LOGIT_R):
-        lo1, hi1 = x, x + 1
-    else:
-        lo1, hi1 = x, np.full(size - 1, size, dtype=np.int64)
-    return lo0, hi0, lo1, hi1
-
-
-def _padded_cumsum2_np(pis):
-    head = pis.shape[:-2]
-    i1, i2 = pis.shape[-2:]
-    s = np.zeros(head + (i1 + 1, i2 + 1))
-    s[..., 1:, 1:] = pis.cumsum(axis=-2).cumsum(axis=-1)
-    return s
-
-
-def _flink_np(u, lam, is_kl):
-    if is_kl:
-        return np.log(u)
-    return (u ** lam - 1.0) / lam
-
-
-def _quadrants_np(pis, c1, c2):
-    """Joint, row and column event sums for every cut pair and (u, v).
-
-    Returns ``(p, p1, p2)`` with shapes ``(..., 2, 2, i1-1, i2-1)``,
-    ``(..., 2, i1-1)`` and ``(..., 2, i2-1)``.
-    """
-    i1, i2 = pis.shape[-2:]
-    s = _padded_cumsum2_np(pis)
-    b1 = _bounds_arrays(i1, c1)
-    b2 = _bounds_arrays(i2, c2)
-    rowm = s[..., :, i2]
-    colm = s[..., i1, :]
-    head = pis.shape[:-2]
-    p = np.empty(head + (2, 2, i1 - 1, i2 - 1))
-    p1 = np.empty(head + (2, i1 - 1))
-    p2 = np.empty(head + (2, i2 - 1))
-    for u in (0, 1):
-        lo1, hi1 = b1[2 * u], b1[2 * u + 1]
-        p1[..., u, :] = rowm[..., hi1] - rowm[..., lo1]
-        for v in (0, 1):
-            lo2, hi2 = b2[2 * v], b2[2 * v + 1]
-            if u == 0:
-                p2[..., v, :] = colm[..., hi2] - colm[..., lo2]
-            p[..., u, v, :, :] = (
-                s[..., hi1[:, None], hi2[None, :]]
-                - s[..., lo1[:, None], hi2[None, :]]
-                - s[..., hi1[:, None], lo2[None, :]]
-                + s[..., lo1[:, None], lo2[None, :]]
-            )
-    return p, p1, p2
-
-
-def _gamma_np(pis, c1, c2, lam, is_kl):
-    p, p1, p2 = _quadrants_np(pis, c1, c2)
-    out = 0.0
-    for u in (0, 1):
-        for v in (0, 1):
-            rho = p[..., u, v, :, :] / (p1[..., u, :, None] * p2[..., v, None, :])
-            sgn = 1.0 if u == v else -1.0
-            out = out + sgn * _flink_np(rho, lam, is_kl)
-    return out
-
-
-def _lor_np(pis, c1, c2):
-    p, _, _ = _quadrants_np(pis, c1, c2)
-    lp = np.log(p)
-    return (
-        lp[..., 1, 1, :, :]
-        - lp[..., 1, 0, :, :]
-        - lp[..., 0, 1, :, :]
-        + lp[..., 0, 0, :, :]
-    )
-
-
-def _event_indicators(size, code):
-    """Boolean (2, size-1, size) masks: cell membership per (b, cut)."""
-    lo0, hi0, lo1, hi1 = _bounds_arrays(size, code)
-    cells = np.arange(size)
-    r0 = (cells >= lo0[:, None]) & (cells < hi0[:, None])
-    r1 = (cells >= lo1[:, None]) & (cells < hi1[:, None])
-    return np.stack([r0, r1]).astype(float)
-
-
-def _gamma_jacobian_np(pi, c1, c2, lam, is_kl):
-    i1, i2 = pi.shape
-    p, p1, p2 = _quadrants_np(pi, c1, c2)
-    r1 = _event_indicators(i1, c1)
-    r2 = _event_indicators(i2, c2)
-    jac = np.zeros((i1 - 1, i2 - 1, i1, i2))
-    for u in (0, 1):
-        for v in (0, 1):
-            puv = p[u, v]
-            rho = puv / (p1[u][:, None] * p2[v][None, :])
-            sgn = 1.0 if u == v else -1.0
-            w = np.full_like(rho, sgn) if is_kl else sgn * rho ** lam
-            jac += np.einsum("ij,ih,jk->ijhk", w / puv, r1[u], r2[v])
-            jac -= np.einsum("ij,ih->ijh", w / p1[u][:, None], r1[u])[..., None]
-            jac -= np.einsum("ij,jk->ijk", w / p2[v][None, :], r2[v])[:, :, None, :]
-    return jac.reshape((i1 - 1) * (i2 - 1), i1 * i2)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
+def _lor(pis, c1, c2):
+    p, _, _ = _quadrants(pis, c1, c2)
+    return _contrast(np.log(p))
 
 
 def _as_table(pi):
@@ -287,44 +117,60 @@ def _as_batch(pis):
     return pis
 
 
+def quadrant_values(pi, c1, c2):
+    """Event probabilities ``(p, p1, p2)`` of one table; see ``_quadrants``."""
+    return _quadrants(_as_table(pi), c1, c2)
+
+
 def gamma_values(pi, c1, c2, lam, is_kl):
     """Scaled interaction matrix of one table; shape (I1-1, I2-1)."""
-    pi = _as_table(pi)
-    if USE_NUMBA:
-        return _gamma_nb(pi, c1, c2, float(lam), is_kl)
-    return _gamma_np(pi, c1, c2, float(lam), is_kl)
+    return _gamma(_as_table(pi), c1, c2, float(lam), is_kl)
 
 
 def lor_values(pi, c1, c2):
     """Log-odds-ratio matrix of one table; shape (I1-1, I2-1)."""
-    pi = _as_table(pi)
-    if USE_NUMBA:
-        return _lor_nb(pi, c1, c2)
-    return _lor_np(pi, c1, c2)
+    return _lor(_as_table(pi), c1, c2)
 
 
 def gamma_values_batch(pis, c1, c2, lam, is_kl):
     """Scaled interactions for a stack of tables; shape (n, I1-1, I2-1)."""
-    pis = _as_batch(pis)
-    if USE_NUMBA:
-        return _gamma_batch_nb(pis, c1, c2, float(lam), is_kl)
-    return _gamma_np(pis, c1, c2, float(lam), is_kl)
+    return _gamma(_as_batch(pis), c1, c2, float(lam), is_kl)
 
 
 def lor_values_batch(pis, c1, c2):
     """Log-odds ratios for a stack of tables; shape (n, I1-1, I2-1)."""
-    pis = _as_batch(pis)
-    if USE_NUMBA:
-        return _lor_batch_nb(pis, c1, c2)
-    return _lor_np(pis, c1, c2)
+    return _lor(_as_batch(pis), c1, c2)
+
+
+def _slabs(size, code):
+    """E as (3, size-1, size): the b = 0 and b = 1 indicators and all ones."""
+    ops = _operator(size, code)
+    return np.concatenate([ops[:-1].reshape(2, size - 1, size), np.ones((1, size - 1, size))])
 
 
 def gamma_jacobian_values(pi, c1, c2, lam, is_kl):
-    """d vec(gamma) / d vec(pi) in C order; shape ((I1-1)(I2-1), I1*I2)."""
+    """d vec(gamma) / d vec(pi) in C order; shape ((I1-1)(I2-1), I1*I2).
+
+    gamma is a signed sum of F(rho_uv) with log rho_uv = log p_uv - log p1_u
+    - log p2_v.  With w_uv = +-F'(rho_uv) rho_uv, each quadrant adds
+    w_uv / p_uv on the cells of kron(E1[u], E2[v]) and subtracts w_uv / p1_u
+    on its row event and w_uv / p2_v on its column event.  So row (i, j) of
+    the jacobian is A_i' C_ij B_j, where A_i stacks the two row-event
+    indicators at cut i and a row of ones, B_j likewise for the columns,
+    and C_ij is the 3x3 matrix of those weights.
+    """
     pi = _as_table(pi)
-    if USE_NUMBA:
-        return _gamma_jacobian_nb(pi, c1, c2, float(lam), is_kl)
-    return _gamma_jacobian_np(pi, c1, c2, float(lam), is_kl)
+    i1, i2 = pi.shape
+    p, p1, p2 = _quadrants(pi, c1, c2)
+    w = _SIGNS if is_kl else _SIGNS * _rho(p, p1, p2) ** float(lam)
+    w = np.broadcast_to(w, p.shape)
+    coef = np.zeros((3, i1 - 1, 3, i2 - 1))
+    coef[:2, :, :2, :] = w / p
+    coef[:2, :, 2, :] = -w.sum(axis=2) / p1[:, :, None]
+    coef[2, :, :2, :] = -w.sum(axis=0) / p2
+    half = np.einsum("aih,aibj->ijhb", _slabs(i1, c1), coef)
+    jac = half @ _slabs(i2, c2).transpose(1, 0, 2)
+    return jac.reshape((i1 - 1) * (i2 - 1), i1 * i2)
 
 
 def event_bounds(x, b, code, size):
@@ -347,22 +193,21 @@ def marginal_event_sum(margin, x, b, code):
     return float(margin[lo:hi].sum())
 
 
-def marginal_logit_values(margin, code):
-    """Marginal logits of one margin; shape (I-1,)."""
+def _margin_events(margin, code):
+    """Event indicators (2, I-1, I) of one margin and their probabilities (2, I-1)."""
     margin = np.asarray(margin, dtype=np.float64)
     size = margin.shape[0]
-    cum = np.concatenate(([0.0], np.cumsum(margin)))
-    lo0, hi0, lo1, hi1 = _bounds_arrays(size, code)
-    return np.log(cum[hi1] - cum[lo1]) - np.log(cum[hi0] - cum[lo0])
+    ops = _operator(size, code)[:-1].reshape(2, size - 1, size)
+    return ops, ops @ margin
+
+
+def marginal_logit_values(margin, code):
+    """Marginal logits of one margin; shape (I-1,)."""
+    _, pe = _margin_events(margin, code)
+    return np.log(pe[1]) - np.log(pe[0])
 
 
 def marginal_logit_jacobian(margin, code):
     """d logits / d margin; shape (I-1, I)."""
-    margin = np.asarray(margin, dtype=np.float64)
-    size = margin.shape[0]
-    cum = np.concatenate(([0.0], np.cumsum(margin)))
-    lo0, hi0, lo1, hi1 = _bounds_arrays(size, code)
-    p0 = cum[hi0] - cum[lo0]
-    p1 = cum[hi1] - cum[lo1]
-    ind = _event_indicators(size, code)
-    return ind[1] / p1[:, None] - ind[0] / p0[:, None]
+    ops, pe = _margin_events(margin, code)
+    return ops[1] / pe[1][:, None] - ops[0] / pe[0][:, None]

@@ -332,9 +332,10 @@ def test_factor_constraints_full_row_rank():
     rng = np.random.default_rng(3)
     jac = rng.normal(size=(6, 15))
     h = rng.normal(size=6)
-    u, x = _factor_constraints(h, jac, warn=True)
+    u, x, rank = _factor_constraints(h, jac, warn=True)
     u_ref, *_ = np.linalg.lstsq(jac, h, rcond=None)
     np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+    assert rank == 6
     assert x.shape == (15, 9)
     np.testing.assert_allclose(x.T @ x, np.eye(9), rtol=0, atol=1e-10)
     np.testing.assert_allclose(jac @ x, 0.0, rtol=0, atol=1e-10)
@@ -348,19 +349,21 @@ def test_factor_constraints_drops_duplicated_row():
     doubled_h = np.append(h, h[1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        u, x = _factor_constraints(doubled_h, doubled_jac, warn=True)
+        u, x, rank = _factor_constraints(doubled_h, doubled_jac, warn=True)
     redundant = [w for w in caught if issubclass(w.category, RedundantConstraintWarning)]
     assert len(redundant) == 1
     assert "1 of 5" in str(redundant[0].message)
     u_ref, *_ = np.linalg.lstsq(jac, h, rcond=None)
     np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+    assert rank == 4
     assert x.shape == (10, 6)
     np.testing.assert_allclose(doubled_jac @ x, 0.0, rtol=0, atol=1e-10)
 
 
 def test_fit_work_per_iteration(mobility_counts, monkeypatch):
-    # jacobians are built once per outer iteration plus once at the returned
-    # point, never at line-search trial points; one QR per outer iteration
+    # jacobians are built once per outer iteration, never at line-search
+    # trial points, and the converged result reuses the last iterate's; one
+    # QR per outer iteration
     calls = {"jacobian": 0, "qr": 0}
 
     def counting(name, fn):
@@ -378,7 +381,7 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "qr", counting("qr", scipy.linalg.qr))
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
     assert result.converged
-    assert calls["jacobian"] == result.iterations + 1
+    assert calls["jacobian"] == result.iterations
     assert calls["qr"] == result.iterations
 
 

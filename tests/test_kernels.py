@@ -1,14 +1,24 @@
-"""Agreement between the compiled kernels and their vectorized numpy twins."""
+"""Kernels against plain-loop references built from event bounds and slice sums."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcassoc import kernels
-from rcassoc._numba import USE_NUMBA
 
 CODES = range(4)
 PAIRS = [(a, b) for a in CODES for b in CODES]
 FAMS = [(0.0, True), (-0.5, False), (0.7, False), (2.0, False)]
+SHAPES = [(3, 3), (4, 5), (5, 4)]
+
+# 1-based inclusive categories of E(x, 0) and E(x, 1) for L, G, C, R
+DEFINITIONS = {
+    0: lambda x, size: ((x, x), (x + 1, x + 1)),
+    1: lambda x, size: ((1, x), (x + 1, size)),
+    2: lambda x, size: ((x, x), (x + 1, size)),
+    3: lambda x, size: ((1, x), (x + 1, x + 1)),
+}
 
 
 def _tables(rng, shape, n):
@@ -17,61 +27,141 @@ def _tables(rng, shape, n):
     return pis / pis.sum(axis=(1, 2), keepdims=True)
 
 
+def _reference_quadrant(pi, i, j, u, v, c1, c2):
+    """(p, p1, p2) of the (u, v) event pair at cut (i, j), by slice sums."""
+    lo1, hi1 = kernels.event_bounds(i, u, c1, pi.shape[0])
+    lo2, hi2 = kernels.event_bounds(j, v, c2, pi.shape[1])
+    return pi[lo1:hi1, lo2:hi2].sum(), pi[lo1:hi1, :].sum(), pi[:, lo2:hi2].sum()
+
+
+def _reference_interaction(pi, c1, c2, term):
+    """Signed sum over (u, v) of term(p, p1, p2), for every cut pair."""
+    i1, i2 = pi.shape
+    out = np.empty((i1 - 1, i2 - 1))
+    for i in range(1, i1):
+        for j in range(1, i2):
+            acc = 0.0
+            for u in (0, 1):
+                for v in (0, 1):
+                    value = term(*_reference_quadrant(pi, i, j, u, v, c1, c2))
+                    acc += value if u == v else -value
+            out[i - 1, j - 1] = acc
+    return out
+
+
+def reference_gamma(pi, c1, c2, lam, is_kl):
+    def term(p, p1, p2):
+        rho = p / (p1 * p2)
+        return np.log(rho) if is_kl else (rho**lam - 1.0) / lam
+
+    return _reference_interaction(pi, c1, c2, term)
+
+
+def reference_lor(pi, c1, c2):
+    return _reference_interaction(pi, c1, c2, lambda p, p1, p2: np.log(p))
+
+
+def _central_difference(fn, pi, eps=1e-7):
+    """d vec(fn(pi)) / d vec(pi), one cell at a time; pi is not renormalised."""
+    flat = pi.ravel()
+    cols = []
+    for k in range(flat.size):
+        step = np.zeros_like(flat)
+        step[k] = eps
+        up = fn((flat + step).reshape(pi.shape))
+        down = fn((flat - step).reshape(pi.shape))
+        cols.append((up - down).ravel() / (2 * eps))
+    return np.stack(cols, axis=1)
+
+
 def test_gamma_twins_agree():
+    # the twin of each kernel is the plain-loop reference above
     rng = np.random.default_rng(21)
-    for shape in [(3, 3), (4, 5), (5, 4)]:
-        pis = _tables(rng, shape, 40)
+    for shape in SHAPES:
+        pis = _tables(rng, shape, 4)
         for c1, c2 in PAIRS:
             for lam, is_kl in FAMS:
-                batch_np = kernels._gamma_np(pis, c1, c2, lam, is_kl)
-                for k in range(0, 40, 7):
-                    single = kernels.gamma_values(pis[k], c1, c2, lam, is_kl)
-                    np.testing.assert_allclose(single, batch_np[k], atol=2e-13)
+                batch = kernels.gamma_values_batch(pis, c1, c2, lam, is_kl)
+                for k, pi in enumerate(pis):
+                    want = reference_gamma(pi, c1, c2, lam, is_kl)
+                    single = kernels.gamma_values(pi, c1, c2, lam, is_kl)
+                    np.testing.assert_allclose(single, want, rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(batch[k], single, rtol=1e-13, atol=1e-13)
 
 
 def test_lor_twins_agree():
     rng = np.random.default_rng(22)
-    pis = _tables(rng, (4, 4), 60)
-    for c1, c2 in PAIRS:
-        batch_np = kernels._lor_np(pis, c1, c2)
-        batch = kernels.lor_values_batch(pis, c1, c2)
-        np.testing.assert_allclose(batch, batch_np, atol=2e-13)
-        single = kernels.lor_values(pis[3], c1, c2)
-        np.testing.assert_allclose(single, batch_np[3], atol=2e-13)
+    for shape in SHAPES:
+        pis = _tables(rng, shape, 4)
+        for c1, c2 in PAIRS:
+            batch = kernels.lor_values_batch(pis, c1, c2)
+            for k, pi in enumerate(pis):
+                want = reference_lor(pi, c1, c2)
+                single = kernels.lor_values(pi, c1, c2)
+                np.testing.assert_allclose(single, want, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(batch[k], single, rtol=1e-13, atol=1e-13)
 
 
 def test_jacobian_twins_agree():
     rng = np.random.default_rng(23)
-    pis = _tables(rng, (4, 3), 10)
-    for c1, c2 in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 1), (3, 0)]:
-        for lam, is_kl in FAMS:
-            for pi in pis[:4]:
+    for shape in SHAPES:
+        pi = _tables(rng, shape, 1)[0]
+        for c1, c2 in PAIRS:
+            for lam, is_kl in FAMS:
                 jac = kernels.gamma_jacobian_values(pi, c1, c2, lam, is_kl)
-                jac_np = kernels._gamma_jacobian_np(pi, c1, c2, lam, is_kl)
-                np.testing.assert_allclose(jac, jac_np, atol=5e-12)
+                fd = _central_difference(lambda t: reference_gamma(t, c1, c2, lam, is_kl), pi)
+                scale = np.abs(fd).max()
+                np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7 * scale)
 
 
-@pytest.mark.skipif(not USE_NUMBA, reason="compiled path disabled by environment")
-def test_interpreted_kernel_matches_compiled():
-    # the njit dispatcher and its pure-python source must agree exactly
-    rng = np.random.default_rng(24)
-    pi = _tables(rng, (4, 4), 1)[0]
-    for c1, c2 in [(0, 0), (1, 1), (1, 2), (3, 1)]:
-        compiled = kernels._gamma_nb(pi, c1, c2, 0.5, False)
-        interpreted = kernels._gamma_nb.py_func(pi, c1, c2, 0.5, False)
-        np.testing.assert_allclose(compiled, interpreted, atol=1e-15)
+def test_lor_precision_near_zero_cell():
+    # a 1e-11 cell under large event sums: the LG event {row 4} x {col 1}
+    # must keep its own relative precision in both entry points
+    rng = np.random.default_rng(27)
+    pi = rng.dirichlet(np.ones(25)).reshape(5, 5) + 0.01
+    pi[3, 0] = 1e-11
+    pi /= pi.sum()
+    want = reference_lor(pi, 0, 1)
+    single = kernels.lor_values(pi, 0, 1)
+    batch = kernels.lor_values_batch(np.stack([pi, pi[::-1]]), 0, 1)[0]
+    np.testing.assert_allclose(single, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i1=st.integers(2, 6),
+    i2=st.integers(2, 6),
+    c1=st.sampled_from(CODES),
+    c2=st.sampled_from(CODES),
+    lam=st.floats(-2.0, 3.0).filter(lambda x: abs(x) > 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_properties(i1, i2, c1, c2, lam, seed):
+    pis = _tables(np.random.default_rng(seed), (i1, i2), 3)
+    # under KL, gamma is the log-odds ratio: the margins cancel
+    np.testing.assert_allclose(
+        kernels.gamma_values_batch(pis, c1, c2, 0.0, True),
+        kernels.lor_values_batch(pis, c1, c2),
+        rtol=1e-10,
+        atol=1e-10,
+    )
+    batch = kernels.gamma_values_batch(pis, c1, c2, lam, False)
+    stacked = np.stack([kernels.gamma_values(pi, c1, c2, lam, False) for pi in pis])
+    np.testing.assert_allclose(batch, stacked, rtol=1e-13, atol=1e-13)
+    lor_stacked = np.stack([kernels.lor_values(pi, c1, c2) for pi in pis])
+    np.testing.assert_allclose(kernels.lor_values_batch(pis, c1, c2), lor_stacked, rtol=1e-13, atol=1e-13)
 
 
 def test_event_bounds_match_event_sets():
-    # bounds are 0-based half-open; EventSet is 1-based inclusive
+    # bounds are 0-based half-open; the definitions are 1-based inclusive
     for size in (3, 5, 8):
         for code in CODES:
             for x in range(1, size):
                 for b in (0, 1):
                     lo, hi = kernels.event_bounds(x, b, code, size)
-                    assert 0 <= lo < hi <= size
-                    idx = tuple(range(lo + 1, hi + 1))
-                    assert len(idx) >= 1
+                    start, stop = DEFINITIONS[code](x, size)[b]
+                    assert (lo, hi) == (start - 1, stop)
 
 
 def test_marginal_logit_values_by_hand():
@@ -99,27 +189,22 @@ def test_marginal_logit_jacobian_fd():
         m = rng.dirichlet(np.ones(5)) + 0.02
         m = m / m.sum()
         jac = kernels.marginal_logit_jacobian(m, code)
-        eps = 1e-7
-        for k in range(5):
-            dm = np.zeros(5)
-            dm[k] = eps
-            fd = (
-                kernels.marginal_logit_values(m + dm, code)
-                - kernels.marginal_logit_values(m - dm, code)
-            ) / (2 * eps)
-            np.testing.assert_allclose(jac[:, k], fd, atol=1e-5)
+        fd = _central_difference(lambda t: kernels.marginal_logit_values(t, code), m)
+        np.testing.assert_allclose(jac, fd, atol=1e-5)
 
 
 def test_quadrant_prob_value_matches_sum():
     rng = np.random.default_rng(26)
     pi = _tables(rng, (4, 5), 1)[0]
     for c1, c2 in PAIRS:
+        p, p1, p2 = kernels.quadrant_values(pi, c1, c2)
         for i in range(1, 4):
             for j in range(1, 5):
                 for u in (0, 1):
                     for v in (0, 1):
-                        lo1, hi1 = kernels.event_bounds(i, u, c1, 4)
-                        lo2, hi2 = kernels.event_bounds(j, v, c2, 5)
-                        want = pi[lo1:hi1, lo2:hi2].sum()
+                        want = _reference_quadrant(pi, i, j, u, v, c1, c2)
                         got = kernels.quadrant_prob_value(pi, i, j, u, v, c1, c2)
-                        assert got == pytest.approx(want, abs=1e-14)
+                        assert got == pytest.approx(want[0], abs=1e-14)
+                        assert p[u, i - 1, v, j - 1] == pytest.approx(want[0], abs=1e-15)
+                        assert p1[u, i - 1] == pytest.approx(want[1], abs=1e-15)
+                        assert p2[v, j - 1] == pytest.approx(want[2], abs=1e-15)
