@@ -37,15 +37,11 @@ from .estimation import (
     MarginalShift,
     ModelSpec,
     RedundantConstraintWarning,
-    as_step,
     canonical_to_prob,
     constraint_eval,
     constraint_from_name,
     constraint_names,
-    deviance_dof,
     fit,
-    line_search,
-    score_info,
     theta_from_prob,
 )
 from .interactions import (
@@ -108,15 +104,11 @@ __all__ = [
     "MarginalShift",
     "ModelSpec",
     "RedundantConstraintWarning",
-    "as_step",
     "canonical_to_prob",
     "constraint_eval",
     "constraint_from_name",
     "constraint_names",
-    "deviance_dof",
     "fit",
-    "line_search",
-    "score_info",
     "theta_from_prob",
     # analysis
     "DegenerateScoreError",

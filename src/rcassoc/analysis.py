@@ -84,7 +84,6 @@ class ScoreDecomposition:
     psi: np.ndarray
     mu: np.ndarray
     nu: np.ndarray
-    normalization: str = "weighted"
 
     @property
     def rank(self):

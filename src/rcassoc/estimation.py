@@ -1,8 +1,9 @@
 """Constrained maximum likelihood by the Aitchison-Silvey regression method.
 
 The model is a multinomial over the table cells, parametrized canonically
-(log pi = basis theta - log-sum-exp), subject to the nonlinear constraint
-vector h(theta) = 0 stacking
+by the contrasts of each cell against the last, theta_i = log(pi_i / pi_last)
+in row-major order, subject to the nonlinear constraint vector h(theta) = 0
+stacking
 
 * the rank-K deflation residual of the scaled interaction matrix, and
 * optional linear restrictions on the invariant vector
@@ -29,7 +30,7 @@ the log-likelihood, never build them.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,12 +56,8 @@ __all__ = [
     "constraint_from_name",
     "canonical_to_prob",
     "theta_from_prob",
-    "score_info",
     "constraint_eval",
-    "as_step",
-    "line_search",
     "fit",
-    "deviance_dof",
 ]
 
 
@@ -238,7 +235,6 @@ class ModelSpec:
     family: DivergenceFamily
     rank: int
     linear_constraints: tuple = ()
-    identifiability: str = "weighted"
 
     def __post_init__(self):
         object.__setattr__(
@@ -251,10 +247,6 @@ class ModelSpec:
         for c in self.linear_constraints:
             if not isinstance(c, LinearConstraint):
                 raise TypeError(f"not a linear constraint: {c!r}")
-
-    @property
-    def K(self):
-        return self.rank
 
     def validate_shape(self, shape):
         kmax = min(shape) - 1
@@ -288,64 +280,49 @@ class ModelSpec:
         )
 
 
-def _standard_basis(ncells):
-    basis = np.zeros((ncells, ncells - 1))
-    basis[: ncells - 1, :] = np.eye(ncells - 1)
-    return basis
-
-
 @dataclass(frozen=True)
 class CanonicalParam:
-    """Multinomial canonical parameters: log pi = basis theta - log-sum-exp."""
+    """Multinomial canonical parameters of a table of ``shape``: the
+    contrasts theta_i = log(pi_i / pi_last) of each cell but the last
+    against the last, in row-major order."""
 
     theta: np.ndarray
-    basis: np.ndarray
     shape: tuple[int, int]
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        basis = np.asarray(self.basis, dtype=np.float64)
-        if basis.shape != (theta.shape[0] + 1, theta.shape[0]):
+        shape = tuple(self.shape)
+        if theta.shape[0] != shape[0] * shape[1] - 1:
             raise ValueError(
-                f"basis shape {basis.shape} does not match theta length {theta.shape[0]}"
+                f"theta length {theta.shape[0]} does not match shape {shape}, "
+                f"which needs {shape[0] * shape[1] - 1} contrasts"
             )
-        if basis.shape[0] != self.shape[0] * self.shape[1]:
-            raise ValueError("basis rows must equal the number of table cells")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "shape", shape)
 
-    @classmethod
-    def standard(cls, theta, shape):
-        """Cell-indicator contrasts relative to the last cell."""
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        return cls(theta, _standard_basis(theta.shape[0] + 1), tuple(shape))
+
+def _softmax(theta):
+    """Cell probabilities of contrasts against the last cell, as a vector."""
+    z = np.append(theta, 0.0)
+    z -= z.max()
+    e = np.exp(z)
+    return e / e.sum()
 
 
 def canonical_to_prob(p):
     """Strictly positive probability matrix of a CanonicalParam."""
-    z = p.basis @ p.theta
-    z = z - z.max()
-    e = np.exp(z)
-    return (e / e.sum()).reshape(p.shape)
+    return _softmax(p.theta).reshape(p.shape)
 
 
-def theta_from_prob(pi, basis=None):
-    """Invert canonical_to_prob for a strictly positive table.
-
-    Solves log pi = basis theta + c 1 jointly in (theta, c) by least
-    squares; exactly solvable for any full-rank basis, and for the standard
-    basis it reduces to theta_i = log(pi_i / pi_last).
-    """
+def theta_from_prob(pi):
+    """Invert canonical_to_prob for a strictly positive table:
+    theta_i = log(pi_i / pi_last)."""
     pi = np.asarray(pi, dtype=np.float64)
     if np.any(pi <= 0):
         raise ValueError("theta_from_prob needs a strictly positive table")
     logp = np.log(pi.reshape(-1))
-    if basis is None:
-        return logp[:-1] - logp[-1]
-    design = np.column_stack([basis, np.ones(basis.shape[0])])
-    sol, *_ = np.linalg.lstsq(design, logp, rcond=None)
-    return sol[:-1]
+    return logp[:-1] - logp[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +338,7 @@ class _Workspace:
         self.theta = np.asarray(theta, dtype=np.float64)
         self.spec = spec
         self.shape = shape
-        z = np.append(self.theta, 0.0)
-        z -= z.max()
-        e = np.exp(z)
-        self.pi = e / e.sum()
+        self.pi = _softmax(self.theta)
         self.pi2d = self.pi.reshape(shape)
         fam = spec.family
         c1, c2 = spec.pair[0].code, spec.pair[1].code
@@ -393,41 +367,37 @@ class _Workspace:
         return np.tile(jac, (1, self.shape[0]))
 
     def constraints(self, plan=None):
-        """(h, jac_theta, plan); selects deflation pivots when plan is None."""
+        """(h, plan); selects deflation pivots when plan is None."""
         spec, shape = self.spec, self.shape
-        parts_h, parts_j = [], []
+        parts = []
         if spec.rank_block_active(shape):
             if plan is None:
                 resid, plan = rank_residual(self.gamma, spec.rank)
             else:
                 resid = apply_plan(self.gamma, plan)
-            parts_h.append(resid)
-            parts_j.append(rank_residual_jacobian(self.gamma, plan) @ self.gamma_jac_pi)
-        for c in spec.linear_constraints:
-            a_r, a_c, a_g, off = c.coefficients(shape)
-            parts_h.append(a_r @ self.eta_row + a_c @ self.eta_col + a_g @ self.gamma.ravel() - off)
-            parts_j.append(
-                a_r @ self.eta_row_jac_pi + a_c @ self.eta_col_jac_pi + a_g @ self.gamma_jac_pi
-            )
-        d = self.theta.shape[0]
-        if not parts_h:
-            return np.zeros(0), np.zeros((0, d)), plan
-        h = np.concatenate(parts_h)
-        jac = np.vstack(parts_j) @ self.dpi_dtheta
-        return h, jac, plan
-
-    def constraint_values(self, plan):
-        """h only, with a frozen plan (line-search path)."""
-        spec, shape = self.spec, self.shape
-        parts = []
-        if spec.rank_block_active(shape):
-            parts.append(apply_plan(self.gamma, plan))
+            parts.append(resid)
         for c in spec.linear_constraints:
             a_r, a_c, a_g, off = c.coefficients(shape)
             parts.append(a_r @ self.eta_row + a_c @ self.eta_col + a_g @ self.gamma.ravel() - off)
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return (np.concatenate(parts) if parts else np.zeros(0)), plan
 
-    def score_info(self, y):
+    def constraint_jacobian(self, plan):
+        """dh/dtheta (rows are constraint gradients) with the pivots of ``plan``."""
+        spec, shape = self.spec, self.shape
+        parts = []
+        if spec.rank_block_active(shape):
+            parts.append(rank_residual_jacobian(self.gamma, plan) @ self.gamma_jac_pi)
+        for c in spec.linear_constraints:
+            a_r, a_c, a_g, _ = c.coefficients(shape)
+            parts.append(
+                a_r @ self.eta_row_jac_pi + a_c @ self.eta_col_jac_pi + a_g @ self.gamma_jac_pi
+            )
+        if not parts:
+            return np.zeros((0, self.theta.shape[0]))
+        return np.vstack(parts) @ self.dpi_dtheta
+
+    def score_and_info(self, y):
+        """Score and information (minus the log-likelihood hessian) in theta."""
         s = (y - y.sum() * self.pi)[:-1]
         info = y.sum() * (np.diag(self.pi) - np.outer(self.pi, self.pi))[:-1, :-1]
         return s, info
@@ -436,25 +406,9 @@ class _Workspace:
         return float(y @ np.log(self.pi))
 
 
-def _param_workspace(p, spec):
-    pi = canonical_to_prob(p)
-    theta = theta_from_prob(pi)
-    return _Workspace(theta, spec, p.shape)
-
-
 # ---------------------------------------------------------------------------
 # public operations on CanonicalParam
 # ---------------------------------------------------------------------------
-
-
-def score_info(p, y):
-    """Score basis'(y - n pi) and information n basis'(diag pi - pi pi')basis."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    pi = canonical_to_prob(p).reshape(-1)
-    n = y.sum()
-    resid = y - n * pi
-    cov = np.diag(pi) - np.outer(pi, pi)
-    return p.basis.T @ resid, n * (p.basis.T @ cov @ p.basis)
 
 
 def constraint_eval(p, spec, plan=None):
@@ -464,9 +418,9 @@ def constraint_eval(p, spec, plan=None):
     of dh/dtheta.  Pass ``plan`` to freeze the deflation pivots.
     """
     spec.validate_shape(p.shape)
-    ws = _param_workspace(p, spec)
-    h, jac, _ = ws.constraints(plan)
-    return h, jac.T
+    ws = _Workspace(p.theta, spec, p.shape)
+    h, plan = ws.constraints(plan)
+    return h, ws.constraint_jacobian(plan).T
 
 
 def _factor_constraints(h, jac, warn):
@@ -504,22 +458,6 @@ def _direction(s, info, u, x):
     return v - u, v
 
 
-def as_step(p, y, spec, plan=None):
-    """One regression step: (v, h0, H0) with update path theta + t (v - u).
-
-    u is the minimum-norm solution of H0' u = h0; redundant constraint rows
-    are dropped (with a warning) before the least-squares algebra.
-    """
-    spec.validate_shape(p.shape)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    ws = _param_workspace(p, spec)
-    h, jac, _ = ws.constraints(plan)
-    s, info = ws.score_info(y)
-    u, x, _ = _factor_constraints(h, jac, warn=True)
-    _, v = _direction(s, info, u, x)
-    return v, h, jac.T
-
-
 def _cubic_local_max(f0, fp0, f14, f12):
     """Interior local maximizer of the cubic through f(0), f'(0), f(1/4), f(1/2).
 
@@ -548,36 +486,11 @@ def _cubic_local_max(f0, fp0, f14, f12):
 def _objective(theta, y, spec, shape, plan):
     try:
         ws = _Workspace(theta, spec, shape)
-        h = ws.constraint_values(plan)
+        h, _ = ws.constraints(plan)
     except (LinkDomainError, PivotError, FloatingPointError, ZeroDivisionError):
         return -np.inf
     val = ws.loglik(y) / y.sum() - 0.5 * float(h @ h)
     return val if np.isfinite(val) else -np.inf
-
-
-def line_search(p, direction, y, spec, plan=None):
-    """Step length in (0, 1] increasing f(t) = y'log pi(t)/n - h'h/2.
-
-    Prefers the interior local maximum of the cubic fitted through f(0),
-    f'(0), f(1/4), f(1/2), clipped to 1; falls back to halving from t = 1.
-    Returns None when no step improves f (stall / convergence signal).
-    """
-    direction = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if not np.any(direction):
-        return None
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    spec.validate_shape(p.shape)
-    ws0 = _param_workspace(p, spec)
-    theta0 = ws0.theta
-    h0, jac, plan = ws0.constraints(plan)
-    s0, _ = ws0.score_info(y)
-    f0 = ws0.loglik(y) / y.sum() - 0.5 * float(h0 @ h0)
-    fp0 = float(s0 @ direction) / y.sum() - float(h0 @ (jac @ direction))
-
-    def feval(t):
-        return _objective(theta0 + t * direction, y, spec, p.shape, plan)
-
-    return _search(f0, fp0, feval)
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +513,6 @@ class FitResult:
     loglik: float
     spec: ModelSpec
     message: str = ""
-    scores: object = None
-
-    def with_scores(self, scores):
-        return replace(self, scores=scores)
 
 
 def _deviance(y2d, pi2d):
@@ -612,7 +521,7 @@ def _deviance(y2d, pi2d):
     return float(2.0 * np.sum(y2d[mask] * np.log(y2d[mask] / (n * pi2d[mask]))))
 
 
-def _as_counts(y, spec):
+def _as_counts(y):
     if isinstance(y, ContingencyTable):
         if y.counts is None:
             raise ValueError("fit needs observed counts, not a probability table")
@@ -638,7 +547,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     change below ``tol_rel`` and the projected score below
     ``tol_score * n``, or ``max_iter`` is reached.
     """
-    y2d = _as_counts(y, spec)
+    y2d = _as_counts(y)
     shape = y2d.shape
     spec.validate_shape(shape)
     yv = y2d.reshape(-1)
@@ -654,7 +563,8 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         at_iterate = None
         ws = _Workspace(theta, spec, shape)
         try:
-            h, jac, plan = ws.constraints()
+            h, plan = ws.constraints()
+            jac = ws.constraint_jacobian(plan)
         except PivotError as exc:
             message = f"deflation pivot failure: {exc}"
             break
@@ -663,7 +573,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         u, x, rank = _factor_constraints(h, jac, warn=(iterations == 1))
         # what the result needs if the fit stops before theta moves again
         at_iterate = ws, h, rank
-        s0, info = ws.score_info(yv)
+        s0, info = ws.score_and_info(yv)
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
             proj = float(np.abs(x.T @ s0).max()) if x.shape[1] else 0.0
             if proj <= tol_score * n:
@@ -704,7 +614,8 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         # theta moved after its last workspace, or the pivots failed there
         ws = _Workspace(theta, spec, shape)
         try:
-            h, jac, _ = ws.constraints()
+            h, plan = ws.constraints()
+            jac = ws.constraint_jacobian(plan)
         except PivotError:
             h, jac = np.zeros(0), np.zeros((0, theta.shape[0]))
         dof = _factor_constraints(h, jac, warn=False)[2]
@@ -735,7 +646,7 @@ def _restoration_step(theta0, u, yv, spec, shape, plan, hnorm):
     while t > 2.0**-20:
         try:
             ws = _Workspace(theta0 - t * u, spec, shape)
-            trial = ws.constraint_values(plan)
+            trial, _ = ws.constraints(plan)
         except (LinkDomainError, PivotError, FloatingPointError, ZeroDivisionError):
             trial = None
         if trial is not None and np.all(np.isfinite(trial)):
@@ -757,9 +668,3 @@ def _search(f0, fp0, feval):
             return t
         t *= 0.5
     return None
-
-
-def deviance_dof(result, y):
-    """(deviance, dof) of a fit against counts ``y``; recomputed from pi_hat."""
-    y2d = _as_counts(y, result.spec)
-    return _deviance(y2d, result.pi_hat), result.dof

@@ -226,9 +226,9 @@ def test_criterion_6_constraint_jacobians():
         _, plan = rank_residual(gamma_matrix(table, fam=spec.family).values, 1)
 
         def h_of(th):
-            return constraint_eval(CanonicalParam.standard(th, (4, 4)), spec, plan=plan)[0]
+            return constraint_eval(CanonicalParam(th, (4, 4)), spec, plan=plan)[0]
 
-        h0, big_h = constraint_eval(CanonicalParam.standard(theta, (4, 4)), spec, plan=plan)
+        h0, big_h = constraint_eval(CanonicalParam(theta, (4, 4)), spec, plan=plan)
         fd = np.empty_like(big_h)
         for c in range(theta.size):
             step = np.zeros(theta.size)
@@ -344,7 +344,7 @@ def test_criterion_6_optimizer_cross_check():
             options={"maxiter": 4000, "gtol": 1e-10},
         )
         theta = res.x
-    pi_star = canonical_to_prob(CanonicalParam.standard(theta, (3, 3)))
+    pi_star = canonical_to_prob(CanonicalParam(theta, (3, 3)))
     dev_oracle = float(2.0 * np.sum(y * np.log(y / (n * pi_star.reshape(-1)))))
     gap = abs(ours.deviance - dev_oracle)
     ok = ours.converged and gap <= 1e-4

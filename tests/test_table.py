@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcassoc import ContingencyTable, EventSet, LogitType, TableParseError, read_counts
+from rcassoc import (
+    ContingencyTable,
+    EventSet,
+    LogitType,
+    ModelSpec,
+    TableParseError,
+    fit,
+    kl,
+    read_counts,
+)
 from rcassoc.datasets import dataset_names, dataset_path
 
 # probability table used in several worked examples below
@@ -195,6 +206,37 @@ def test_read_counts_errors(tmp_path):
     single.write_text("5\n")
     with pytest.raises(TableParseError):
         read_counts(single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    cell=st.integers(0, 24),
+    token=st.sampled_from(["nan", "NaN", "inf", "Infinity", "-inf", "-Infinity"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_non_finite_cell_rejected(tmp_path_factory, shape, cell, token, seed):
+    counts = np.random.default_rng(seed).integers(0, 50, size=shape).astype(np.float64)
+    i, j = divmod(cell % counts.size, shape[1])
+    counts[i, j] = float(token)
+    finite_total = counts[np.isfinite(counts)].sum() + 1.0
+    with pytest.raises(ValueError, match="finite"):
+        ContingencyTable(counts / finite_total)
+    with pytest.raises(ValueError, match="finite"):
+        ContingencyTable.from_counts(counts)
+    with pytest.raises(ValueError, match="finite"):
+        fit(counts, ModelSpec(pair=("L", "L"), family=kl(), rank=1))
+
+    lines = [" ".join(f"{v:g}" for v in row) for row in counts]
+    fields = lines[i].split()
+    fields[j] = token
+    lines[i] = " ".join(fields)
+    path = tmp_path_factory.getbasetemp() / "non_finite.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableParseError, match="non-finite") as err:
+        read_counts(path)
+    assert (err.value.line, err.value.column) == (i + 1, j + 1)
+    assert f"line {i + 1}, column {j + 1}" in str(err.value)
 
 
 def test_bundled_dataset(mobility_counts):
