@@ -355,7 +355,16 @@ def cmd_fit(cfg):
 
 def _sweep_cell(args):
     counts, pair, lam, rank, names = args
-    row = {"pair": pair, "lambda": float(lam), "deviance": None, "dof": None, "converged": False}
+    row = {
+        "pair": pair,
+        "lambda": float(lam),
+        "deviance": None,
+        "dof": None,
+        "converged": False,
+        "iterations": None,
+        "message": None,
+        "error": None,
+    }
     try:
         spec = ModelSpec(
             pair=(pair[0], pair[1]),
@@ -364,16 +373,24 @@ def _sweep_cell(args):
             linear_constraints=tuple(constraint_from_name(n) for n in names),
         )
         result = fit(counts, spec)
-    except (ValueError, PivotError):  # ValueError covers LinkDomainError
+    except (ValueError, PivotError) as exc:  # ValueError covers LinkDomainError
+        row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row["deviance"] = result.deviance
     row["dof"] = result.dof
     row["converged"] = bool(result.converged)
+    row["iterations"] = result.iterations
+    row["message"] = result.message
     return row
 
 
 def cmd_sweep(cfg):
-    """Fit every (pair, lambda) cell; failures are recorded, exit stays 0."""
+    """Fit every (pair, lambda) cell; failures are recorded, exit stays 0.
+
+    CSV rows hold pair, lambda, deviance, dof and converged; JSON rows add
+    the fit's iterations and stop message, and ``error`` (exception type
+    and text) for a cell whose fit raised, which is null otherwise.
+    """
     table = _load_table(cfg)
     counts = np.asarray(table.counts, dtype=np.float64)
     grid = cfg.grid if cfg.grid is not None else (cfg.lam, cfg.lam, 1.0)

@@ -22,11 +22,16 @@ constraint rows are dropped), u, and an orthonormal X, which the
 convergence test reuses for the projected score X' s0.
 
 A cubic line search on f(t) = y' log pi(t) / n - h(t)' h(t) / 2 picks the
-step length.  Deflation pivots are frozen for the duration of one outer
-iteration so h stays smooth along the search path.  A workspace computes
-the jacobians of pi, gamma and the marginal logits only when they are
-first read, so trial points of the line search, which need only h and
-the log-likelihood, never build them.
+step length.  It stops as soon as no step can gain (the backtracking rule
+of Nocedal & Wright, ch. 3): after the cubic probes and t = 1 it halves t
+only along an ascent direction, f'(0) > 0, and only while the predicted
+gain t f'(0) exceeds a few ulps of max(1, |f(0)|).  A search that ends
+without a step hands over to the stationary test or a restoration step.
+Deflation pivots are frozen for the duration of one outer iteration so h
+stays smooth along the search path.  A workspace computes the marginal
+logits and the jacobians of pi, gamma and the marginal logits only when
+they are first read, so trial points of the line search, which need only
+h and the log-likelihood, never build them.
 """
 
 import warnings
@@ -331,8 +336,8 @@ def theta_from_prob(pi):
 
 
 class _Workspace:
-    """All quantities needed at one theta: pi and the invariants, plus
-    their jacobians, which are built on first read."""
+    """All quantities needed at one theta: pi and gamma, plus the marginal
+    logits and the jacobians, which are built on first read."""
 
     def __init__(self, theta, spec, shape):
         self.theta = np.asarray(theta, dtype=np.float64)
@@ -344,8 +349,14 @@ class _Workspace:
         c1, c2 = spec.pair[0].code, spec.pair[1].code
         self._gamma_args = (c1, c2, 0.0 if fam.is_kl else fam.lam, fam.is_kl)
         self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
-        self.eta_row = kernels.marginal_logit_values(self.pi2d.sum(axis=1), c1)
-        self.eta_col = kernels.marginal_logit_values(self.pi2d.sum(axis=0), c2)
+
+    @cached_property
+    def eta_row(self):
+        return kernels.marginal_logit_values(self.pi2d.sum(axis=1), self.spec.pair[0].code)
+
+    @cached_property
+    def eta_col(self):
+        return kernels.marginal_logit_values(self.pi2d.sum(axis=0), self.spec.pair[1].code)
 
     @cached_property
     def dpi_dtheta(self):
@@ -546,6 +557,13 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     constraint norm falls below ``tol_h``, the relative log-likelihood
     change below ``tol_rel`` and the projected score below
     ``tol_score * n``, or ``max_iter`` is reached.
+
+    The line search returns no step when the direction is not an ascent
+    direction of the merit f and neither the cubic probes nor t = 1 raise
+    it, or when halving has brought the predicted gain t f'(0) down to
+    rounding level.  The fit then stops as "converged (stationary)" if the
+    constraints already hold to ``tol_h``, and otherwise takes a damped
+    Newton step on the constraints alone.
     """
     y2d = _as_counts(y)
     shape = y2d.shape
@@ -656,15 +674,28 @@ def _restoration_step(theta0, u, yv, spec, shape, plan, hnorm):
     return None
 
 
+# the line search stops halving once its predicted gain is this many ulps of f
+_GAIN_ULPS = 4
+
+
 def _search(f0, fp0, feval):
+    """Step length t in (0, 1] with feval(t) > f0, or None when no step can gain.
+
+    Tries the cubic probes, then halves from t = 1 while the predicted gain
+    t * fp0 stays above _GAIN_ULPS ulps of max(1, |f0|): below that a rise
+    of f is rounding noise, and with fp0 <= 0 no small step can rise, so
+    the search ends after t = 1.
+    """
     t_cubic = _cubic_local_max(f0, fp0, feval(0.25), feval(0.5))
     if t_cubic is not None:
         t_cubic = min(t_cubic, 1.0)
         if feval(t_cubic) > f0:
             return t_cubic
+    floor = _GAIN_ULPS * np.finfo(np.float64).eps * max(1.0, abs(f0))
     t = 1.0
-    while t > 2.0**-40:
+    while True:
         if feval(t) > f0:
             return t
         t *= 0.5
-    return None
+        if not (t > 2.0**-40 and t * fp0 > floor):
+            return None

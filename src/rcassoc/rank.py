@@ -89,7 +89,10 @@ def deflate(m, pivot):
     if piv == 0.0:
         raise PivotError(f"zero pivot at {pivot}")
     u = m - np.outer(m[:, j], m[i, :]) / piv
-    return np.delete(np.delete(u, i, axis=0), j, axis=1)
+    # drop row i and column j; a negative pivot counts from the end, as in m[i, j]
+    i, j = i % m.shape[0], j % m.shape[1]
+    u = np.concatenate((u[:i], u[i + 1 :]), axis=0)
+    return np.concatenate((u[:, :j], u[:, j + 1 :]), axis=1)
 
 
 def rank_residual(m, rank):

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import rcassoc.cli as cli
-from rcassoc import DependenceReport, VerificationRecord, LogitType, extract_invariants, load_mobility
+from rcassoc import (
+    DependenceReport,
+    LogitType,
+    ModelSpec,
+    VerificationRecord,
+    cressie_read,
+    extract_invariants,
+    fit,
+    load_mobility,
+)
 from rcassoc.cli import main
 
 
@@ -132,6 +141,23 @@ def test_sweep_json_format(capsys):
     assert len(cells) == 1
     assert cells[0]["pair"] == "GG" and cells[0]["lambda"] == 0.0
     assert cells[0]["converged"] is True
+    # a fitted row carries the fit's iteration count and stop message
+    result = fit(load_mobility(), ModelSpec(("G", "G"), cressie_read(0.0), 1))
+    assert cells[0]["iterations"] == result.iterations > 0
+    assert cells[0]["message"] == result.message
+    assert cells[0]["error"] is None
+
+
+def test_sweep_json_failed_row_names_its_error(capsys):
+    code, payload, _ = run_json(
+        capsys, "sweep", "mobility", "--pair", "GG", "--rank", "5", "--format", "json"
+    )
+    assert code == 0
+    (cell,) = payload["cells"]
+    assert cell["deviance"] is None and cell["dof"] is None
+    assert cell["converged"] is False
+    assert cell["iterations"] is None and cell["message"] is None
+    assert cell["error"].startswith("ValueError: rank 5 exceeds the maximum 4")
 
 
 def test_sweep_records_failed_cells(capsys):

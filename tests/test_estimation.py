@@ -27,6 +27,7 @@ from rcassoc import (
     theta_from_prob,
 )
 from rcassoc.estimation import (
+    _GAIN_ULPS,
     _cubic_local_max,
     _direction,
     _factor_constraints,
@@ -250,6 +251,59 @@ def test_search_clips_to_unit_step():
     assert _search(f(0.0), 1.0, f) == pytest.approx(1.0)
 
 
+def _counted(f):
+    ts = []
+
+    def wrapped(t):
+        ts.append(t)
+        return f(t)
+
+    return wrapped, ts
+
+
+@pytest.mark.parametrize(
+    "f, fp0",
+    [
+        (lambda t: -t, -1.0),
+        (lambda t: -t * t, 0.0),
+        # the cubic probes propose t = 1/3, which does not rise either
+        (lambda t: -t + 3.0 * t * t - 3.0 * t**3, -1.0),
+    ],
+    ids=["descent", "flat-slope", "cubic-proposal"],
+)
+def test_search_off_ascent_gives_up_after_unit_step(f, fp0):
+    # with f'(0) <= 0 no small step can rise: the cubic probes and t = 1 only
+    feval, ts = _counted(f)
+    assert _search(f(0.0), fp0, feval) is None
+    assert len(ts) <= 4
+    assert min(ts) == 0.25
+
+
+def test_search_finds_small_rise_on_ascent():
+    # f rises only for t < 1e-3; the cubic probes miss it and halving finds it
+    def f(t):
+        return t if t < 1e-3 else -1.0
+
+    t = _search(f(0.0), 1.0, f)
+    assert t == 2.0**-10
+
+
+def test_search_stops_at_rounding_floor():
+    # a slope of 1e-12 on a function flat to rounding: halving stops once the
+    # predicted gain t f'(0) is below the floor, not after 40 halvings
+    f0, fp0 = -2.5, 1e-12
+    floor = _GAIN_ULPS * np.finfo(np.float64).eps * abs(f0)
+
+    def f(t):
+        return f0 - 1e-16 * t
+
+    feval, ts = _counted(f)
+    assert _search(f0, fp0, feval) is None
+    smallest = min(ts)
+    assert smallest * fp0 > floor >= 0.5 * smallest * fp0
+    assert len(ts) < 15
+
+
 def test_fit_saturated_reproduces_empirical(mobility_counts):
     result = fit(mobility_counts, _spec(4))
     assert result.converged
@@ -363,8 +417,9 @@ def test_factor_constraints_drops_duplicated_row():
 def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     # jacobians are built once per outer iteration, never at line-search
     # trial points, and the converged result reuses the last iterate's; one
-    # QR per outer iteration
-    calls = {"jacobian": 0, "qr": 0}
+    # QR per outer iteration; line searches that cannot gain stop early, so
+    # at most five workspaces per outer iteration
+    calls = {"jacobian": 0, "qr": 0, "workspace": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -379,10 +434,12 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
         counting("jacobian", rcassoc.kernels.gamma_jacobian_values),
     )
     monkeypatch.setattr(scipy.linalg, "qr", counting("qr", scipy.linalg.qr))
+    monkeypatch.setattr(_Workspace, "__init__", counting("workspace", _Workspace.__init__))
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
     assert result.converged
     assert calls["jacobian"] == result.iterations
     assert calls["qr"] == result.iterations
+    assert calls["workspace"] <= 5 * result.iterations, (calls, result.iterations)
 
 
 def test_custom_matches_named_constraint(mobility_counts):

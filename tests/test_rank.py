@@ -162,3 +162,27 @@ def test_plan_shape_mismatch():
         rank_residual_jacobian(np.eye(3), plan)
     with pytest.raises(ValueError):
         rank_residual(m, 5)
+
+
+def _deflate_ref(m, pivot):
+    i, j = pivot
+    u = m - np.outer(m[:, j], m[i, :]) / m[i, j]
+    return np.delete(np.delete(u, i, axis=0), j, axis=1)
+
+
+def test_deflation_matches_delete_reference():
+    # dropping the pivot row and column by slicing is bit-identical to np.delete
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(2, 10, size=2))
+        m = rng.standard_normal((rows, cols))
+        pivot = (int(rng.integers(-rows, rows)), int(rng.integers(-cols, cols)))
+        assert np.array_equal(deflate(m, pivot), _deflate_ref(m, pivot))
+        resid, plan = rank_residual(m, int(rng.integers(0, min(rows, cols) + 1)))
+        cur = m
+        for piv in plan.pivots:
+            flat = int(np.argmax(np.abs(cur)))
+            assert piv == divmod(flat, cur.shape[1])
+            cur = _deflate_ref(cur, piv)
+        assert np.array_equal(resid, cur.ravel())
+        assert np.array_equal(apply_plan(m, plan), cur.ravel())
