@@ -3,129 +3,84 @@
 Interactions are log-odds ratios of local, global, continuation or reverse
 logits, optionally rescaled through a Cressie-Read power link, with maximum
 likelihood fitting under rank and linear marginal constraints.
+
+The top level exports the fitting, analysis and reconstruction entry points
+and the exceptions and warnings they raise; everything else is imported from
+its module (``rcassoc.table``, ``rcassoc.interactions``, ``rcassoc.rank``,
+...).
 """
 
 from .analysis import (
     DegenerateScoreError,
-    DependenceReport,
-    PairDependence,
     RankDeficiencyWarning,
     ReconstructionError,
-    ScoreDecomposition,
-    VerificationRecord,
     collect_nonnegative_gamma_tables,
     counterexample_names,
     counterexample_verify,
     dependence_report,
     extract_invariants,
-    margin_from_logits,
     reconstruct,
-    row_conditional_cumulative,
     score_correlation,
     svd_scores,
 )
-from .datasets import dataset_names, dataset_path, load_mobility
-from .divergence import DivergenceFamily, LinkDomainError, cressie_read, kl
+from .datasets import load_mobility
+from .divergence import LinkDomainError, cressie_read, kl
 from .estimation import (
     CanonicalParam,
-    Custom,
     EqualColumnSpacing,
     EqualRowSpacing,
-    FitResult,
-    LinearConstraint,
     MarginalHomogeneity,
     MarginalShift,
     ModelSpec,
     RedundantConstraintWarning,
     canonical_to_prob,
     constraint_eval,
-    constraint_from_name,
-    constraint_names,
     fit,
     theta_from_prob,
 )
-from .interactions import (
-    InteractionMatrix,
-    MarginalLogits,
-    gamma_jacobian,
-    gamma_matrix,
-    gamma_matrix_batch,
-    lor_matrix,
-    lor_matrix_batch,
-    marginal_logits,
-    rho,
-    table_logits,
-)
-from .rank import DeflationPlan, PivotError, deflate, pivot_select, rank_residual, rank_residual_jacobian
-from .table import ContingencyTable, EventSet, LogitType, TableParseError, read_counts
+from .interactions import gamma_matrix, gamma_matrix_batch, lor_matrix_batch
+from .rank import PivotError, rank_residual
+from .table import ContingencyTable, TableParseError
 
 __all__ = [
     "__version__",
     # tables
     "ContingencyTable",
-    "EventSet",
-    "LogitType",
     "TableParseError",
-    "read_counts",
-    "dataset_names",
-    "dataset_path",
     "load_mobility",
     # divergence scaling
-    "DivergenceFamily",
     "LinkDomainError",
     "cressie_read",
     "kl",
     # interactions
-    "InteractionMatrix",
-    "MarginalLogits",
-    "gamma_jacobian",
     "gamma_matrix",
     "gamma_matrix_batch",
-    "lor_matrix",
     "lor_matrix_batch",
-    "marginal_logits",
-    "rho",
-    "table_logits",
     # rank deflation
-    "DeflationPlan",
     "PivotError",
-    "deflate",
-    "pivot_select",
     "rank_residual",
-    "rank_residual_jacobian",
     # estimation
     "CanonicalParam",
-    "Custom",
     "EqualColumnSpacing",
     "EqualRowSpacing",
-    "FitResult",
-    "LinearConstraint",
     "MarginalHomogeneity",
     "MarginalShift",
     "ModelSpec",
     "RedundantConstraintWarning",
     "canonical_to_prob",
     "constraint_eval",
-    "constraint_from_name",
-    "constraint_names",
     "fit",
     "theta_from_prob",
     # analysis
     "DegenerateScoreError",
-    "DependenceReport",
-    "PairDependence",
     "RankDeficiencyWarning",
     "ReconstructionError",
-    "ScoreDecomposition",
-    "VerificationRecord",
     "collect_nonnegative_gamma_tables",
     "counterexample_names",
     "counterexample_verify",
     "dependence_report",
     "extract_invariants",
-    "margin_from_logits",
     "reconstruct",
-    "row_conditional_cumulative",
     "score_correlation",
     "svd_scores",
 ]

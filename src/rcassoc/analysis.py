@@ -26,6 +26,7 @@ from .interactions import (
     gamma_matrix,
     gamma_matrix_batch,
     lor_matrix,
+    table_logits,
 )
 from .table import ContingencyTable, LogitType
 
@@ -205,8 +206,6 @@ def margin_from_logits(values, logit_type):
 
 def extract_invariants(table, l1=None, l2=None, fam=None):
     """(row logits, column logits, gamma) of a table; reconstruct's inverse."""
-    from .interactions import table_logits
-
     rows, cols = table_logits(table, l1, l2)
     g = gamma_matrix(table, l1, l2, fam)
     return rows, cols, g

@@ -76,12 +76,6 @@ class DivergenceFamily:
             out = base ** (1.0 / self.lam)
         return out if out.ndim else float(out)
 
-    def f_prime_times_u(self, u):
-        """F'(u) * u, the weight appearing in interaction derivatives."""
-        u = np.asarray(u, dtype=np.float64)
-        out = np.ones_like(u) if self.is_kl else u ** self.lam
-        return out if out.ndim else float(out)
-
     def divergence(self, p, q):
         """phi-divergence D(p || q) = sum q * phi(p / q) over matching shapes."""
         p = np.asarray(p, dtype=np.float64)

@@ -18,14 +18,13 @@ import numpy as np
 
 from . import kernels
 from .divergence import DivergenceFamily, kl
-from .table import ContingencyTable, LogitType
+from .table import LogitType
 
 __all__ = [
     "InteractionMatrix",
     "MarginalLogits",
     "marginal_logits",
     "table_logits",
-    "rho",
     "gamma_matrix",
     "lor_matrix",
     "gamma_jacobian",
@@ -120,17 +119,6 @@ def table_logits(table, l1=None, l2=None):
         marginal_logits(table.row_margin(), row, "row"),
         marginal_logits(table.col_margin(), col, "column"),
     )
-
-
-def rho(table, i, j, u, v, l1=None, l2=None):
-    """Dependence ratio P(E1 x E2) / (P(E1) P(E2)) at cut (i, j), sides (u, v)."""
-    row, col = _resolve_pair(table, l1, l2)
-    t = table.with_logits(row, col)
-    p1 = t.marginal_event_prob(0, i, u)
-    p2 = t.marginal_event_prob(1, j, v)
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise ValueError(f"zero marginal event probability at cut ({i}, {j})")
-    return t.quadrant_prob(i, j, u, v) / (p1 * p2)
 
 
 def gamma_matrix(table, l1=None, l2=None, fam=None):

@@ -2,7 +2,7 @@
 
 Logit types are encoded as small integers (L=0, G=1, C=2, R=3) and the
 divergence scale as the pair ``(lam, is_kl)``; the object-level wrappers
-live in ``table``, ``divergence`` and ``interactions``.
+live in ``interactions``.
 
 Every logit type on a margin of size I is one 0/1 event-indicator operator
 E: row ``b * (I-1) + x - 1`` marks the cells of event ``b`` at the 1-based
@@ -171,26 +171,6 @@ def gamma_jacobian_values(pi, c1, c2, lam, is_kl):
     half = np.einsum("aih,aibj->ijhb", _slabs(i1, c1), coef)
     jac = half @ _slabs(i2, c2).transpose(1, 0, 2)
     return jac.reshape((i1 - 1) * (i2 - 1), i1 * i2)
-
-
-def event_bounds(x, b, code, size):
-    """0-based half-open range [lo, hi) of the event at 1-based cut ``x``."""
-    return _bounds(x, b, code, size)
-
-
-def quadrant_prob_value(pi, i, j, u, v, c1, c2):
-    """Joint probability of the (u, v) event pair at cut (i, j)."""
-    pi = _as_table(pi)
-    i1, i2 = pi.shape
-    lo1, hi1 = _bounds(i, u, c1, i1)
-    lo2, hi2 = _bounds(j, v, c2, i2)
-    return float(pi[lo1:hi1, lo2:hi2].sum())
-
-
-def marginal_event_sum(margin, x, b, code):
-    """Probability of the event at cut ``x`` under a marginal distribution."""
-    lo, hi = _bounds(x, b, code, margin.shape[0])
-    return float(margin[lo:hi].sum())
 
 
 def _margin_events(margin, code):

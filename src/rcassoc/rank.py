@@ -44,11 +44,6 @@ class DeflationPlan:
     def rank(self):
         return len(self.pivots)
 
-    def residual_shape(self):
-        m, n = self.shape
-        k = self.rank
-        return (m - k, n - k)
-
 
 def _check_matrix(m, rank):
     m = np.asarray(m, dtype=np.float64)

@@ -9,8 +9,8 @@ margins carry a logit type, one of
 * ``R`` reverse continuation: ``{1..x}`` vs ``{x+1}``,
 
 each defining at cut ``x`` a pair of category events ``E(x, 0)`` and
-``E(x, 1)``.  Cut points and category indices are 1-based at this interface;
-the raw arrays underneath are plain 0-based numpy.
+``E(x, 1)``.  The events of every cut are built and evaluated in
+``kernels``; a table only carries the probabilities and the two types.
 """
 
 import enum
@@ -19,11 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "LogitType",
-    "EventSet",
     "ContingencyTable",
     "TableParseError",
     "read_counts",
@@ -65,23 +62,6 @@ class LogitType(str, enum.Enum):
     def code(self):
         """Integer code used by the numeric kernels."""
         return "LGCR".index(self.value)
-
-
-@dataclass(frozen=True)
-class EventSet:
-    """Contiguous block of 1-based category indices on one margin."""
-
-    start: int
-    stop: int  # inclusive
-
-    def indices(self):
-        return tuple(range(self.start, self.stop + 1))
-
-    def __contains__(self, idx):
-        return self.start <= idx <= self.stop
-
-    def __len__(self):
-        return self.stop - self.start + 1
 
 
 def _freeze(a):
@@ -158,55 +138,6 @@ class ContingencyTable:
 
     def col_margin(self):
         return self.probs.sum(axis=0)
-
-    def with_logits(self, row_logit=None, col_logit=None):
-        return ContingencyTable(
-            self.probs,
-            self.row_logit if row_logit is None else row_logit,
-            self.col_logit if col_logit is None else col_logit,
-            counts=self.counts,
-        )
-
-    def reversed_rows(self):
-        """Table with row categories in reverse order."""
-        counts = None if self.counts is None else self.counts[::-1]
-        return ContingencyTable(self.probs[::-1], self.row_logit, self.col_logit, counts=counts)
-
-    def reversed_cols(self):
-        counts = None if self.counts is None else self.counts[:, ::-1]
-        return ContingencyTable(self.probs[:, ::-1], self.row_logit, self.col_logit, counts=counts)
-
-    # -- events and quadrants ----------------------------------------------
-
-    def _axis_size(self, axis):
-        return self.shape[axis]
-
-    def _axis_logit(self, axis):
-        return self.row_logit if axis == 0 else self.col_logit
-
-    def event_set(self, axis, x, b):
-        """Categories of event ``E(x, b)`` on the given axis (1-based cut x)."""
-        size = self._axis_size(axis)
-        if not 1 <= x <= size - 1:
-            raise ValueError(f"cut point {x} out of range 1..{size - 1}")
-        if b not in (0, 1):
-            raise ValueError(f"event side must be 0 or 1, got {b}")
-        lo, hi = kernels.event_bounds(x, b, self._axis_logit(axis).code, size)
-        return EventSet(lo + 1, hi)
-
-    def quadrant_prob(self, i, j, u, v):
-        """P(row in E1(i, u), col in E2(j, v))."""
-        self.event_set(0, i, u)
-        self.event_set(1, j, v)
-        return kernels.quadrant_prob_value(
-            self.probs, i, j, u, v, self.row_logit.code, self.col_logit.code
-        )
-
-    def marginal_event_prob(self, axis, x, b):
-        """P(category in E(x, b)) on one margin."""
-        self.event_set(axis, x, b)
-        margin = self.row_margin() if axis == 0 else self.col_margin()
-        return kernels.marginal_event_sum(margin, x, b, self._axis_logit(axis).code)
 
 
 def read_counts(path, row_logit="L", col_logit="L"):

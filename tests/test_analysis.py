@@ -21,13 +21,12 @@ from rcassoc import (
     gamma_matrix,
     gamma_matrix_batch,
     kl,
-    margin_from_logits,
-    marginal_logits,
     reconstruct,
     score_correlation,
     svd_scores,
 )
-from rcassoc.analysis import row_conditional_cumulative
+from rcassoc.analysis import margin_from_logits, row_conditional_cumulative
+from rcassoc.interactions import marginal_logits
 
 
 def test_svd_scores_recover_known_decomposition():
@@ -162,6 +161,24 @@ def test_reconstruct_round_trip(random_table):
         rows, cols, g = extract_invariants(table, fam=fam)
         back = reconstruct(rows, cols, g, fam=fam)
         np.testing.assert_allclose(back, pi, atol=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ReconstructionError,
+    reason="the Newton solve stalls at residual 9.3e-3 on this attainable CG target; "
+    "reconstruction by one scalar root per cut (ROADMAP item 1) is the fix",
+)
+def test_reconstruct_cg_attainable_target_stall():
+    # the second 16-cell Dirichlet(1) draw of this seed, lifted by 0.02 / cells
+    rng = np.random.default_rng([112, 6])
+    rng.dirichlet(np.ones(16))
+    pi = rng.dirichlet(np.ones(16)) + 0.02 / 16
+    pi = (pi / pi.sum()).reshape(4, 4)
+    fam = cressie_read(-0.5)
+    rows, cols, g = extract_invariants(ContingencyTable(pi, "C", "G"), fam=fam)
+    back = reconstruct(rows, cols, g, fam=fam)
+    np.testing.assert_allclose(back, pi, atol=1e-9)
 
 
 def test_reconstruct_failure_carries_residual(mobility):

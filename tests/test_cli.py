@@ -8,17 +8,10 @@ import numpy as np
 import pytest
 
 import rcassoc.cli as cli
-from rcassoc import (
-    DependenceReport,
-    LogitType,
-    ModelSpec,
-    VerificationRecord,
-    cressie_read,
-    extract_invariants,
-    fit,
-    load_mobility,
-)
+from rcassoc import ModelSpec, cressie_read, extract_invariants, fit, load_mobility
+from rcassoc.analysis import DependenceReport, VerificationRecord
 from rcassoc.cli import main
+from rcassoc.table import LogitType
 
 
 def run_cli(capsys, *argv):

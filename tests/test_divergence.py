@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rcassoc import DivergenceFamily, LinkDomainError, cressie_read, kl
+from rcassoc.divergence import DivergenceFamily, LinkDomainError, cressie_read, kl
 
 
 def test_family_construction():
@@ -87,17 +87,6 @@ def test_link_round_trip():
             if lam * y + 1.0 < 1e-4:
                 continue
             assert abs(fam.g_link(y) - u) <= 1e-10 * u
-
-
-def test_f_prime_times_u():
-    rng = np.random.default_rng(13)
-    for fam in (kl(), cressie_read(-0.5), cressie_read(1.5)):
-        for _ in range(50):
-            u = rng.uniform(0.1, 10.0)
-            eps = 1e-6 * u
-            numeric = (fam.f_link(u + eps) - fam.f_link(u - eps)) / (2 * eps) * u
-            assert fam.f_prime_times_u(u) == pytest.approx(numeric, rel=1e-6)
-    assert kl().f_prime_times_u(3.7) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_divergence_values():

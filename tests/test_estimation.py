@@ -10,7 +10,6 @@ import rcassoc.kernels
 from rcassoc import (
     CanonicalParam,
     ContingencyTable,
-    Custom,
     EqualColumnSpacing,
     EqualRowSpacing,
     MarginalHomogeneity,
@@ -28,6 +27,7 @@ from rcassoc import (
 )
 from rcassoc.estimation import (
     _GAIN_ULPS,
+    Custom,
     _cubic_local_max,
     _direction,
     _factor_constraints,
@@ -370,6 +370,38 @@ def test_fit_stops_at_max_iter(mobility_counts):
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)), max_iter=1)
     assert not result.converged
     assert result.message
+
+
+def _strong_large_table(rng):
+    """16x16 counts from log pi = a_i + b_j + 2 mu1_i nu1_j + q_i q_j.
+
+    Linear scores on [-1, 1] jittered by sd 0.02, a centred quadratic score
+    q scaled to the same spread, main effects of sd 0.1 and a multinomial
+    draw of 1,000,000; twice the linear association of the benchmark's
+    16x16 tables.
+    """
+    x = np.linspace(-1.0, 1.0, 16)
+    quad = x**2 - np.mean(x**2)
+    quad *= x.std() / quad.std()
+    while True:
+        a = rng.normal(0.0, 0.1, 16)
+        b = rng.normal(0.0, 0.1, 16)
+        mu1 = x + rng.normal(0.0, 0.02, 16)
+        nu1 = x + rng.normal(0.0, 0.02, 16)
+        logp = a[:, None] + b[None, :] + 2.0 * np.outer(mu1, nu1) + np.outer(quad, quad)
+        pi = np.exp(logp - logp.max())
+        pi /= pi.sum()
+        counts = rng.multinomial(1_000_000, pi.ravel()).reshape(pi.shape).astype(float)
+        if counts.min() > 0:
+            return counts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_converges_on_strong_association_16x16(seed):
+    counts = _strong_large_table(np.random.default_rng([6, seed]))
+    result = fit(counts, _spec(2))
+    assert result.converged, result.message
+    assert result.dof == (16 - 1 - 2) ** 2
 
 
 def test_duplicate_constraint_warns_and_matches(mobility_counts):

@@ -5,24 +5,35 @@ import pytest
 
 from rcassoc import (
     ContingencyTable,
-    InteractionMatrix,
-    MarginalLogits,
     cressie_read,
-    gamma_jacobian,
     gamma_matrix,
     gamma_matrix_batch,
     kl,
-    lor_matrix,
     lor_matrix_batch,
+)
+from rcassoc.interactions import (
+    InteractionMatrix,
+    MarginalLogits,
+    gamma_jacobian,
+    lor_matrix,
     marginal_logits,
-    rho,
     table_logits,
 )
+from rcassoc.kernels import quadrant_values
+from rcassoc.table import LogitType
 
 PAIRS = [(a, b) for a in "LGCR" for b in "LGCR"]
 
 APPENDIX_LL = [[0.1444, 0.1018, 0.0939], [0.0979, 0.1117, 0.1175], [0.0914, 0.1178, 0.1236]]
 APPENDIX_CC = [[0.1695, 0.0847, 0.0847], [0.1525, 0.0678, 0.0847], [0.1695, 0.0847, 0.1017]]
+
+
+def _rho(table, l1=None, l2=None):
+    """Dependence ratios p / (p1 p2), indexed [u, i-1, v, j-1] like the quadrants."""
+    c1 = LogitType.parse(l1 or table.row_logit).code
+    c2 = LogitType.parse(l2 or table.col_logit).code
+    p, p1, p2 = quadrant_values(table.probs, c1, c2)
+    return p / (p1[:, :, None, None] * p2[None, None, :, :])
 
 
 def _independent(rng, shape):
@@ -57,18 +68,19 @@ def test_rho_independence():
     pi = _independent(rng, (4, 4))
     t = ContingencyTable.from_probabilities(pi, "G", "G")
     for l1, l2 in PAIRS:
+        r = _rho(t, l1, l2)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 for u in (0, 1):
                     for v in (0, 1):
-                        assert rho(t, i, j, u, v, l1, l2) == pytest.approx(1.0, abs=1e-12)
+                        assert r[u, i - 1, v, j - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_printed_values():
     t = ContingencyTable.from_probabilities(APPENDIX_LL, "L", "L")
-    assert rho(t, 1, 1, 0, 0) == pytest.approx(1.2723, abs=5e-4)
+    assert _rho(t)[0, 0, 0, 0] == pytest.approx(1.2723, abs=5e-4)
     t2 = ContingencyTable.from_probabilities([[0.4, 0.1], [0.1, 0.4]], "G", "G")
-    assert rho(t2, 1, 1, 1, 1) == pytest.approx(1.6, abs=1e-14)
+    assert _rho(t2)[1, 0, 1, 0] == pytest.approx(1.6, abs=1e-14)
 
 
 def test_gamma_zero_under_independence():
@@ -147,7 +159,8 @@ def test_row_reversal_duality(random_table):
             pi = random_table(rng, (5, 4))
             t = ContingencyTable.from_probabilities(pi, "R", l2)
             direct = gamma_matrix(t, "R", l2, fam).values
-            dual = gamma_matrix(t.reversed_rows(), "C", l2, fam).values
+            flipped = ContingencyTable(t.probs[::-1], t.row_logit, t.col_logit)
+            dual = gamma_matrix(flipped, "C", l2, fam).values
             np.testing.assert_allclose(direct, -dual[::-1, :], atol=1e-12)
 
 
@@ -156,7 +169,8 @@ def test_column_reversal_duality(random_table):
     pi = random_table(rng, (4, 5))
     t = ContingencyTable.from_probabilities(pi, "G", "C")
     direct = gamma_matrix(t, "G", "C", cressie_read(1.5)).values
-    dual = gamma_matrix(t.reversed_cols(), "G", "R", cressie_read(1.5)).values
+    flipped = ContingencyTable(t.probs[:, ::-1], t.row_logit, t.col_logit)
+    dual = gamma_matrix(flipped, "G", "R", cressie_read(1.5)).values
     np.testing.assert_allclose(direct, -dual[:, ::-1], atol=1e-12)
 
 
@@ -170,11 +184,12 @@ def test_scaling_shift_invariance(random_table):
         pi = random_table(rng, (4, 4))
         t = ContingencyTable.from_probabilities(pi, "G", "L")
         g = gamma_matrix(t, fam=fam).values
+        r = _rho(t)
         manual = np.empty_like(g)
         for i in range(1, 4):
             for j in range(1, 4):
                 vals = {
-                    (u, v): rho(t, i, j, u, v) ** lam / lam for u in (0, 1) for v in (0, 1)
+                    (u, v): r[u, i - 1, v, j - 1] ** lam / lam for u in (0, 1) for v in (0, 1)
                 }
                 manual[i - 1, j - 1] = vals[1, 1] - vals[1, 0] - vals[0, 1] + vals[0, 0]
         np.testing.assert_allclose(g, manual, atol=1e-12)

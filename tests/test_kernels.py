@@ -1,4 +1,4 @@
-"""Kernels against plain-loop references built from event bounds and slice sums."""
+"""Kernels against plain-loop references built from the event definitions and slice sums."""
 
 import numpy as np
 import pytest
@@ -27,11 +27,17 @@ def _tables(rng, shape, n):
     return pis / pis.sum(axis=(1, 2), keepdims=True)
 
 
+def _event_slice(x, b, code, size):
+    """0-based slice of the categories of E(x, b) under the definitions above."""
+    start, stop = DEFINITIONS[code](x, size)[b]
+    return slice(start - 1, stop)
+
+
 def _reference_quadrant(pi, i, j, u, v, c1, c2):
     """(p, p1, p2) of the (u, v) event pair at cut (i, j), by slice sums."""
-    lo1, hi1 = kernels.event_bounds(i, u, c1, pi.shape[0])
-    lo2, hi2 = kernels.event_bounds(j, v, c2, pi.shape[1])
-    return pi[lo1:hi1, lo2:hi2].sum(), pi[lo1:hi1, :].sum(), pi[:, lo2:hi2].sum()
+    rows = _event_slice(i, u, c1, pi.shape[0])
+    cols = _event_slice(j, v, c2, pi.shape[1])
+    return pi[rows, cols].sum(), pi[rows, :].sum(), pi[:, cols].sum()
 
 
 def _reference_interaction(pi, c1, c2, term):
@@ -154,14 +160,17 @@ def test_kernel_properties(i1, i2, c1, c2, lam, seed):
 
 
 def test_event_bounds_match_event_sets():
-    # bounds are 0-based half-open; the definitions are 1-based inclusive
-    for size in (3, 5, 8):
+    # operator row b * (size-1) + x - 1 marks E(x, b); the last row is all ones
+    for size in (2, 3, 5, 8):
         for code in CODES:
+            ops = kernels._operator(size, code)
+            assert ops.shape == (2 * size - 1, size)
+            np.testing.assert_array_equal(ops[-1], np.ones(size))
             for x in range(1, size):
                 for b in (0, 1):
-                    lo, hi = kernels.event_bounds(x, b, code, size)
-                    start, stop = DEFINITIONS[code](x, size)[b]
-                    assert (lo, hi) == (start - 1, stop)
+                    want = np.zeros(size)
+                    want[_event_slice(x, b, code, size)] = 1.0
+                    np.testing.assert_array_equal(ops[b * (size - 1) + x - 1], want)
 
 
 def test_marginal_logit_values_by_hand():
@@ -203,8 +212,6 @@ def test_quadrant_prob_value_matches_sum():
                 for u in (0, 1):
                     for v in (0, 1):
                         want = _reference_quadrant(pi, i, j, u, v, c1, c2)
-                        got = kernels.quadrant_prob_value(pi, i, j, u, v, c1, c2)
-                        assert got == pytest.approx(want[0], abs=1e-14)
                         assert p[u, i - 1, v, j - 1] == pytest.approx(want[0], abs=1e-15)
                         assert p1[u, i - 1] == pytest.approx(want[1], abs=1e-15)
                         assert p2[v, j - 1] == pytest.approx(want[2], abs=1e-15)

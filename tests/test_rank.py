@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from rcassoc import DeflationPlan, PivotError, deflate, pivot_select, rank_residual, rank_residual_jacobian
-from rcassoc.rank import apply_plan
+from rcassoc.rank import (
+    DeflationPlan,
+    PivotError,
+    apply_plan,
+    deflate,
+    pivot_select,
+    rank_residual,
+    rank_residual_jacobian,
+)
 
 
 def _low_rank(rng, shape, k, scale=1.0):
@@ -60,7 +67,6 @@ def test_rank_residual_shapes_and_plan():
     assert isinstance(plan, DeflationPlan)
     assert plan.rank == 1
     assert plan.shape == (5, 5)
-    assert plan.residual_shape() == (4, 4)
     assert res.shape == (16,)
     np.testing.assert_array_equal(apply_plan(m, plan), res)
 

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcassoc import (
-    ContingencyTable,
-    EventSet,
-    LogitType,
-    ModelSpec,
-    TableParseError,
-    fit,
-    kl,
-    read_counts,
-)
+from rcassoc import ContingencyTable, ModelSpec, TableParseError, fit, kernels, kl
 from rcassoc.datasets import dataset_names, dataset_path
+from rcassoc.table import LogitType, read_counts
 
 # probability table used in several worked examples below
 APPENDIX_LL = np.array(
@@ -25,6 +17,19 @@ APPENDIX_LL = np.array(
         [0.0914, 0.1178, 0.1236],
     ]
 )
+
+
+def _event(size, logit, x, b):
+    """1-based categories of E(x, b) on a margin, read off the kernel operator."""
+    ops = kernels._operator(size, LogitType.parse(logit).code)
+    return tuple(int(k) + 1 for k in np.flatnonzero(ops[b * (size - 1) + x - 1]))
+
+
+def _quadrants(pi, row_logit, col_logit):
+    """Event probabilities (p, p1, p2) of every cut, indexed [u, i-1, v, j-1]."""
+    return kernels.quadrant_values(
+        pi, LogitType.parse(row_logit).code, LogitType.parse(col_logit).code
+    )
 
 
 def test_logit_type_parse():
@@ -37,64 +42,54 @@ def test_logit_type_parse():
 
 
 def test_event_set_examples():
-    t5 = ContingencyTable.from_probabilities(np.full((5, 5), 0.04), "G", "C")
-    assert t5.event_set(0, 2, 0).indices() == (1, 2)
-    assert t5.event_set(1, 2, 1).indices() == (3, 4, 5)
-    t3 = ContingencyTable.from_probabilities(np.full((3, 3), 1 / 9), "L", "L")
-    assert t3.event_set(0, 1, 1).indices() == (2,)
-    with pytest.raises(ValueError):
-        t3.event_set(0, 3, 0)
-    with pytest.raises(ValueError):
-        t3.event_set(0, 1, 2)
+    assert _event(5, "G", 2, 0) == (1, 2)
+    assert _event(5, "C", 2, 1) == (3, 4, 5)
+    assert _event(3, "L", 1, 1) == (2,)
+    # cuts run 1..size-1 and sides are 0 or 1: there is no row for cut 3 or side 2
+    for code in range(4):
+        assert kernels._operator(3, code).shape == (2 * 2 + 1, 3)
 
 
 def test_event_set_disjoint_every_type_and_cut():
-    t = ContingencyTable.from_probabilities(np.full((6, 6), 1 / 36))
     for lt in LogitType:
-        tt = t.with_logits(lt, lt)
         for x in range(1, 6):
-            e0 = set(tt.event_set(0, x, 0).indices())
-            e1 = set(tt.event_set(0, x, 1).indices())
+            e0 = set(_event(6, lt, x, 0))
+            e1 = set(_event(6, lt, x, 1))
             assert not e0 & e1
             assert e0 and e1
 
 
-def test_event_set_container_protocol():
-    e = EventSet(2, 4)
-    assert len(e) == 3
-    assert 3 in e and 5 not in e
-
-
 def test_quadrant_prob_uniform_global():
-    t = ContingencyTable.from_probabilities(np.full((3, 3), 1 / 9), "G", "G")
-    assert t.quadrant_prob(1, 1, 1, 1) == pytest.approx(4 / 9, abs=1e-14)
+    p, _, _ = _quadrants(np.full((3, 3), 1 / 9), "G", "G")
+    assert p[1, 0, 1, 0] == pytest.approx(4 / 9, abs=1e-14)
 
 
 def test_quadrant_prob_printed_table():
-    t = ContingencyTable.from_probabilities(APPENDIX_LL, "L", "L")
-    assert t.quadrant_prob(1, 1, 0, 0) == pytest.approx(0.1444, abs=1e-12)
-    tcc = t.with_logits("C", "C")
-    assert tcc.quadrant_prob(1, 1, 1, 1) == pytest.approx(0.4706, abs=1e-12)
+    pi = np.asarray(APPENDIX_LL)
+    p, _, _ = _quadrants(pi, "L", "L")
+    assert p[0, 0, 0, 0] == pytest.approx(0.1444, abs=1e-12)
+    pcc, _, _ = _quadrants(pi, "C", "C")
+    assert pcc[1, 0, 1, 0] == pytest.approx(0.4706, abs=1e-12)
 
 
 def test_quadrant_prob_global_cells_partition(random_table):
     rng = np.random.default_rng(7)
     for _ in range(20):
         pi = random_table(rng, (4, 5))
-        t = ContingencyTable.from_probabilities(pi, "G", "G")
+        p, _, _ = _quadrants(pi, "G", "G")
         for i in range(1, 4):
             for j in range(1, 5):
-                total = sum(t.quadrant_prob(i, j, u, v) for u in (0, 1) for v in (0, 1))
+                total = sum(p[u, i - 1, v, j - 1] for u in (0, 1) for v in (0, 1))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrant_prob_local_cells_cover_subtable(random_table):
     rng = np.random.default_rng(8)
     pi = random_table(rng, (4, 4))
-    t = ContingencyTable.from_probabilities(pi, "L", "L")
+    p, _, _ = _quadrants(pi, "L", "L")
     for i in range(1, 4):
         for j in range(1, 4):
-            total = sum(t.quadrant_prob(i, j, u, v) for u in (0, 1) for v in (0, 1))
+            total = sum(p[u, i - 1, v, j - 1] for u in (0, 1) for v in (0, 1))
             block = pi[i - 1 : i + 1, j - 1 : j + 1].sum()
             assert total == pytest.approx(block, abs=1e-13)
 
@@ -104,25 +99,26 @@ def test_quadrant_prob_monotone_in_event_size(random_table):
     rng = np.random.default_rng(9)
     for _ in range(25):
         pi = random_table(rng, (5, 4))
-        tl = ContingencyTable.from_probabilities(pi, "L", "L")
-        tg = ContingencyTable.from_probabilities(pi, "G", "G")
+        pl, _, _ = _quadrants(pi, "L", "L")
+        pg, _, _ = _quadrants(pi, "G", "G")
         for i in range(1, 5):
             for j in range(1, 4):
                 for u in (0, 1):
                     for v in (0, 1):
-                        assert tg.quadrant_prob(i, j, u, v) >= tl.quadrant_prob(i, j, u, v) - 1e-15
+                        assert pg[u, i - 1, v, j - 1] >= pl[u, i - 1, v, j - 1] - 1e-15
 
 
 def test_marginal_event_prob():
     m = np.array([[0.2 * 0.2, 0.2 * 0.8], [0.3 * 0.2, 0.3 * 0.8], [0.5 * 0.2, 0.5 * 0.8]])
-    t = ContingencyTable.from_probabilities(m, "G", "G")
-    assert t.marginal_event_prob(0, 1, 1) == pytest.approx(0.8, abs=1e-14)
-    tr = t.with_logits("R", "R")
-    assert tr.marginal_event_prob(0, 2, 0) == pytest.approx(0.5, abs=1e-14)
+    _, p1, _ = _quadrants(m, "G", "G")
+    assert p1[1, 0] == pytest.approx(0.8, abs=1e-14)
+    _, p1r, _ = _quadrants(m, "R", "R")
+    assert p1r[0, 1] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_mobility_margin_event(mobility):
-    assert mobility.marginal_event_prob(0, 1, 0) == pytest.approx(129 / 3500, abs=1e-12)
+    _, p1, _ = _quadrants(mobility.probs, mobility.row_logit, mobility.col_logit)
+    assert p1[0, 0] == pytest.approx(129 / 3500, abs=1e-12)
 
 
 def test_constructor_validation():
@@ -155,14 +151,6 @@ def test_margins_and_n(mobility, mobility_counts):
     np.testing.assert_allclose(
         mobility.probs, mobility_counts / mobility_counts.sum(), atol=1e-15
     )
-
-
-def test_reversal_round_trip(mobility):
-    again = mobility.reversed_rows().reversed_rows()
-    np.testing.assert_array_equal(again.probs, mobility.probs)
-    np.testing.assert_array_equal(again.counts, mobility.counts)
-    flipped = mobility.reversed_cols()
-    np.testing.assert_array_equal(flipped.probs[:, 0], mobility.probs[:, -1])
 
 
 def test_read_counts_formats(tmp_path):
