@@ -219,8 +219,9 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
     started from the independence table with the target marginals.  When
     the direct solve fails on a strongly associated target, the
     interaction block is ramped up from zero in warm-started stages.
-    Raises ReconstructionError (with the final residual) when the target
-    is not attainable, e.g. outside the link domain of the family.
+    Raises ValueError on non-finite targets, and ReconstructionError (with
+    the final residual) when the target is not attainable, e.g. outside the
+    link domain of the family.
     """
     fam = fam or kl()
     if not isinstance(row_logits, MarginalLogits) or not isinstance(col_logits, MarginalLogits):
@@ -236,6 +237,8 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
         raise ValueError(
             f"gamma target shape {g_target.shape} does not match logits ({i1 - 1}, {i2 - 1})"
         )
+    if not all(np.all(np.isfinite(v)) for v in (row_logits.values, col_logits.values, g_target)):
+        raise ValueError("reconstruction targets must be finite")
     pair = (row_logits.logit_type, col_logits.logit_type)
     spec = ModelSpec(pair=pair, family=fam, rank=0)
     marginal_part = np.concatenate([row_logits.values, col_logits.values])
@@ -256,7 +259,7 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
             # the numpy warnings they would otherwise emit
             with np.errstate(all="ignore"):
                 ws = _Workspace(th, spec, (i1, i2))
-                r = np.concatenate([ws.eta_row, ws.eta_col, ws.gamma.ravel()]) - target
+                r = ws.invariants - target
             return r, ws
 
         res, ws = residual_ws(theta_init)
@@ -267,10 +270,7 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
         for _ in range(max_iter):
             if norm <= tol:
                 return ws
-            jac = (
-                np.vstack([ws.eta_row_jac_pi, ws.eta_col_jac_pi, ws.gamma_jac_pi])
-                @ ws.dpi_dtheta
-            )
+            jac = ws.invariant_jac
             # pure Newton while it makes progress; on rejection escalate a
             # Levenberg-Marquardt ridge, which both turns the step toward
             # steepest descent and shortens it (so boundary blow-ups heal

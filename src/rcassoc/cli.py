@@ -37,7 +37,7 @@ from .divergence import cressie_read
 from .estimation import ModelSpec, constraint_from_name, constraint_names, fit
 from .interactions import MarginalLogits
 from .rank import PivotError
-from .table import ContingencyTable, LogitType, TableParseError, read_counts
+from .table import ContingencyTable, LogitType, TableParseError, read_counts, read_numbers
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,28 +192,8 @@ def _load_table(cfg):
     return read_counts(_resolve_input(cfg.input), cfg.row_logit, cfg.col_logit)
 
 
-def _read_float_rows(path):
-    """Whitespace- or comma-delimited real matrix with # comments."""
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number in {text!r}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError(f"{path}: rows have unequal lengths")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _read_vector(path):
-    return _read_float_rows(path).ravel()
+    return read_numbers(path)[0].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +416,7 @@ def cmd_reconstruct(cfg):
         raise ValueError("reconstruct needs --row-logits, --col-logits and --gamma files")
     eta_rows = _read_vector(cfg.row_logits_file)
     eta_cols = _read_vector(cfg.col_logits_file)
-    gamma = _read_float_rows(cfg.gamma_file)
+    gamma = read_numbers(cfg.gamma_file)[0]
     if gamma.shape != (eta_rows.shape[0], eta_cols.shape[0]):
         raise ValueError(
             f"gamma is {gamma.shape} but the logit files imply "

@@ -6,8 +6,8 @@ in row-major order, subject to the nonlinear constraint vector h(theta) = 0
 stacking
 
 * the rank-K deflation residual of the scaled interaction matrix, and
-* optional linear restrictions on the invariant vector
-  [row marginal logits; column marginal logits; vec gamma].
+* optional linear restrictions A v = offset on the invariant vector
+  v = [row marginal logits; column marginal logits; vec gamma].
 
 Each iteration maximizes a quadratic approximation of the log-likelihood
 subject to the linearized constraints.  With score s0, information F0,
@@ -15,11 +15,18 @@ constraint value h0 and constraint gradients H0 (columns are gradients),
 the step direction is v - u where u is the minimum-norm solution of
 H0' u = h0, X spans the null space of H0', and
 
-    v = X (X' F0 X)^-1 X' F0 (u + F0^-1 s0).
+    v = X (X' F0 X)^-1 X' (F0 u + s0).
 
 One pivoted QR of H0 per iteration gives all three: the rank (dependent
 constraint rows are dropped), u, and an orthonormal X, which the
-convergence test reuses for the projected score X' s0.
+convergence test reuses for the projected score X' s0.  The information
+F0 = n (diag(p) - p p'), p being pi without its last cell, is applied to
+u and X as an operator, never formed.
+
+Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
+without its last column, so a pi-jacobian J maps to column c
+(J[:, c] - J pi) pi_c.  The deflation residual carries d vec(gamma) / dtheta
+through its stages in tangent form (``rank``).
 
 A cubic line search on f(t) = y' log pi(t) / n - h(t)' h(t) / 2 picks the
 step length.  It stops as soon as no step can gain (the backtracking rule
@@ -29,14 +36,14 @@ gain t f'(0) exceeds a few ulps of max(1, |f(0)|).  A search that ends
 without a step hands over to the stationary test or a restoration step.
 Deflation pivots are frozen for the duration of one outer iteration so h
 stays smooth along the search path.  A workspace computes the marginal
-logits and the jacobians of pi, gamma and the marginal logits only when
-they are first read, so trial points of the line search, which need only
-h and the log-likelihood, never build them.
+logits and the jacobians only when they are first read, so trial points
+of the line search, which need only h and the log-likelihood, never
+build them.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -88,7 +95,7 @@ class LinearConstraint:
         pass
 
     def coefficients(self, shape):
-        """(A_row, A_col, A_gamma, offset) blocks for a table of ``shape``."""
+        """(A, offset) over the invariant vector of a table of ``shape``."""
         raise NotImplementedError
 
 
@@ -110,9 +117,7 @@ class MarginalHomogeneity(LinearConstraint):
 
     def coefficients(self, shape):
         m = shape[0] - 1
-        eye = np.eye(m)
-        zeros = np.zeros((m, (shape[0] - 1) * (shape[1] - 1)))
-        return eye, -eye, zeros, np.zeros(m)
+        return np.hstack([np.eye(m), -np.eye(m), np.zeros((m, m * m))]), np.zeros(m)
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,9 @@ class MarginalShift(LinearConstraint):
             raise ValueError(f"{self.name} needs at least 3 categories")
 
     def coefficients(self, shape):
-        d = _first_difference(shape[0] - 1)
-        zeros = np.zeros((d.shape[0], (shape[0] - 1) * (shape[1] - 1)))
-        return d, -d, zeros, np.zeros(d.shape[0])
+        m = shape[0] - 1
+        d = _first_difference(m)
+        return np.hstack([d, -d, np.zeros((m - 1, m * m))]), np.zeros(m - 1)
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,7 @@ class EqualRowSpacing(LinearConstraint):
     def coefficients(self, shape):
         m1, m2 = shape[0] - 1, shape[1] - 1
         a = np.kron(_first_difference(m1), np.eye(m2))
-        k = a.shape[0]
-        return np.zeros((k, m1)), np.zeros((k, m2)), a, np.zeros(k)
+        return np.hstack([np.zeros((len(a), m1 + m2)), a]), np.zeros(len(a))
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,7 @@ class EqualColumnSpacing(LinearConstraint):
     def coefficients(self, shape):
         m1, m2 = shape[0] - 1, shape[1] - 1
         a = np.kron(np.eye(m1), _first_difference(m2))
-        k = a.shape[0]
-        return np.zeros((k, m1)), np.zeros((k, m2)), a, np.zeros(k)
+        return np.hstack([np.zeros((len(a), m1 + m2)), a]), np.zeros(len(a))
 
 
 @dataclass(frozen=True)
@@ -198,9 +201,7 @@ class Custom(LinearConstraint):
             )
 
     def coefficients(self, shape):
-        m1, m2 = shape[0] - 1, shape[1] - 1
-        a = self.matrix
-        return a[:, :m1], a[:, m1 : m1 + m2], a[:, m1 + m2 :], self.offset
+        return self.matrix, self.offset
 
 
 _CONSTRAINT_NAMES = {
@@ -336,8 +337,9 @@ def theta_from_prob(pi):
 
 
 class _Workspace:
-    """All quantities needed at one theta: pi and gamma, plus the marginal
-    logits and the jacobians, which are built on first read."""
+    """All quantities needed at one theta: pi and gamma, plus the invariant
+    vector [eta_row; eta_col; vec gamma] and its jacobians in theta, which
+    are built on first read."""
 
     def __init__(self, theta, spec, shape):
         self.theta = np.asarray(theta, dtype=np.float64)
@@ -346,36 +348,40 @@ class _Workspace:
         self.pi = _softmax(self.theta)
         self.pi2d = self.pi.reshape(shape)
         fam = spec.family
-        c1, c2 = spec.pair[0].code, spec.pair[1].code
-        self._gamma_args = (c1, c2, 0.0 if fam.is_kl else fam.lam, fam.is_kl)
+        self._codes = (spec.pair[0].code, spec.pair[1].code)
+        self._gamma_args = (*self._codes, 0.0 if fam.is_kl else fam.lam, fam.is_kl)
         self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
 
-    @cached_property
-    def eta_row(self):
-        return kernels.marginal_logit_values(self.pi2d.sum(axis=1), self.spec.pair[0].code)
+    def _margins(self):
+        """(row margin, its logit code) and (column margin, its logit code)."""
+        return (self.pi2d.sum(axis=1), self._codes[0]), (self.pi2d.sum(axis=0), self._codes[1])
 
     @cached_property
-    def eta_col(self):
-        return kernels.marginal_logit_values(self.pi2d.sum(axis=0), self.spec.pair[1].code)
+    def invariants(self):
+        """[eta_row; eta_col; vec gamma]: the vector linear constraints act on."""
+        rows, cols = (kernels.marginal_logit_values(*mc) for mc in self._margins())
+        return np.concatenate([rows, cols, self.gamma.ravel()])
+
+    def _in_theta(self, jac_pi):
+        """jac_pi @ dpi/dtheta: column c of dpi/dtheta is pi_c (e_c - pi)."""
+        return (jac_pi[:, :-1] - (jac_pi @ self.pi)[:, None]) * self.pi[:-1]
 
     @cached_property
-    def dpi_dtheta(self):
-        cov = np.diag(self.pi) - np.outer(self.pi, self.pi)
-        return cov[:, :-1]
+    def gamma_jac(self):
+        """d vec(gamma) / dtheta."""
+        return self._in_theta(kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args))
 
     @cached_property
-    def gamma_jac_pi(self):
-        return kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args)
+    def _eta_jac(self):
+        """d [eta_row; eta_col] / dtheta."""
+        jr, jc = (kernels.marginal_logit_jacobian(*mc) for mc in self._margins())
+        i1, i2 = self.shape
+        return self._in_theta(np.vstack([np.repeat(jr, i2, axis=1), np.tile(jc, (1, i1))]))
 
     @cached_property
-    def eta_row_jac_pi(self):
-        jac = kernels.marginal_logit_jacobian(self.pi2d.sum(axis=1), self.spec.pair[0].code)
-        return np.repeat(jac, self.shape[1], axis=1)
-
-    @cached_property
-    def eta_col_jac_pi(self):
-        jac = kernels.marginal_logit_jacobian(self.pi2d.sum(axis=0), self.spec.pair[1].code)
-        return np.tile(jac, (1, self.shape[0]))
+    def invariant_jac(self):
+        """d invariants / dtheta, a square d x d matrix."""
+        return np.vstack([self._eta_jac, self.gamma_jac])
 
     def constraints(self, plan=None):
         """(h, plan); selects deflation pivots when plan is None."""
@@ -388,30 +394,26 @@ class _Workspace:
                 resid = apply_plan(self.gamma, plan)
             parts.append(resid)
         for c in spec.linear_constraints:
-            a_r, a_c, a_g, off = c.coefficients(shape)
-            parts.append(a_r @ self.eta_row + a_c @ self.eta_col + a_g @ self.gamma.ravel() - off)
+            a, off = c.coefficients(shape)
+            parts.append(a @ self.invariants - off)
         return (np.concatenate(parts) if parts else np.zeros(0)), plan
 
     def constraint_jacobian(self, plan):
-        """dh/dtheta (rows are constraint gradients) with the pivots of ``plan``."""
+        """dh/dtheta (rows are constraint gradients) with the pivots of ``plan``;
+        a linear block takes A's columns blockwise, never the d x d invariant_jac."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
-            parts.append(rank_residual_jacobian(self.gamma, plan) @ self.gamma_jac_pi)
+            parts.append(rank_residual_jacobian(self.gamma, plan, self.gamma_jac))
+        e = shape[0] + shape[1] - 2
         for c in spec.linear_constraints:
-            a_r, a_c, a_g, _ = c.coefficients(shape)
-            parts.append(
-                a_r @ self.eta_row_jac_pi + a_c @ self.eta_col_jac_pi + a_g @ self.gamma_jac_pi
-            )
-        if not parts:
-            return np.zeros((0, self.theta.shape[0]))
-        return np.vstack(parts) @ self.dpi_dtheta
+            a, _ = c.coefficients(shape)
+            parts.append(a[:, :e] @ self._eta_jac + a[:, e:] @ self.gamma_jac)
+        return np.vstack(parts) if parts else np.zeros((0, self.theta.shape[0]))
 
-    def score_and_info(self, y):
-        """Score and information (minus the log-likelihood hessian) in theta."""
-        s = (y - y.sum() * self.pi)[:-1]
-        info = y.sum() * (np.diag(self.pi) - np.outer(self.pi, self.pi))[:-1, :-1]
-        return s, info
+    def score(self, y):
+        """Gradient of the log-likelihood y' log pi in theta."""
+        return (y - y.sum() * self.pi)[:-1]
 
     def loglik(self, y):
         return float(y @ np.log(self.pi))
@@ -460,13 +462,19 @@ def _factor_constraints(h, jac, warn):
     return q[:, :rank] @ w, q[:, rank:], rank
 
 
-def _direction(s, info, u, x):
-    """Aitchison-Silvey direction v - u, with v = X (X' F X)^-1 X' (F u + s)."""
+def _info_times(n, p, x):
+    """F x for the information F = n (diag(p) - p p') in theta, where p is
+    pi without its last cell and x is a d-row matrix: row i is n p_i (x_i - p'x)."""
+    return (n * p)[:, None] * (x - p @ x)
+
+
+def _direction(s, n, p, u, x):
+    """Aitchison-Silvey direction v - u, with v = X (X' F X)^-1 X' (F u + s)
+    and F applied by ``_info_times``."""
     if x.shape[1] == 0:
-        return -u, np.zeros_like(u)
-    rhs = x.T @ (info @ u + s)
-    v = x @ np.linalg.solve(x.T @ info @ x, rhs)
-    return v - u, v
+        return -u
+    fx = _info_times(n, p, x)
+    return x @ np.linalg.solve(x.T @ fx, fx.T @ u + x.T @ s) - u
 
 
 def _cubic_local_max(f0, fp0, f14, f12):
@@ -591,14 +599,14 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         u, x, rank = _factor_constraints(h, jac, warn=(iterations == 1))
         # what the result needs if the fit stops before theta moves again
         at_iterate = ws, h, rank
-        s0, info = ws.score_and_info(yv)
+        s0 = ws.score(yv)
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
             proj = float(np.abs(x.T @ s0).max()) if x.shape[1] else 0.0
             if proj <= tol_score * n:
                 converged = True
                 message = "converged"
                 break
-        direction, _ = _direction(s0, info, u, x)
+        direction = _direction(s0, n, ws.pi[:-1], u, x)
         theta0 = ws.theta
         f0 = ll / n - 0.5 * float(h @ h)
         fp0 = float(s0 @ direction) / n - float(h @ (jac @ direction))
@@ -684,17 +692,18 @@ def _search(f0, fp0, feval):
     Tries the cubic probes, then halves from t = 1 while the predicted gain
     t * fp0 stays above _GAIN_ULPS ulps of max(1, |f0|): below that a rise
     of f is rounding noise, and with fp0 <= 0 no small step can rise, so
-    the search ends after t = 1.
+    the search ends after t = 1.  No t is evaluated twice.
     """
-    t_cubic = _cubic_local_max(f0, fp0, feval(0.25), feval(0.5))
+    f = cache(feval)
+    t_cubic = _cubic_local_max(f0, fp0, f(0.25), f(0.5))
     if t_cubic is not None:
         t_cubic = min(t_cubic, 1.0)
-        if feval(t_cubic) > f0:
+        if f(t_cubic) > f0:
             return t_cubic
     floor = _GAIN_ULPS * np.finfo(np.float64).eps * max(1.0, abs(f0))
     t = 1.0
     while True:
-        if feval(t) > f0:
+        if f(t) > f0:
             return t
         t *= 0.5
         if not (t > 2.0**-40 and t * fp0 > floor):

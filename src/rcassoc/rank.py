@@ -10,6 +10,11 @@ point where the chosen pivots stay away from zero.  ``rank_residual``
 selects pivots greedily (largest magnitude, first in row-major order on
 ties) and returns the residual together with the pivot plan, so the same
 plan can be replayed at nearby points and differentiated.
+
+The jacobian is taken in tangent form: ``rank_residual_jacobian`` carries
+dM = d vec(M) / dtheta through each stage with M.  At pivot q = M[i, j]
+with pivot column c and row r, dU = dM - (dc r' + c dr') / q + c r' dq / q^2
+on the kept rows and columns: slices plus two rank-one corrections.
 """
 
 from dataclasses import dataclass
@@ -119,37 +124,26 @@ def apply_plan(m, plan):
     return cur.ravel()
 
 
-def _stage_jacobian(m, pivot):
-    """d vec(deflate(m, pivot)) / d vec(m) as a dense matrix."""
-    rows, cols = m.shape
-    i, j = pivot
-    piv = m[i, j]
-    keep_r = np.delete(np.arange(rows), i)
-    keep_c = np.delete(np.arange(cols), j)
-    c = m[keep_r, j]
-    r = m[i, keep_c]
-    e1 = np.zeros((rows - 1, rows))
-    e1[np.arange(rows - 1), keep_r] = 1.0
-    e2 = np.zeros((cols - 1, cols))
-    e2[np.arange(cols - 1), keep_c] = 1.0
-    jac = np.einsum("ap,bq->abpq", e1, e2)
-    jac[:, :, :, j] -= np.einsum("b,ap->abp", r / piv, e1)
-    jac[:, :, i, :] -= np.einsum("a,bq->abq", c / piv, e2)
-    jac[:, :, i, j] += np.outer(c, r) / piv**2
-    return jac.reshape((rows - 1) * (cols - 1), rows * cols)
+def rank_residual_jacobian(m, plan, dm):
+    """d residual / dtheta for a frozen plan, given dm = d vec(m) / dtheta.
 
-
-def rank_residual_jacobian(m, plan):
-    """d residual / d vec(m) for a frozen plan; shape (len(residual), m.size)."""
+    ``dm`` has shape ``(m.size, p)``; the result has shape
+    ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
+    """
     m = _check_matrix(m, plan.rank)
     if m.shape != plan.shape:
         raise ValueError(f"plan is for shape {plan.shape}, got {m.shape}")
-    cur = m
-    total = None
-    for piv in plan.pivots:
-        stage = _stage_jacobian(cur, piv)
-        total = stage if total is None else stage @ total
-        cur = deflate(cur, piv)
-    if total is None:
-        total = np.eye(m.size)
-    return total
+    dm = np.asarray(dm, dtype=np.float64)
+    if dm.ndim != 2 or dm.shape[0] != m.size:
+        raise ValueError(f"tangent must have {m.size} rows, got shape {dm.shape}")
+    cur, dcur = m, dm.reshape(m.shape + (-1,))
+    for i, j in plan.pivots:
+        rows = np.arange(cur.shape[0]) != i % cur.shape[0]
+        cols = np.arange(cur.shape[1]) != j % cur.shape[1]
+        q = cur[i, j]
+        rho, kappa = cur[i, cols] / q, cur[rows, j] / q
+        slope = dcur[i, cols] - np.outer(rho, dcur[i, j])  # dr - (r / q) dq
+        dc = dcur[rows, j]
+        dcur = dcur[rows][:, cols] - dc[:, None] * rho[:, None] - kappa[:, None, None] * slope
+        cur = deflate(cur, (i, j))
+    return dcur.reshape(-1, dm.shape[1])

@@ -23,6 +23,7 @@ __all__ = [
     "LogitType",
     "ContingencyTable",
     "TableParseError",
+    "read_numbers",
     "read_counts",
 ]
 
@@ -140,47 +141,57 @@ class ContingencyTable:
         return self.probs.sum(axis=0)
 
 
-def read_counts(path, row_logit="L", col_logit="L"):
-    """Read a whitespace- or comma-delimited counts file into a table.
+def read_numbers(path):
+    """Rows of finite numbers from a whitespace- or comma-delimited file.
 
-    Blank lines and ``#`` comments are skipped.  Every data row must carry
-    the same number of columns and parse as finite non-negative numbers.
+    Blank lines and ``#`` comments are skipped.  Returns the array and the
+    file line of each of its rows.  Raises TableParseError, naming the line
+    and the column, for a value that does not parse or is not finite and
+    for a row whose length differs from the first.
     """
-    rows = []
-    width = None
+    rows, lines = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
             fields = text.replace(",", " ").split()
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise TableParseError(
-                    f"expected {width} columns, found {len(fields)}", line=lineno
-                )
+            if rows and len(fields) != len(rows[0]):
+                msg = f"{path}: unequal row lengths, {len(fields)} columns after {len(rows[0])}"
+                raise TableParseError(msg, line=lineno)
             parsed = []
             for colno, tok in enumerate(fields, start=1):
                 try:
                     val = float(tok)
                 except ValueError:
                     raise TableParseError(
-                        f"could not parse {tok!r} as a number", line=lineno, column=colno
+                        f"{path}: could not parse {tok!r} as a number", line=lineno, column=colno
                     ) from None
                 if not math.isfinite(val):
                     raise TableParseError(
-                        f"non-finite count {tok!r}", line=lineno, column=colno
-                    )
-                if val < 0:
-                    raise TableParseError(
-                        f"negative count {tok}", line=lineno, column=colno
+                        f"{path}: non-finite value {tok!r}", line=lineno, column=colno
                     )
                 parsed.append(val)
             rows.append(parsed)
+            lines.append(lineno)
     if not rows:
-        raise TableParseError("no data rows found")
-    counts = np.asarray(rows, dtype=np.float64)
+        raise TableParseError(f"{path}: no data rows found")
+    return np.asarray(rows, dtype=np.float64), lines
+
+
+def read_counts(path, row_logit="L", col_logit="L"):
+    """Read a counts file (the format of ``read_numbers``) into a table.
+
+    Every count must be non-negative, and the table needs at least two
+    rows and two columns.
+    """
+    counts, lines = read_numbers(path)
+    negative = np.argwhere(counts < 0)
+    if negative.size:
+        i, j = negative[0]
+        raise TableParseError(
+            f"{path}: negative count {counts[i, j]:g}", line=lines[i], column=int(j) + 1
+        )
     if counts.shape[0] < 2 or counts.shape[1] < 2:
         raise TableParseError(
             f"table needs at least 2 rows and 2 columns, got {counts.shape[0]}x{counts.shape[1]}"

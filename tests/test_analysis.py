@@ -193,6 +193,18 @@ def test_reconstruct_failure_carries_residual(mobility):
         reconstruct(np.zeros(4), cols, np.zeros((4, 4)))
 
 
+def test_reconstruct_rejects_non_finite_targets(mobility):
+    rows, cols, g = extract_invariants(mobility)
+    bad_gamma = g.values.copy()
+    bad_gamma[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct(rows, cols, bad_gamma)
+    bad_rows = marginal_logits(mobility.row_margin(), "L")
+    bad_rows = dataclasses.replace(bad_rows, values=np.append(bad_rows.values[:-1], np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct(bad_rows, cols, g)
+
+
 def test_row_conditional_cumulative_by_hand():
     pi = np.array([[0.1, 0.2, 0.1], [0.05, 0.05, 0.5]])
     out = row_conditional_cumulative(pi)

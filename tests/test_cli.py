@@ -232,6 +232,39 @@ def test_reconstruct_dimension_mismatch_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "which, token, line, column",
+    [("gamma", "inf", 3, 2), ("gamma", "nan", 1, 4), ("rows", "-inf", 2, 1), ("cols", "x", 4, 1)],
+)
+def test_reconstruct_rejects_bad_entries_exits_2(capsys, tmp_path, which, token, line, column):
+    table = load_mobility()
+    rows, cols, gamma = extract_invariants(table)
+    entries = {
+        "rows": [[f"{v:.17g}"] for v in rows.values],
+        "cols": [[f"{v:.17g}"] for v in cols.values],
+        "gamma": [[f"{v:.17g}" for v in row] for row in gamma.values],
+    }
+    entries[which][line - 1][column - 1] = token
+    paths = {}
+    for name, rows_of_text in entries.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text("\n".join(" ".join(r) for r in rows_of_text) + "\n")
+    code, out, err = run_cli(
+        capsys,
+        "reconstruct",
+        "--rows-logit", "L",
+        "--cols-logit", "L",
+        "--row-logits", str(paths["rows"]),
+        "--col-logits", str(paths["cols"]),
+        "--gamma", str(paths["gamma"]),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"line {line}, column {column}" in err
+    assert paths[which].name in err
+
+
 def test_check_mobility(capsys):
     code, payload, _ = run_json(capsys, "check", "mobility")
     assert code == 0

@@ -19,6 +19,7 @@ from rcassoc import (
     canonical_to_prob,
     constraint_eval,
     cressie_read,
+    extract_invariants,
     fit,
     gamma_matrix,
     kl,
@@ -31,6 +32,7 @@ from rcassoc.estimation import (
     _cubic_local_max,
     _direction,
     _factor_constraints,
+    _info_times,
     _objective,
     _search,
     _Workspace,
@@ -49,23 +51,30 @@ def _param(pi):
 
 
 def _score_and_info(theta, y, shape):
-    return _Workspace(theta, _spec(1), shape).score_and_info(y)
+    """Score, and the information applied to the identity, at ``theta``."""
+    ws = _Workspace(theta, _spec(1), shape)
+    return ws.score(y), _info_times(y.sum(), ws.pi[:-1], np.eye(theta.size))
+
+
+def _dense_info(pi, n):
+    """n (diag(pi) - pi pi') on the first d cells, formed densely."""
+    return n * (np.diag(pi) - np.outer(pi, pi))[:-1, :-1]
 
 
 def _iterate(theta, y, spec, shape):
     """One outer iteration of fit from ``theta``, built from fit's own
-    helpers: (h, score, information, direction, step length or None)."""
+    helpers: (h, score, cell probabilities, direction, step length or None)."""
     ws = _Workspace(theta, spec, shape)
     h, plan = ws.constraints()
     jac = ws.constraint_jacobian(plan)
     u, x, _ = _factor_constraints(h, jac, warn=True)
-    s, info = ws.score_and_info(y)
-    direction, _ = _direction(s, info, u, x)
+    s = ws.score(y)
     n = y.sum()
+    direction = _direction(s, n, ws.pi[:-1], u, x)
     f0 = ws.loglik(y) / n - 0.5 * float(h @ h)
     fp0 = float(s @ direction) / n - float(h @ (jac @ direction))
     t = _search(f0, fp0, lambda t: _objective(theta + t * direction, y, spec, shape, plan))
-    return h, s, info, direction, t
+    return h, s, ws.pi, direction, t
 
 
 def test_canonical_zero_theta_is_uniform():
@@ -106,6 +115,7 @@ def test_score_vanishes_at_saturated_mle(random_table):
         assert np.abs(s).max() <= 1e-9 * y.sum()
         np.testing.assert_allclose(info, info.T, atol=1e-9)
         assert np.linalg.eigvalsh(info).min() > 0
+        np.testing.assert_allclose(info, _dense_info(pi.reshape(-1), y.sum()), atol=1e-9)
 
 
 def test_info_is_minus_loglik_hessian(random_table):
@@ -185,12 +195,37 @@ def test_constraint_jacobian_finite_difference(random_table):
         np.testing.assert_allclose(big_h, fd, atol=1e-5 * scale)
 
 
+def test_invariant_jacobians_match_dense_chain_rule(random_table):
+    # the closed form against jac_pi @ dpi/dtheta with the covariance formed
+    rng = np.random.default_rng(69)
+    for shape, pair, lam in [((4, 4), ("G", "G"), -0.04), ((3, 5), ("L", "C"), 1.5)]:
+        pi = random_table(rng, shape)
+        spec = _spec(1, lam=lam, pair=pair)
+        ws = _Workspace(theta_from_prob(pi), spec, shape)
+        p = pi.reshape(-1)
+        cov = (np.diag(p) - np.outer(p, p))[:, :-1]
+        c1, c2 = spec.pair[0].code, spec.pair[1].code
+        gamma_pi = rcassoc.kernels.gamma_jacobian_values(pi, c1, c2, lam, False)
+        rows_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=1), c1)
+        cols_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=0), c2)
+        eta_pi = np.vstack([np.repeat(rows_pi, shape[1], axis=1), np.tile(cols_pi, (1, shape[0]))])
+        np.testing.assert_allclose(ws.gamma_jac, gamma_pi @ cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ws.invariant_jac, np.vstack([eta_pi, gamma_pi]) @ cov, rtol=0, atol=1e-12
+        )
+        rows, cols, g = extract_invariants(ContingencyTable(pi, *pair), fam=spec.family)
+        expected = np.concatenate([rows.values, cols.values, g.values.ravel()])
+        np.testing.assert_allclose(ws.invariants, expected, rtol=0, atol=1e-14)
+        assert ws.invariant_jac.shape == (pi.size - 1, pi.size - 1)
+
+
 def test_as_step_unconstrained_is_newton(random_table):
     rng = np.random.default_rng(67)
     pi = random_table(rng, (5, 5))
     y = rng.integers(1, 80, size=25).astype(np.float64)
-    h, s, info, direction, _ = _iterate(theta_from_prob(pi), y, _spec(4), (5, 5))
+    h, s, pi_now, direction, _ = _iterate(theta_from_prob(pi), y, _spec(4), (5, 5))
     assert h.size == 0
+    info = _dense_info(pi_now, y.sum())
     np.testing.assert_allclose(direction, np.linalg.solve(info, s), atol=1e-10)
 
 
@@ -279,6 +314,22 @@ def test_search_off_ascent_gives_up_after_unit_step(f, fp0):
     assert min(ts) == 0.25
 
 
+@pytest.mark.parametrize(
+    "f, expected",
+    [
+        # the cubic proposal is clipped to 1, where f falls; halving then meets t = 1/2
+        (lambda t: t * (1.0 - 0.1 * t) if t <= 0.6 else -1.0, 0.5),
+        # the probes and t = 1 miss a rise that only halving below 1/4 finds
+        (lambda t: t if t < 1e-3 else -1.0, 2.0**-10),
+    ],
+    ids=["clipped-proposal", "small-rise"],
+)
+def test_search_evaluates_each_step_once(f, expected):
+    feval, ts = _counted(f)
+    assert _search(f(0.0), 1.0, feval) == expected
+    assert len(ts) == len(set(ts)), ts
+
+
 def test_search_finds_small_rise_on_ascent():
     # f rises only for t < 1e-3; the cubic probes miss it and halving finds it
     def f(t):
@@ -362,7 +413,7 @@ def test_projected_score_at_fit(mobility_counts):
     h, big_h = constraint_eval(p_hat, spec)
     x = scipy.linalg.null_space(big_h.T)
     ws = _Workspace(result.theta_hat, spec, (5, 5))
-    s, _ = ws.score_and_info(mobility_counts.reshape(-1))
+    s = ws.score(mobility_counts.reshape(-1))
     assert np.abs(x.T @ s).max() <= 1e-6 * mobility_counts.sum()
 
 
@@ -476,8 +527,7 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
 
 def test_custom_matches_named_constraint(mobility_counts):
     named = MarginalHomogeneity()
-    row, col, gam, off = named.coefficients((5, 5))
-    custom = Custom(np.hstack([row, col, gam]), off)
+    custom = Custom(*named.coefficients((5, 5)))
     a = fit(mobility_counts, _spec(1, (named,)))
     b = fit(mobility_counts, _spec(1, (custom,)))
     assert b.deviance == pytest.approx(a.deviance, abs=1e-8)

@@ -122,24 +122,44 @@ def test_jacobian_identity_at_k0():
     rng = np.random.default_rng(48)
     m = rng.standard_normal((3, 3))
     _, plan = rank_residual(m, 0)
-    np.testing.assert_array_equal(rank_residual_jacobian(m, plan), np.eye(9))
+    np.testing.assert_array_equal(rank_residual_jacobian(m, plan, np.eye(9)), np.eye(9))
 
 
 def test_jacobian_finite_difference():
+    # the plain jacobian (identity tangent) and the tangent along a random
+    # 4-parameter path m(theta) = m + reshape(dm @ theta)
     rng = np.random.default_rng(49)
     eps = 1e-6
     for _ in range(20):
         m = _low_rank(rng, (3, 3), 2) + 0.01 * rng.standard_normal((3, 3))
         res, plan = rank_residual(m, 1)
-        jac = rank_residual_jacobian(m, plan)
-        assert jac.shape == (res.size, m.size)
-        fd = np.empty_like(jac)
-        for c in range(m.size):
-            d = np.zeros(m.size)
-            d[c] = eps
-            hi = apply_plan((m.ravel() + d).reshape(3, 3), plan)
-            lo = apply_plan((m.ravel() - d).reshape(3, 3), plan)
-            fd[:, c] = (hi - lo) / (2 * eps)
+        for dm in (np.eye(m.size), rng.standard_normal((m.size, 4))):
+            jac = rank_residual_jacobian(m, plan, dm)
+            assert jac.shape == (res.size, dm.shape[1])
+            fd = np.empty_like(jac)
+            for c in range(dm.shape[1]):
+                d = eps * dm[:, c]
+                hi = apply_plan((m.ravel() + d).reshape(3, 3), plan)
+                lo = apply_plan((m.ravel() - d).reshape(3, 3), plan)
+                fd[:, c] = (hi - lo) / (2 * eps)
+            np.testing.assert_allclose(jac, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
+
+
+def test_jacobian_finite_difference_two_stages():
+    # two chained stages on non-square matrices, along random tangents
+    rng = np.random.default_rng(52)
+    eps = 1e-6
+    for shape in [(4, 5), (5, 4), (5, 5)]:
+        m = _low_rank(rng, shape, 3) + 0.01 * rng.standard_normal(shape)
+        res, plan = rank_residual(m, 2)
+        dm = rng.standard_normal((m.size, 6))
+        jac = rank_residual_jacobian(m, plan, dm)
+        fd = np.column_stack([
+            (apply_plan(m + eps * d.reshape(shape), plan)
+             - apply_plan(m - eps * d.reshape(shape), plan)) / (2 * eps)
+            for d in dm.T
+        ])
+        assert jac.shape == (res.size, 6)
         np.testing.assert_allclose(jac, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
 
 
@@ -150,7 +170,7 @@ def test_jacobian_annihilates_rank_one_tangents():
         b = rng.standard_normal(5)
         m = np.outer(a, b)
         _, plan = rank_residual(m, 1)
-        jac = rank_residual_jacobian(m, plan)
+        jac = rank_residual_jacobian(m, plan, np.eye(m.size))
         da = rng.standard_normal(4)
         db = rng.standard_normal(5)
         tangent = np.outer(a, db) + np.outer(da, b)
@@ -165,7 +185,7 @@ def test_plan_shape_mismatch():
     with pytest.raises(ValueError):
         apply_plan(np.eye(3), plan)
     with pytest.raises(ValueError):
-        rank_residual_jacobian(np.eye(3), plan)
+        rank_residual_jacobian(np.eye(3), plan, np.eye(9))
     with pytest.raises(ValueError):
         rank_residual(m, 5)
 

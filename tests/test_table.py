@@ -182,8 +182,9 @@ def test_read_counts_errors(tmp_path):
 
     neg = tmp_path / "c.csv"
     neg.write_text("1 2\n-3 4\n")
-    with pytest.raises(TableParseError):
+    with pytest.raises(TableParseError) as err:
         read_counts(neg)
+    assert err.value.line == 2 and err.value.column == 1
 
     empty = tmp_path / "d.csv"
     empty.write_text("# nothing\n")
