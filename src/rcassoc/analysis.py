@@ -258,7 +258,7 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
             # non-finite residuals are rejected by the caller, so suppress
             # the numpy warnings they would otherwise emit
             with np.errstate(all="ignore"):
-                ws = _Workspace(th, spec, (i1, i2))
+                ws = _Workspace(th, spec, (i1, i2), None)
                 r = ws.invariants - target
             return r, ws
 

@@ -10,18 +10,24 @@ stacking
   v = [row marginal logits; column marginal logits; vec gamma].
 
 Each iteration maximizes a quadratic approximation of the log-likelihood
-subject to the linearized constraints.  With score s0, information F0,
-constraint value h0 and constraint gradients H0 (columns are gradients),
-the step direction is v - u where u is the minimum-norm solution of
-H0' u = h0, X spans the null space of H0', and
+subject to the linearized constraints.  With score s, information F,
+constraint value h and constraint gradients H (columns are gradients), the
+step is taken in the multiplier form of Aitchison & Silvey (1958), the form
+Evans & Forcina (2013) use:
 
-    v = X (X' F0 X)^-1 X' (F0 u + s0).
+    lambda = G^-1 (H' F^-1 s + h),   G = H' F^-1 H,
+    direction = F^-1 (s - H lambda).
 
-One pivoted QR of H0 per iteration gives all three: the rank (dependent
-constraint rows are dropped), u, and an orthonormal X, which the
-convergence test reuses for the projected score X' s0.  The information
-F0 = n (diag(p) - p p'), p being pi without its last cell, is applied to
-u and X as an operator, never formed.
+On the first d = cells - 1 cells, F = n (diag(p) - p p') and
+F^-1 w = (w / p + sum(w) / pi_last) / n in closed form, so F is never
+formed or factorized.  The one factorization per iteration is an R-only
+pivoted QR of the (d + 1) x k matrix C H, where C'C = F^-1: it gives
+G = R'R, the rank (dependent constraint rows are dropped), and the
+triangular solves for lambda.  The restoration vector u = F^-1 H G^-1 h
+solves H' u = h.  The stationarity test is on the multiplier residual
+s - H lambda0, with lambda0 = G^-1 H' F^-1 s: the score that the
+constraint gradients leave unexplained.  With no constraint rows (the
+saturated model) the step is F^-1 s and no factorization runs.
 
 Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
 without its last column, so a pi-jacobian J maps to column c
@@ -336,15 +342,26 @@ def theta_from_prob(pi):
 # ---------------------------------------------------------------------------
 
 
+def _linear_system(spec, shape):
+    """The linear constraints of ``spec`` stacked into one (A, offset), or
+    None when there are none."""
+    if not spec.linear_constraints:
+        return None
+    blocks = [c.coefficients(shape) for c in spec.linear_constraints]
+    return np.vstack([a for a, _ in blocks]), np.concatenate([off for _, off in blocks])
+
+
 class _Workspace:
     """All quantities needed at one theta: pi and gamma, plus the invariant
     vector [eta_row; eta_col; vec gamma] and its jacobians in theta, which
-    are built on first read."""
+    are built on first read.  ``linear`` is the stacked (A, offset) of the
+    linear constraints from ``_linear_system``, built once per fit, or None."""
 
-    def __init__(self, theta, spec, shape):
+    def __init__(self, theta, spec, shape, linear):
         self.theta = np.asarray(theta, dtype=np.float64)
         self.spec = spec
         self.shape = shape
+        self._linear = linear
         self.pi = _softmax(self.theta)
         self.pi2d = self.pi.reshape(shape)
         fam = spec.family
@@ -393,21 +410,21 @@ class _Workspace:
             else:
                 resid = apply_plan(self.gamma, plan)
             parts.append(resid)
-        for c in spec.linear_constraints:
-            a, off = c.coefficients(shape)
+        if self._linear is not None:
+            a, off = self._linear
             parts.append(a @ self.invariants - off)
         return (np.concatenate(parts) if parts else np.zeros(0)), plan
 
     def constraint_jacobian(self, plan):
         """dh/dtheta (rows are constraint gradients) with the pivots of ``plan``;
-        a linear block takes A's columns blockwise, never the d x d invariant_jac."""
+        the linear block takes A's columns blockwise, never the d x d invariant_jac."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
             parts.append(rank_residual_jacobian(self.gamma, plan, self.gamma_jac))
-        e = shape[0] + shape[1] - 2
-        for c in spec.linear_constraints:
-            a, _ = c.coefficients(shape)
+        if self._linear is not None:
+            a = self._linear[0]
+            e = shape[0] + shape[1] - 2
             parts.append(a[:, :e] @ self._eta_jac + a[:, e:] @ self.gamma_jac)
         return np.vstack(parts) if parts else np.zeros((0, self.theta.shape[0]))
 
@@ -431,25 +448,33 @@ def constraint_eval(p, spec, plan=None):
     of dh/dtheta.  Pass ``plan`` to freeze the deflation pivots.
     """
     spec.validate_shape(p.shape)
-    ws = _Workspace(p.theta, spec, p.shape)
+    ws = _Workspace(p.theta, spec, p.shape, _linear_system(spec, p.shape))
     h, plan = ws.constraints(plan)
     return h, ws.constraint_jacobian(plan).T
 
 
-def _factor_constraints(h, jac, warn):
-    """Minimum-norm u with H' u = h, a null-space basis X of H' and the rank
-    of H, from one QR.
+def _info_solve(n, pi, w):
+    """F^-1 w for the information F = n (diag(p) - p p') in theta, p being pi
+    without its last cell: F^-1 = (diag(p)^-1 + 1 1' / pi_last) / n."""
+    return (w / pi[:-1] + w.sum() / pi[-1]) / n
 
-    ``jac`` is H' (rows are constraint gradients).  A pivoted QR of H gives
-    the rank as the number of |diag R| above a ``matrix_rank``-style
-    tolerance; the leading ``rank`` pivoted rows are independent and the
-    rest are dropped, with a warning when ``warn`` is set.  With
-    H[:, P1] = Q1 R1, u = Q1 R1^-T h[P1] and X = Q2.
+
+def _multiplier_step(s, h, jac, n, pi, warn):
+    """Aitchison-Silvey step in multiplier form: (direction, u, residual, rank).
+
+    ``jac`` is H' (rows are constraint gradients).  The rank is the number
+    of |diag R| of the R-only pivoted QR of C H above a ``matrix_rank``-style
+    tolerance; the leading ``rank`` pivoted rows H1, h1 are independent and
+    the rest are dropped, with a warning when ``warn`` is set.  With
+    lambda0 = G^-1 H1' F^-1 s, residual = s - H1 lambda0 and
+    u = F^-1 H1 G^-1 h1, the direction is F^-1 residual - u.
     """
     k, d = jac.shape
     if k == 0:
-        return np.zeros(d), np.eye(d), 0
-    q, r, piv = scipy.linalg.qr(jac.T, pivoting=True)
+        return _info_solve(n, pi, s), np.zeros(d), s, 0
+    # C H with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n), so C'C = F^-1
+    ch = (np.hstack([jac, jac.sum(axis=1, keepdims=True)]) / np.sqrt(n * pi)).T
+    r, piv = scipy.linalg.qr(ch, overwrite_a=True, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
     if rank < k and warn:
@@ -458,23 +483,12 @@ def _factor_constraints(h, jac, warn):
             RedundantConstraintWarning,
             stacklevel=3,
         )
-    w = scipy.linalg.solve_triangular(r[:rank, :rank], h[piv[:rank]], trans="T")
-    return q[:, :rank] @ w, q[:, rank:], rank
-
-
-def _info_times(n, p, x):
-    """F x for the information F = n (diag(p) - p p') in theta, where p is
-    pi without its last cell and x is a d-row matrix: row i is n p_i (x_i - p'x)."""
-    return (n * p)[:, None] * (x - p @ x)
-
-
-def _direction(s, n, p, u, x):
-    """Aitchison-Silvey direction v - u, with v = X (X' F X)^-1 X' (F u + s)
-    and F applied by ``_info_times``."""
-    if x.shape[1] == 0:
-        return -u
-    fx = _info_times(n, p, x)
-    return x @ np.linalg.solve(x.T @ fx, fx.T @ u + x.T @ s) - u
+    kept = jac[piv[:rank]]
+    rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[piv[:rank]]])
+    lam0, lam_h = scipy.linalg.cho_solve((r[:rank, :rank], False), rhs).T
+    resid = s - lam0 @ kept
+    u = _info_solve(n, pi, lam_h @ kept)
+    return _info_solve(n, pi, resid) - u, u, resid, rank
 
 
 def _cubic_local_max(f0, fp0, f14, f12):
@@ -502,9 +516,9 @@ def _cubic_local_max(f0, fp0, f14, f12):
     return t if t > 0 else None
 
 
-def _objective(theta, y, spec, shape, plan):
+def _objective(theta, y, spec, shape, linear, plan):
     try:
-        ws = _Workspace(theta, spec, shape)
+        ws = _Workspace(theta, spec, shape, linear)
         h, _ = ws.constraints(plan)
     except (LinkDomainError, PivotError, FloatingPointError, ZeroDivisionError):
         return -np.inf
@@ -561,10 +575,12 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     """Constrained maximum likelihood fit of ``spec`` to counts ``y``.
 
     Starts from the smoothed empirical table (y + 1/2) / (n + cells / 2)
-    and iterates regression steps with cubic line search until the
-    constraint norm falls below ``tol_h``, the relative log-likelihood
-    change below ``tol_rel`` and the projected score below
-    ``tol_score * n``, or ``max_iter`` is reached.
+    and iterates multiplier-form regression steps with cubic line search
+    until the constraint norm falls below ``tol_h``, the relative
+    log-likelihood change below ``tol_rel`` and the multiplier residual
+    s - H lambda0 (the score left after projecting out the constraint
+    gradients in the F^-1 metric) below ``tol_score * n`` in every
+    coordinate, or ``max_iter`` is reached.
 
     The line search returns no step when the direction is not an ascent
     direction of the merit f and neither the cubic probes nor t = 1 raise
@@ -576,6 +592,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     y2d = _as_counts(y)
     shape = y2d.shape
     spec.validate_shape(shape)
+    linear = _linear_system(spec, shape)
     yv = y2d.reshape(-1)
     n = yv.sum()
     smoothed = (y2d + 0.5) / (n + y2d.size / 2.0)
@@ -587,7 +604,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         at_iterate = None
-        ws = _Workspace(theta, spec, shape)
+        ws = _Workspace(theta, spec, shape, linear)
         try:
             h, plan = ws.constraints()
             jac = ws.constraint_jacobian(plan)
@@ -596,23 +613,23 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             break
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max()) if h.size else 0.0
-        u, x, rank = _factor_constraints(h, jac, warn=(iterations == 1))
+        s0 = ws.score(yv)
+        direction, u, resid, rank = _multiplier_step(
+            s0, h, jac, n, ws.pi, warn=(iterations == 1)
+        )
         # what the result needs if the fit stops before theta moves again
         at_iterate = ws, h, rank
-        s0 = ws.score(yv)
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
-            proj = float(np.abs(x.T @ s0).max()) if x.shape[1] else 0.0
-            if proj <= tol_score * n:
+            if float(np.abs(resid).max()) <= tol_score * n:
                 converged = True
                 message = "converged"
                 break
-        direction = _direction(s0, n, ws.pi[:-1], u, x)
         theta0 = ws.theta
         f0 = ll / n - 0.5 * float(h @ h)
         fp0 = float(s0 @ direction) / n - float(h @ (jac @ direction))
 
         def feval(t):
-            return _objective(theta0 + t * direction, yv, spec, shape, plan)
+            return _objective(theta0 + t * direction, yv, spec, shape, linear, plan)
 
         t = _search(f0, fp0, feval)
         if t is None:
@@ -624,7 +641,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             # restoration component even though feasibility improves, so the
             # search stalls while h is still above tolerance.  Polish with
             # damped Newton steps on the constraints alone.
-            t_r = _restoration_step(theta0, u, yv, spec, shape, plan, hnorm)
+            t_r = _restoration_step(theta0, u, spec, shape, linear, plan, hnorm)
             if t_r is None:
                 message = "line search stalled away from feasibility"
                 break
@@ -638,13 +655,13 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
 
     if at_iterate is None:
         # theta moved after its last workspace, or the pivots failed there
-        ws = _Workspace(theta, spec, shape)
+        ws = _Workspace(theta, spec, shape, linear)
         try:
             h, plan = ws.constraints()
             jac = ws.constraint_jacobian(plan)
         except PivotError:
             h, jac = np.zeros(0), np.zeros((0, theta.shape[0]))
-        dof = _factor_constraints(h, jac, warn=False)[2]
+        dof = _multiplier_step(ws.score(yv), h, jac, n, ws.pi, warn=False)[3]
     else:
         ws, h, dof = at_iterate
     dev = _deviance(y2d, ws.pi2d)
@@ -664,14 +681,14 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     )
 
 
-def _restoration_step(theta0, u, yv, spec, shape, plan, hnorm):
+def _restoration_step(theta0, u, spec, shape, linear, plan, hnorm):
     """Largest damped Newton step on h alone that clearly shrinks its norm."""
     if not np.any(u):
         return None
     t = 1.0
     while t > 2.0**-20:
         try:
-            ws = _Workspace(theta0 - t * u, spec, shape)
+            ws = _Workspace(theta0 - t * u, spec, shape, linear)
             trial, _ = ws.constraints(plan)
         except (LinkDomainError, PivotError, FloatingPointError, ZeroDivisionError):
             trial = None

@@ -144,6 +144,8 @@ def rank_residual_jacobian(m, plan, dm):
         rho, kappa = cur[i, cols] / q, cur[rows, j] / q
         slope = dcur[i, cols] - np.outer(rho, dcur[i, j])  # dr - (r / q) dq
         dc = dcur[rows, j]
-        dcur = dcur[rows][:, cols] - dc[:, None] * rho[:, None] - kappa[:, None, None] * slope
+        dcur = dcur[np.ix_(rows, cols)]
+        dcur -= dc[:, None] * rho[:, None]
+        dcur -= kappa[:, None, None] * slope
         cur = deflate(cur, (i, j))
     return dcur.reshape(-1, dm.shape[1])

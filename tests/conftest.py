@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rcassoc import load_mobility
+from rcassoc import fit, load_mobility
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,24 @@ def random_table():
         return pi / pi.sum()
 
     return make
+
+
+# tolerances of a polished fit, far below fit's defaults
+POLISH = {"tol_h": 1e-11, "tol_rel": 1e-15, "tol_score": 1e-12}
+
+
+@pytest.fixture(scope="session")
+def polished():
+    """Refit counts under a spec at the ``POLISH`` tolerances.
+
+    The polished deviance is the yardstick for a default-tolerance fit: its
+    own stopping rule, a relative log-likelihood change of tol_rel, lets it
+    end up to about 2 tol_rel (|loglik| + 1) away in deviance.
+    """
+
+    def refit(counts, spec):
+        result = fit(counts, spec, **POLISH)
+        assert result.converged, result.message
+        return result
+
+    return refit

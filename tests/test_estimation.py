@@ -30,9 +30,9 @@ from rcassoc.estimation import (
     _GAIN_ULPS,
     Custom,
     _cubic_local_max,
-    _direction,
-    _factor_constraints,
-    _info_times,
+    _info_solve,
+    _linear_system,
+    _multiplier_step,
     _objective,
     _search,
     _Workspace,
@@ -51,9 +51,10 @@ def _param(pi):
 
 
 def _score_and_info(theta, y, shape):
-    """Score, and the information applied to the identity, at ``theta``."""
-    ws = _Workspace(theta, _spec(1), shape)
-    return ws.score(y), _info_times(y.sum(), ws.pi[:-1], np.eye(theta.size))
+    """Score, and the information as the inverse of ``_info_solve``, at ``theta``."""
+    ws = _Workspace(theta, _spec(1), shape, None)
+    info_inv = np.column_stack([_info_solve(y.sum(), ws.pi, e) for e in np.eye(theta.size)])
+    return ws.score(y), np.linalg.inv(info_inv)
 
 
 def _dense_info(pi, n):
@@ -64,16 +65,18 @@ def _dense_info(pi, n):
 def _iterate(theta, y, spec, shape):
     """One outer iteration of fit from ``theta``, built from fit's own
     helpers: (h, score, cell probabilities, direction, step length or None)."""
-    ws = _Workspace(theta, spec, shape)
+    linear = _linear_system(spec, shape)
+    ws = _Workspace(theta, spec, shape, linear)
     h, plan = ws.constraints()
     jac = ws.constraint_jacobian(plan)
-    u, x, _ = _factor_constraints(h, jac, warn=True)
     s = ws.score(y)
     n = y.sum()
-    direction = _direction(s, n, ws.pi[:-1], u, x)
+    direction = _multiplier_step(s, h, jac, n, ws.pi, warn=True)[0]
     f0 = ws.loglik(y) / n - 0.5 * float(h @ h)
     fp0 = float(s @ direction) / n - float(h @ (jac @ direction))
-    t = _search(f0, fp0, lambda t: _objective(theta + t * direction, y, spec, shape, plan))
+    t = _search(
+        f0, fp0, lambda t: _objective(theta + t * direction, y, spec, shape, linear, plan)
+    )
     return h, s, ws.pi, direction, t
 
 
@@ -201,7 +204,7 @@ def test_invariant_jacobians_match_dense_chain_rule(random_table):
     for shape, pair, lam in [((4, 4), ("G", "G"), -0.04), ((3, 5), ("L", "C"), 1.5)]:
         pi = random_table(rng, shape)
         spec = _spec(1, lam=lam, pair=pair)
-        ws = _Workspace(theta_from_prob(pi), spec, shape)
+        ws = _Workspace(theta_from_prob(pi), spec, shape, None)
         p = pi.reshape(-1)
         cov = (np.diag(p) - np.outer(p, p))[:, :-1]
         c1, c2 = spec.pair[0].code, spec.pair[1].code
@@ -355,8 +358,18 @@ def test_search_stops_at_rounding_floor():
     assert len(ts) < 15
 
 
-def test_fit_saturated_reproduces_empirical(mobility_counts):
+def test_fit_saturated_reproduces_empirical(mobility_counts, monkeypatch):
+    # no constraint rows: the step is F^-1 s in closed form, with no QR
+    qr_calls = []
+    qr = scipy.linalg.qr
+
+    def recording_qr(*args, **kwargs):
+        qr_calls.append(kwargs)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
     result = fit(mobility_counts, _spec(4))
+    assert qr_calls == []
     assert result.converged
     np.testing.assert_allclose(result.pi_hat, mobility_counts / mobility_counts.sum(), atol=1e-10)
     assert result.deviance <= 1e-8
@@ -412,7 +425,7 @@ def test_projected_score_at_fit(mobility_counts):
     p_hat = CanonicalParam(result.theta_hat, (5, 5))
     h, big_h = constraint_eval(p_hat, spec)
     x = scipy.linalg.null_space(big_h.T)
-    ws = _Workspace(result.theta_hat, spec, (5, 5))
+    ws = _Workspace(result.theta_hat, spec, (5, 5), _linear_system(spec, (5, 5)))
     s = ws.score(mobility_counts.reshape(-1))
     assert np.abs(x.T @ s).max() <= 1e-6 * mobility_counts.sum()
 
@@ -455,6 +468,23 @@ def test_fit_converges_on_strong_association_16x16(seed):
     assert result.dof == (16 - 1 - 2) ** 2
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["GG-0.96", "GG-0.04", "GG+1.00", "CC-0.96", "CC-0.04", "CC+1.00", "large-16x16"],
+)
+def test_fit_ends_near_polished_optimum(case, mobility_counts, polished):
+    if case == "large-16x16":
+        counts, spec = _strong_large_table(np.random.default_rng([6, 1])), _spec(2)
+    else:
+        pair, lam = case[:2], float(case[2:])
+        counts, spec = mobility_counts, _spec(1, lam=lam, pair=(pair[0], pair[1]))
+    tol_rel = 1e-9
+    result = fit(counts, spec, tol_rel=tol_rel)
+    assert result.converged, result.message
+    gap = abs(result.deviance - polished(counts, spec).deviance)
+    assert gap <= 2.0 * tol_rel * (abs(result.loglik) + 1.0), gap
+
+
 def test_duplicate_constraint_warns_and_matches(mobility_counts):
     single = fit(mobility_counts, _spec(1, (MarginalHomogeneity(),)))
     with pytest.warns(RedundantConstraintWarning):
@@ -465,44 +495,95 @@ def test_duplicate_constraint_warns_and_matches(mobility_counts):
     assert doubled.deviance == pytest.approx(single.deviance, abs=1e-6)
 
 
+def _random_point(rng, d):
+    """Sample size, strictly positive cell probabilities and a score in theta."""
+    pi = rng.dirichlet(np.ones(d + 1)) + 0.05 / (d + 1)
+    return 500.0, pi / pi.sum(), rng.normal(size=d)
+
+
 def test_factor_constraints_full_row_rank():
     rng = np.random.default_rng(3)
     jac = rng.normal(size=(6, 15))
     h = rng.normal(size=6)
-    u, x, rank = _factor_constraints(h, jac, warn=True)
-    u_ref, *_ = np.linalg.lstsq(jac, h, rcond=None)
-    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+    n, pi, s = _random_point(rng, 15)
+    direction, u, resid, rank = _multiplier_step(s, h, jac, n, pi, warn=True)
     assert rank == 6
-    assert x.shape == (15, 9)
-    np.testing.assert_allclose(x.T @ x, np.eye(9), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(jac @ x, 0.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(jac @ u, h, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(jac @ direction, -h, rtol=0, atol=1e-10)
+    # the residual score is F^-1-orthogonal to every constraint gradient
+    np.testing.assert_allclose(jac @ _info_solve(n, pi, resid), 0.0, rtol=0, atol=1e-10)
 
 
 def test_factor_constraints_drops_duplicated_row():
     rng = np.random.default_rng(4)
     jac = rng.normal(size=(4, 10))
     h = rng.normal(size=4)
+    n, pi, s = _random_point(rng, 10)
     doubled_jac = np.vstack([jac, jac[1]])
     doubled_h = np.append(h, h[1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        u, x, rank = _factor_constraints(doubled_h, doubled_jac, warn=True)
+        direction, u, resid, rank = _multiplier_step(s, doubled_h, doubled_jac, n, pi, warn=True)
     redundant = [w for w in caught if issubclass(w.category, RedundantConstraintWarning)]
     assert len(redundant) == 1
     assert "1 of 5" in str(redundant[0].message)
-    u_ref, *_ = np.linalg.lstsq(jac, h, rcond=None)
-    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
     assert rank == 4
-    assert x.shape == (10, 6)
-    np.testing.assert_allclose(doubled_jac @ x, 0.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(doubled_jac @ u, doubled_h, rtol=0, atol=1e-10)
+    single = _multiplier_step(s, h, jac, n, pi, warn=True)
+    for got, want in zip((direction, u, resid), single[:3]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def _null_space_direction(s, h, jac, n, pi):
+    """v - u with u = H'^+ h, X = null_space(H') and dense F: the direction
+    the fitter took before the multiplier form."""
+    info = _dense_info(pi, n)
+    u = np.linalg.lstsq(jac, h, rcond=None)[0]
+    x = scipy.linalg.null_space(jac)
+    v = x @ np.linalg.solve(x.T @ info @ x, x.T @ (info @ u + s))
+    return v - u
+
+
+@pytest.mark.parametrize("case", ["mobility-shift", "large-16x16", "duplicated"])
+def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
+    if case == "large-16x16":
+        counts = _strong_large_table(np.random.default_rng([6, 0]))
+        spec = _spec(2)
+    else:
+        counts = mobility_counts
+        cons = (MarginalShift(),) if case == "mobility-shift" else (MarginalHomogeneity(),) * 2
+        spec = _spec(1, cons)
+    y = counts.reshape(-1)
+    n = y.sum()
+    # the iterate after the first step of fit
+    theta = theta_from_prob((counts + 0.5) / (n + counts.size / 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantConstraintWarning)
+        _, _, _, first, t = _iterate(theta, y, spec, counts.shape)
+    theta = theta + t * first
+    linear = _linear_system(spec, counts.shape)
+    ws = _Workspace(theta, spec, counts.shape, linear)
+    h, plan = ws.constraints()
+    jac = ws.constraint_jacobian(plan)
+    s = ws.score(y)
+    direction = _multiplier_step(s, h, jac, n, ws.pi, warn=False)[0]
+    want = _null_space_direction(s, h, jac, n, ws.pi)
+    np.testing.assert_allclose(direction, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
 
 def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     # jacobians are built once per outer iteration, never at line-search
     # trial points, and the converged result reuses the last iterate's; one
-    # QR per outer iteration; line searches that cannot gain stop early, so
-    # at most five workspaces per outer iteration
-    calls = {"jacobian": 0, "qr": 0, "workspace": 0}
+    # R-only QR per outer iteration; line searches that cannot gain stop
+    # early, so at most five workspaces per outer iteration; the linear
+    # constraint matrix is built once per fit
+    calls = {"jacobian": 0, "workspace": 0, "coefficients": 0}
+    qr_modes = []
+    qr = scipy.linalg.qr
+
+    def recording_qr(*args, **kwargs):
+        qr_modes.append(kwargs.get("mode"))
+        return qr(*args, **kwargs)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -516,12 +597,16 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
         "gamma_jacobian_values",
         counting("jacobian", rcassoc.kernels.gamma_jacobian_values),
     )
-    monkeypatch.setattr(scipy.linalg, "qr", counting("qr", scipy.linalg.qr))
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
     monkeypatch.setattr(_Workspace, "__init__", counting("workspace", _Workspace.__init__))
+    monkeypatch.setattr(
+        MarginalShift, "coefficients", counting("coefficients", MarginalShift.coefficients)
+    )
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
     assert result.converged
     assert calls["jacobian"] == result.iterations
-    assert calls["qr"] == result.iterations
+    assert qr_modes == ["r"] * result.iterations
+    assert calls["coefficients"] == 1
     assert calls["workspace"] <= 5 * result.iterations, (calls, result.iterations)
 
 
