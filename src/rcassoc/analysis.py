@@ -431,35 +431,46 @@ def dependence_report(pi, fam=None, pairs=(("G", "G"),)):
     """
     fam = fam or kl()
     table = pi if isinstance(pi, ContingencyTable) else ContingencyTable.from_probabilities(pi)
+
+    def cached_min(matrix):
+        # each (measure, pair) is computed at most once per report
+        mins = {}
+
+        def get(l1, l2):
+            pair = (LogitType.parse(l1), LogitType.parse(l2))
+            if pair not in mins:
+                mins[pair] = float(matrix(table, *pair).values.min())
+            return mins[pair]
+
+        return get
+
+    gamma_min = cached_min(lambda t, l1, l2: gamma_matrix(t, l1, l2, fam))
+    eta_min = cached_min(lor_matrix)
     entries = []
     for l1, l2 in pairs:
-        g = gamma_matrix(table, l1, l2, fam).values
-        e = lor_matrix(table, l1, l2).values
+        g, e = gamma_min(l1, l2), eta_min(l1, l2)
         entries.append(
             PairDependence(
                 pair=(LogitType.parse(l1), LogitType.parse(l2)),
-                min_gamma=float(g.min()),
-                min_eta=float(e.min()),
-                gamma_nonneg=bool(g.min() >= -_SIGN_TOL),
-                eta_nonneg=bool(e.min() >= -_SIGN_TOL),
+                min_gamma=g,
+                min_eta=e,
+                gamma_nonneg=g >= -_SIGN_TOL,
+                eta_nonneg=e >= -_SIGN_TOL,
             )
         )
     sso, qd, collapsed, cum = _order_flags(table.probs)
     violations = []
     for l1, l2 in _pairs_with_global():
-        if gamma_matrix(table, l1, l2, fam).values.min() >= -_SIGN_TOL:
-            if lor_matrix(table, l1, l2).values.min() < -_SIGN_TOL:
-                violations.append(
-                    f"gamma({l1}{l2}) >= 0 but eta({l1}{l2}) has a negative entry"
-                )
+        if gamma_min(l1, l2) >= -_SIGN_TOL and eta_min(l1, l2) < -_SIGN_TOL:
+            violations.append(f"gamma({l1}{l2}) >= 0 but eta({l1}{l2}) has a negative entry")
     for name, premise, conclusions in _IMPLICATIONS:
-        if gamma_matrix(table, *premise, fam).values.min() >= -_SIGN_TOL:
+        if gamma_min(*premise) >= -_SIGN_TOL:
             for concl in conclusions:
-                if lor_matrix(table, *concl).values.min() < -_SIGN_TOL:
+                if eta_min(*concl) < -_SIGN_TOL:
                     violations.append(f"{name}: eta({concl[0]}{concl[1]}) violates")
-    if lor_matrix(table, "L", "G").values.min() >= -_SIGN_TOL and not sso:
+    if eta_min("L", "G") >= -_SIGN_TOL and not sso:
         violations.append("eta(LG) >= 0 but row-conditional survival order fails")
-    if gamma_matrix(table, "C", "C", fam).values.min() >= -_SIGN_TOL and not collapsed:
+    if gamma_min("C", "C") >= -_SIGN_TOL and not collapsed:
         violations.append("gamma(CC) >= 0 but pooled-upper-row survival comparison fails")
     return DependenceReport(
         pairs=tuple(entries),

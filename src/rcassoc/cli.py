@@ -5,8 +5,14 @@ across logit pairs, ``reconstruct`` a table from marginal logits and an
 interaction matrix, ``check`` dependence properties of a table, and
 ``counterexamples`` for the built-in sign-claim verifications.
 
-Exit codes: 0 success, 2 usage or parse error, 3 non-convergence,
-4 claim-verification failure.
+Flag defaults and input checks live in ``build_parser``, on the flags and
+in their ``type=`` callables, and each subcommand dispatches through
+``set_defaults(run=...)``.  ``--format`` and ``--pair`` default to None so
+that the recorded spec shows whether they were given; each handler then
+picks its own output format and logit pairs.
+
+Exit codes: 0 success, 2 usage or parse error, 3 non-convergence or an
+unattainable reconstruction, 4 claim-verification failure.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,131 +50,73 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CLAIM_FAILED = 4
 
-_COMMANDS = ("fit", "sweep", "reconstruct", "check", "counterexamples")
-
-
 # ---------------------------------------------------------------------------
-# configuration
+# argument types: each raises argparse.ArgumentTypeError, which exits 2
 # ---------------------------------------------------------------------------
 
 
-def _parse_pair(text):
-    s = str(text).strip().upper()
+def _pair(text):
+    s = text.strip().upper()
     if len(s) != 2 or any(c not in "LGCR" for c in s):
-        raise ValueError(f"logit pair must be two of L/G/C/R, got {text!r}")
+        raise argparse.ArgumentTypeError(f"logit pair must be two of L/G/C/R, got {text!r}")
     return s
 
 
-def _parse_grid(text):
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be min:max:step, got {text!r}")
+def _grid(text):
     try:
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ValueError(f"grid must be three numbers min:max:step, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"grid must be three numbers min:max:step, got {text!r}"
+        ) from None
+    if step <= 0:
+        raise argparse.ArgumentTypeError("grid step must be positive")
+    if hi < lo:
+        raise argparse.ArgumentTypeError("grid max must not be below min")
+    if not all(map(math.isfinite, (lo, hi, step, (hi - lo) / step))):
+        raise argparse.ArgumentTypeError(f"grid and its point count must be finite, got {text!r}")
     return lo, hi, step
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _grid_values(grid):
+    # a relative tolerance absorbs the rounding of (hi - lo) / step, so that
+    # MAX itself is kept when it lies on the grid and no point exceeds it
     lo, hi, step = grid
-    count = int(round((hi - lo) / step)) + 1
+    count = math.floor((hi - lo) / step * (1.0 + 1e-9)) + 1
     return np.round(lo + step * np.arange(count), 12)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, validated."""
-
-    command: str
-    input: str | None = None
-    row_logit: LogitType = LogitType.GLOBAL
-    col_logit: LogitType = LogitType.GLOBAL
-    lam: float = 0.0
-    grid: tuple[float, float, float] | None = None
-    rank: int = 1
-    constraints: tuple[str, ...] = ()
-    fmt: str | None = None
-    seed: int = 0
-    only: str | None = None
-    pairs: tuple[str, ...] = ()
-    jobs: int = 1
-    row_logits_file: str | None = None
-    col_logits_file: str | None = None
-    gamma_file: str | None = None
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        object.__setattr__(self, "row_logit", LogitType.parse(self.row_logit))
-        object.__setattr__(self, "col_logit", LogitType.parse(self.col_logit))
-        if self.fmt not in (None, "json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
-        if self.grid is not None:
-            lo, hi, step = self.grid
-            if step <= 0:
-                raise ValueError("grid step must be positive")
-            if hi < lo:
-                raise ValueError("grid max must not be below min")
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        for name in self.constraints:
-            constraint_from_name(name)
-        object.__setattr__(self, "pairs", tuple(_parse_pair(p) for p in self.pairs))
-
-    @classmethod
-    def from_args(cls, ns):
-        kwargs = {"command": ns.command}
-        for name in (
-            "input",
-            "lam",
-            "rank",
-            "seed",
-            "only",
-            "jobs",
-            "row_logits_file",
-            "col_logits_file",
-            "gamma_file",
-        ):
-            if getattr(ns, name, None) is not None:
-                kwargs[name] = getattr(ns, name)
-        if getattr(ns, "rows_logit", None) is not None:
-            kwargs["row_logit"] = ns.rows_logit
-        if getattr(ns, "cols_logit", None) is not None:
-            kwargs["col_logit"] = ns.cols_logit
-        if getattr(ns, "fmt", None) is not None:
-            kwargs["fmt"] = ns.fmt
-        if getattr(ns, "constraint", None):
-            kwargs["constraints"] = tuple(ns.constraint)
-        if getattr(ns, "pair", None):
-            kwargs["pairs"] = tuple(ns.pair)
-        if getattr(ns, "lambda_grid", None) is not None:
-            kwargs["grid"] = _parse_grid(ns.lambda_grid)
-        return cls(**kwargs)
-
-    def family(self):
-        return cressie_read(self.lam)
-
-    def spec_payload(self):
-        out = {
-            "command": self.command,
-            "row_logit": self.row_logit.value,
-            "col_logit": self.col_logit.value,
-            "lambda": self.lam,
-            "rank": self.rank,
-            "constraints": list(self.constraints),
-            "format": self.fmt,
-            "seed": self.seed,
-        }
-        if self.input is not None:
-            out["input"] = str(self.input)
-        if self.grid is not None:
-            out["lambda_grid"] = list(self.grid)
-        if self.pairs:
-            out["pairs"] = list(self.pairs)
-        return out
+def _spec_payload(ns):
+    out = {
+        "command": ns.command,
+        "row_logit": ns.rows_logit.value,
+        "col_logit": ns.cols_logit.value,
+        "lambda": ns.lam,
+        "rank": ns.rank,
+        "constraints": list(ns.constraint),
+        "format": ns.fmt,
+        "seed": ns.seed,
+    }
+    if getattr(ns, "input", None) is not None:
+        out["input"] = ns.input
+    if getattr(ns, "lambda_grid", None) is not None:
+        out["lambda_grid"] = list(ns.lambda_grid)
+    if getattr(ns, "pair", None):
+        out["pairs"] = list(ns.pair)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +136,8 @@ def _resolve_input(token):
     )
 
 
-def _load_table(cfg):
-    return read_counts(_resolve_input(cfg.input), cfg.row_logit, cfg.col_logit)
+def _load_table(ns):
+    return read_counts(_resolve_input(ns.input), ns.rows_logit, ns.cols_logit)
 
 
 def _read_vector(path):
@@ -250,16 +198,13 @@ def _emit(payload, fmt, stream=None):
 # ---------------------------------------------------------------------------
 
 
-def _build_spec(cfg, shape=None):
-    spec = ModelSpec(
-        pair=(cfg.row_logit, cfg.col_logit),
-        family=cfg.family(),
-        rank=cfg.rank,
-        linear_constraints=tuple(constraint_from_name(n) for n in cfg.constraints),
+def _model_spec(pair, lam, rank, names):
+    return ModelSpec(
+        pair=pair,
+        family=cressie_read(lam),
+        rank=rank,
+        linear_constraints=tuple(constraint_from_name(n) for n in names),
     )
-    if shape is not None:
-        spec.validate_shape(shape)
-    return spec
 
 
 def _dependence_payload(report):
@@ -282,8 +227,8 @@ def _dependence_payload(report):
     }
 
 
-def _fit_payload(cfg, spec, result):
-    fitted = ContingencyTable.from_probabilities(result.pi_hat, cfg.row_logit, cfg.col_logit)
+def _fit_payload(ns, spec, result):
+    fitted = ContingencyTable.from_probabilities(result.pi_hat, ns.rows_logit, ns.cols_logit)
     rows, cols, gamma = extract_invariants(fitted, fam=spec.family)
     scores = None
     correlation = None
@@ -295,11 +240,11 @@ def _fit_payload(cfg, spec, result):
                 correlation = float(score_correlation(fitted.probs, dec))
         except DegenerateScoreError:
             scores = None
-    pair_letters = cfg.row_logit.value + cfg.col_logit.value
-    pairs = (("G", "G"),) if pair_letters == "GG" else ((cfg.row_logit.value, cfg.col_logit.value), ("G", "G"))
+    pair = (ns.rows_logit.value, ns.cols_logit.value)
+    pairs = (("G", "G"),) if pair == ("G", "G") else (pair, ("G", "G"))
     report = dependence_report(fitted.probs, fam=spec.family, pairs=pairs)
     return {
-        "spec": cfg.spec_payload(),
+        "spec": _spec_payload(ns),
         "fit": {
             "deviance": result.deviance,
             "dof": result.dof,
@@ -319,12 +264,12 @@ def _fit_payload(cfg, spec, result):
     }
 
 
-def cmd_fit(cfg):
+def cmd_fit(ns):
     """Fit one model and emit the full report; exit 3 if not converged."""
-    table = _load_table(cfg)
-    spec = _build_spec(cfg, table.shape)
+    table = _load_table(ns)
+    spec = _model_spec((ns.rows_logit, ns.cols_logit), ns.lam, ns.rank, ns.constraint)
     result = fit(table, spec)
-    _emit(_fit_payload(cfg, spec, result), cfg.fmt or "json")
+    _emit(_fit_payload(ns, spec, result), ns.fmt or "json")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -346,13 +291,7 @@ def _sweep_cell(args):
         "error": None,
     }
     try:
-        spec = ModelSpec(
-            pair=(pair[0], pair[1]),
-            family=cressie_read(lam),
-            rank=rank,
-            linear_constraints=tuple(constraint_from_name(n) for n in names),
-        )
-        result = fit(counts, spec)
+        result = fit(counts, _model_spec(tuple(pair), lam, rank, names))
     except (ValueError, PivotError) as exc:  # ValueError covers LinkDomainError
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
@@ -364,31 +303,30 @@ def _sweep_cell(args):
     return row
 
 
-def cmd_sweep(cfg):
+def cmd_sweep(ns):
     """Fit every (pair, lambda) cell; failures are recorded, exit stays 0.
 
     CSV rows hold pair, lambda, deviance, dof and converged; JSON rows add
     the fit's iterations and stop message, and ``error`` (exception type
     and text) for a cell whose fit raised, which is null otherwise.
     """
-    table = _load_table(cfg)
+    table = _load_table(ns)
     counts = np.asarray(table.counts, dtype=np.float64)
-    grid = cfg.grid if cfg.grid is not None else (cfg.lam, cfg.lam, 1.0)
-    lams = _grid_values(grid)
-    pairs = cfg.pairs or ("LL", "GG", "CC")
+    lams = _grid_values(ns.lambda_grid or (ns.lam, ns.lam, 1.0))
+    pairs = ns.pair or ("LL", "GG", "CC")
     cells = [
-        (counts, pair, float(lam), cfg.rank, cfg.constraints)
+        (counts, pair, float(lam), ns.rank, ns.constraint)
         for pair in sorted(set(pairs))
         for lam in lams
     ]
-    if cfg.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
+    if ns.jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(cells))) as pool:
             rows = list(pool.map(_sweep_cell, cells, chunksize=4))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r["pair"], r["lambda"]))
-    if (cfg.fmt or "csv") == "json":
-        _emit({"spec": cfg.spec_payload(), "cells": rows}, "json")
+    if ns.fmt == "json":
+        _emit({"spec": _spec_payload(ns), "cells": rows}, "json")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["pair", "lambda", "deviance", "dof", "converged"])
@@ -410,37 +348,35 @@ def cmd_sweep(cfg):
 # ---------------------------------------------------------------------------
 
 
-def cmd_reconstruct(cfg):
+def cmd_reconstruct(ns):
     """Rebuild the unique table matching marginal logits and interactions."""
-    if not (cfg.row_logits_file and cfg.col_logits_file and cfg.gamma_file):
-        raise ValueError("reconstruct needs --row-logits, --col-logits and --gamma files")
-    eta_rows = _read_vector(cfg.row_logits_file)
-    eta_cols = _read_vector(cfg.col_logits_file)
-    gamma = read_numbers(cfg.gamma_file)[0]
+    eta_rows = _read_vector(ns.row_logits_file)
+    eta_cols = _read_vector(ns.col_logits_file)
+    gamma = read_numbers(ns.gamma_file)[0]
     if gamma.shape != (eta_rows.shape[0], eta_cols.shape[0]):
         raise ValueError(
             f"gamma is {gamma.shape} but the logit files imply "
             f"({eta_rows.shape[0]}, {eta_cols.shape[0]})"
         )
-    fam = cfg.family()
-    rows = MarginalLogits(eta_rows, cfg.row_logit, "row")
-    cols = MarginalLogits(eta_cols, cfg.col_logit, "column")
+    fam = cressie_read(ns.lam)
+    rows = MarginalLogits(eta_rows, ns.rows_logit, "row")
+    cols = MarginalLogits(eta_cols, ns.cols_logit, "column")
     try:
         pi = reconstruct(rows, cols, gamma, fam=fam)
     except ReconstructionError as exc:
         _emit(
             {
-                "spec": cfg.spec_payload(),
+                "spec": _spec_payload(ns),
                 "error": str(exc),
                 "residual_norm": exc.residual_norm,
             },
-            cfg.fmt or "json",
+            ns.fmt or "json",
         )
         return EXIT_NO_CONVERGENCE
-    table = ContingencyTable.from_probabilities(pi, cfg.row_logit, cfg.col_logit)
+    table = ContingencyTable.from_probabilities(pi, ns.rows_logit, ns.cols_logit)
     got_rows, got_cols, got_gamma = extract_invariants(table, fam=fam)
     payload = {
-        "spec": cfg.spec_payload(),
+        "spec": _spec_payload(ns),
         "pi": pi,
         "residual": {
             "row_logits": float(np.abs(got_rows.values - eta_rows).max()),
@@ -448,7 +384,7 @@ def cmd_reconstruct(cfg):
             "gamma": float(np.abs(got_gamma.values - gamma).max()),
         },
     }
-    _emit(payload, cfg.fmt or "json")
+    _emit(payload, ns.fmt or "json")
     return EXIT_OK
 
 
@@ -457,14 +393,14 @@ def cmd_reconstruct(cfg):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg):
+def cmd_check(ns):
     """Dependence report for the observed table; violations exit 4."""
-    table = _load_table(cfg)
-    pairs = tuple((p[0], p[1]) for p in cfg.pairs) or (("G", "G"),)
-    report = dependence_report(table.probs, fam=cfg.family(), pairs=pairs)
+    table = _load_table(ns)
+    pairs = tuple((p[0], p[1]) for p in ns.pair or ("GG",))
+    report = dependence_report(table.probs, fam=cressie_read(ns.lam), pairs=pairs)
     _emit(
-        {"spec": cfg.spec_payload(), "dependence": _dependence_payload(report)},
-        cfg.fmt or "json",
+        {"spec": _spec_payload(ns), "dependence": _dependence_payload(report)},
+        ns.fmt or "json",
     )
     return EXIT_CLAIM_FAILED if report.violations else EXIT_OK
 
@@ -489,17 +425,11 @@ def _print_side_by_side(label, left, right, stream):
         stream.write(f"    {l:<{width}}   | {r}\n")
 
 
-def cmd_counterexamples(cfg=None):
+def cmd_counterexamples(ns):
     """Verify the built-in sign-claim tables; any failure exits 4."""
-    names = counterexample_names()
-    if cfg is not None and cfg.only:
-        only = str(cfg.only).strip().lower()
-        if only not in names:
-            raise ValueError(f"unknown counterexample {cfg.only!r}; choose from {sorted(names)}")
-        names = (only,)
+    names = (ns.only,) if ns.only else counterexample_names()
     records = [counterexample_verify(name) for name in names]
-    fmt = cfg.fmt if cfg is not None else None
-    if fmt in ("json", "csv"):
+    if ns.fmt:
         payload = {
             "records": [
                 {
@@ -519,7 +449,7 @@ def cmd_counterexamples(cfg=None):
             ],
             "passed": all(r.passed for r in records),
         }
-        _emit(payload, fmt)
+        _emit(payload, ns.fmt)
     else:
         stream = sys.stdout
         for r in records:
@@ -553,55 +483,73 @@ def build_parser():
                 metavar="TABLE",
                 help="counts file, or a bundled dataset name: " + ", ".join(dataset_names()),
             )
-        p.add_argument("--rows-logit", choices=list("LGCR"), default=None, help="row logit type")
-        p.add_argument("--cols-logit", choices=list("LGCR"), default=None, help="column logit type")
+        for flag, margin in (("--rows-logit", "row"), ("--cols-logit", "column")):
+            p.add_argument(
+                flag, type=LogitType, choices=list("LGCR"), default="G", help=f"{margin} logit type"
+            )
         p.add_argument(
             "--lambda",
             dest="lam",
             type=float,
-            default=None,
+            default=0.0,
             help="Cressie-Read power; 0 selects the Kullback-Leibler link",
         )
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", type=int, default=None, help="seed recorded with the run")
+        p.add_argument("--seed", type=int, default=0, help="seed recorded with the run")
+
+    def model(p):
+        p.add_argument("--rank", type=_int_at_least(0), default=1, help="interaction rank bound K")
+        p.add_argument(
+            "--constraint",
+            action="append",
+            choices=list(constraint_names()),
+            default=[],
+            help="named linear constraint (repeatable)",
+        )
 
     p_fit = sub.add_parser("fit", help="fit one model and report the full summary")
     common(p_fit)
-    p_fit.add_argument("--rank", type=int, default=None, help="interaction rank bound K")
-    p_fit.add_argument(
-        "--constraint",
-        action="append",
-        choices=list(constraint_names()),
-        help="named linear constraint (repeatable)",
-    )
+    model(p_fit)
+    p_fit.set_defaults(run=cmd_fit)
 
     p_sweep = sub.add_parser("sweep", help="fit a lambda grid across logit pairs")
     common(p_sweep)
-    p_sweep.add_argument("--rank", type=int, default=None)
-    p_sweep.add_argument("--constraint", action="append", choices=list(constraint_names()))
+    model(p_sweep)
     p_sweep.add_argument(
         "--lambda-grid",
+        type=_grid,
         default=None,
         metavar="MIN:MAX:STEP",
         help="inclusive grid; write --lambda-grid=-1:1:0.04 when MIN is negative",
     )
     p_sweep.add_argument(
         "--pair",
+        type=_pair,
         action="append",
         metavar="XY",
         help="logit pair such as GG or LL (repeatable; default LL GG CC)",
     )
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel fit processes")
+    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel fit processes")
+    p_sweep.set_defaults(run=cmd_sweep)
 
+    # reconstruct and check fit no model; their spec records rank 1, no constraints
     p_rec = sub.add_parser("reconstruct", help="rebuild a table from logits and interactions")
     common(p_rec, with_table=False)
     p_rec.add_argument("--row-logits", dest="row_logits_file", required=True, metavar="FILE")
     p_rec.add_argument("--col-logits", dest="col_logits_file", required=True, metavar="FILE")
     p_rec.add_argument("--gamma", dest="gamma_file", required=True, metavar="FILE")
+    p_rec.set_defaults(run=cmd_reconstruct, rank=1, constraint=[])
 
     p_check = sub.add_parser("check", help="dependence report for an observed table")
     common(p_check)
-    p_check.add_argument("--pair", action="append", metavar="XY", help="logit pair (repeatable)")
+    p_check.add_argument(
+        "--pair",
+        type=_pair,
+        action="append",
+        metavar="XY",
+        help="logit pair (repeatable; default GG)",
+    )
+    p_check.set_defaults(run=cmd_check, rank=1, constraint=[])
 
     p_ce = sub.add_parser("counterexamples", help="verify the built-in sign-claim tables")
     p_ce.add_argument("--only", choices=list(counterexample_names()), default=None)
@@ -613,17 +561,9 @@ def build_parser():
         const="json",
         help="shorthand for --format json",
     )
+    p_ce.set_defaults(run=cmd_counterexamples)
 
     return parser
-
-
-_DISPATCH = {
-    "fit": cmd_fit,
-    "sweep": cmd_sweep,
-    "reconstruct": cmd_reconstruct,
-    "check": cmd_check,
-    "counterexamples": cmd_counterexamples,
-}
 
 
 def main(argv=None):
@@ -633,8 +573,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig.from_args(ns)
-        return _DISPATCH[cfg.command](cfg)
+        return ns.run(ns)
     except (TableParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

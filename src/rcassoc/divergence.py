@@ -26,16 +26,16 @@ class LinkDomainError(ValueError):
 class DivergenceFamily:
     """One member of the divergence class, identified by ``name`` and ``lam``.
 
-    ``lam`` is None exactly for the KL family.  ``f_link`` and ``g_link``
+    ``lam`` is 0 exactly for the KL family.  ``f_link`` and ``g_link``
     accept scalars or arrays and are mutually inverse on the link domain.
     """
 
     name: str
-    lam: float | None
+    lam: float
 
     @property
     def is_kl(self):
-        return self.lam is None
+        return self.lam == 0.0
 
     def phi(self, x):
         """Convex generator, defined for x >= 0 with phi(1) = 0."""
@@ -92,7 +92,7 @@ class DivergenceFamily:
 
 def kl():
     """Kullback-Leibler family: phi(x) = x log x - x + 1, F = log, G = exp."""
-    return DivergenceFamily(name="KL", lam=None)
+    return DivergenceFamily(name="KL", lam=0.0)
 
 
 def cressie_read(lam):

@@ -364,9 +364,8 @@ class _Workspace:
         self._linear = linear
         self.pi = _softmax(self.theta)
         self.pi2d = self.pi.reshape(shape)
-        fam = spec.family
         self._codes = (spec.pair[0].code, spec.pair[1].code)
-        self._gamma_args = (*self._codes, 0.0 if fam.is_kl else fam.lam, fam.is_kl)
+        self._gamma_args = (*self._codes, spec.family.lam)
         self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
 
     def _margins(self):

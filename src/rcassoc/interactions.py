@@ -126,8 +126,7 @@ def gamma_matrix(table, l1=None, l2=None, fam=None):
     fam = fam or kl()
     row, col = _resolve_pair(table, l1, l2)
     _check_positive(table.probs, "cell probabilities")
-    lam = 0.0 if fam.is_kl else fam.lam
-    values = kernels.gamma_values(table.probs, row.code, col.code, lam, fam.is_kl)
+    values = kernels.gamma_values(table.probs, row.code, col.code, fam.lam)
     return InteractionMatrix(values, (row, col), fam)
 
 
@@ -149,8 +148,7 @@ def gamma_jacobian(table, l1=None, l2=None, fam=None):
     fam = fam or kl()
     row, col = _resolve_pair(table, l1, l2)
     _check_positive(table.probs, "cell probabilities")
-    lam = 0.0 if fam.is_kl else fam.lam
-    return kernels.gamma_jacobian_values(table.probs, row.code, col.code, lam, fam.is_kl)
+    return kernels.gamma_jacobian_values(table.probs, row.code, col.code, fam.lam)
 
 
 def gamma_matrix_batch(pis, l1, l2, fam=None):
@@ -158,9 +156,8 @@ def gamma_matrix_batch(pis, l1, l2, fam=None):
     fam = fam or kl()
     pis = np.asarray(pis, dtype=np.float64)
     _check_positive(pis, "cell probabilities")
-    lam = 0.0 if fam.is_kl else fam.lam
     return kernels.gamma_values_batch(
-        pis, LogitType.parse(l1).code, LogitType.parse(l2).code, lam, fam.is_kl
+        pis, LogitType.parse(l1).code, LogitType.parse(l2).code, fam.lam
     )
 
 

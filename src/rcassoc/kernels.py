@@ -1,8 +1,9 @@
 """Numeric kernels: quadrant probabilities, scaled interactions, log-odds ratios.
 
 Logit types are encoded as small integers (L=0, G=1, C=2, R=3) and the
-divergence scale as the pair ``(lam, is_kl)``; the object-level wrappers
-live in ``interactions``.
+divergence scale as the Cressie-Read power ``lam`` alone, 0 selecting the
+log link of the Kullback-Leibler family; the object-level wrappers live in
+``interactions``.
 
 Every logit type on a margin of size I is one 0/1 event-indicator operator
 E: row ``b * (I-1) + x - 1`` marks the cells of event ``b`` at the 1-based
@@ -88,14 +89,14 @@ def _contrast(q):
     return q[..., 0, :, 0, :] - q[..., 0, :, 1, :] - q[..., 1, :, 0, :] + q[..., 1, :, 1, :]
 
 
-def _flink(u, lam, is_kl):
-    if is_kl:
+def _flink(u, lam):
+    if lam == 0.0:
         return np.log(u)
     return (u ** lam - 1.0) / lam
 
 
-def _gamma(pis, c1, c2, lam, is_kl):
-    return _contrast(_flink(_rho(*_quadrants(pis, c1, c2)), lam, is_kl))
+def _gamma(pis, c1, c2, lam):
+    return _contrast(_flink(_rho(*_quadrants(pis, c1, c2)), lam))
 
 
 def _lor(pis, c1, c2):
@@ -122,9 +123,9 @@ def quadrant_values(pi, c1, c2):
     return _quadrants(_as_table(pi), c1, c2)
 
 
-def gamma_values(pi, c1, c2, lam, is_kl):
+def gamma_values(pi, c1, c2, lam):
     """Scaled interaction matrix of one table; shape (I1-1, I2-1)."""
-    return _gamma(_as_table(pi), c1, c2, float(lam), is_kl)
+    return _gamma(_as_table(pi), c1, c2, float(lam))
 
 
 def lor_values(pi, c1, c2):
@@ -132,9 +133,9 @@ def lor_values(pi, c1, c2):
     return _lor(_as_table(pi), c1, c2)
 
 
-def gamma_values_batch(pis, c1, c2, lam, is_kl):
+def gamma_values_batch(pis, c1, c2, lam):
     """Scaled interactions for a stack of tables; shape (n, I1-1, I2-1)."""
-    return _gamma(_as_batch(pis), c1, c2, float(lam), is_kl)
+    return _gamma(_as_batch(pis), c1, c2, float(lam))
 
 
 def lor_values_batch(pis, c1, c2):
@@ -148,7 +149,7 @@ def _slabs(size, code):
     return np.concatenate([ops[:-1].reshape(2, size - 1, size), np.ones((1, size - 1, size))])
 
 
-def gamma_jacobian_values(pi, c1, c2, lam, is_kl):
+def gamma_jacobian_values(pi, c1, c2, lam):
     """d vec(gamma) / d vec(pi) in C order; shape ((I1-1)(I2-1), I1*I2).
 
     gamma is a signed sum of F(rho_uv) with log rho_uv = log p_uv - log p1_u
@@ -162,7 +163,7 @@ def gamma_jacobian_values(pi, c1, c2, lam, is_kl):
     pi = _as_table(pi)
     i1, i2 = pi.shape
     p, p1, p2 = _quadrants(pi, c1, c2)
-    w = _SIGNS if is_kl else _SIGNS * _rho(p, p1, p2) ** float(lam)
+    w = _SIGNS if lam == 0.0 else _SIGNS * _rho(p, p1, p2) ** float(lam)
     w = np.broadcast_to(w, p.shape)
     coef = np.zeros((3, i1 - 1, 3, i2 - 1))
     coef[:2, :, :2, :] = w / p

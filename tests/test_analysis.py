@@ -25,8 +25,10 @@ from rcassoc import (
     score_correlation,
     svd_scores,
 )
+from rcassoc import analysis
 from rcassoc.analysis import margin_from_logits, row_conditional_cumulative
-from rcassoc.interactions import marginal_logits
+from rcassoc.interactions import lor_matrix, marginal_logits
+from rcassoc.table import LogitType
 
 
 def test_svd_scores_recover_known_decomposition():
@@ -254,6 +256,29 @@ def test_dependence_report_fitted_mobility(mobility_counts):
     assert report.quadrant_dependence
     assert report.collapsed_survival_order
     assert report.violations == ()
+
+
+@pytest.mark.parametrize("pairs", [(("G", "G"),), (("C", "C"), ("G", "G"))])
+def test_dependence_report_computes_each_measure_once(monkeypatch, mobility, pairs):
+    calls = []
+
+    def counted(measure, real):
+        def wrapper(table, l1, l2, *args):
+            calls.append((measure, LogitType.parse(l1), LogitType.parse(l2)))
+            return real(table, l1, l2, *args)
+
+        return wrapper
+
+    fam = cressie_read(-0.04)
+    monkeypatch.setattr(analysis, "gamma_matrix", counted("gamma", gamma_matrix))
+    monkeypatch.setattr(analysis, "lor_matrix", counted("eta", lor_matrix))
+    report = dependence_report(mobility.probs, fam=fam, pairs=pairs)
+    assert len(calls) == len(set(calls))
+    # every pair with a global logit is audited on gamma
+    assert sum(measure == "gamma" for measure, *_ in calls) >= 7
+    for entry in report.pairs:
+        assert entry.min_gamma == gamma_matrix(mobility, *entry.pair, fam).values.min()
+        assert entry.min_eta == lor_matrix(mobility, *entry.pair).values.min()
 
 
 def test_positive_cc_does_not_force_row_survival_order():

@@ -116,6 +116,22 @@ def test_sweep_csv(capsys):
     assert deviances[2] == pytest.approx(fit_payload["fit"]["deviance"], abs=1e-9)
 
 
+def test_sweep_grid_never_exceeds_its_max(capsys, monkeypatch):
+    # the grid alone is under test: every cell fails fast and keeps its lambda
+    def no_fit(table, spec):
+        raise ValueError("not fitted")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    lambdas = {}
+    for grid in ("0:1:0.6", "-1:1:0.04"):
+        code, out, _ = run_cli(capsys, "sweep", "mobility", f"--lambda-grid={grid}", "--pair", "GG")
+        assert code == 0
+        lambdas[grid] = [json.loads(r[1]) for r in list(csv.reader(io.StringIO(out)))[1:]]
+    assert lambdas["0:1:0.6"] == [0.0, 0.6]
+    assert len(lambdas["-1:1:0.04"]) == 51
+    assert lambdas["-1:1:0.04"][0] == -1.0 and lambdas["-1:1:0.04"][-1] == 1.0
+
+
 def test_sweep_parallel_matches_serial(capsys):
     argv = ["sweep", "mobility", "--lambda-grid=-0.08:0.0:0.04", "--pair", "GG", "--pair", "LL"]
     _, serial, _ = run_cli(capsys, *argv)
@@ -370,6 +386,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
+
+    # checks made while parsing name the offending flag
+    flagged = [
+        ("--jobs", ("sweep", "mobility", "--jobs", "0")),
+        ("--rank", ("fit", "mobility", "--rank", "-1")),
+        ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1:0")),
+        ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1")),
+        ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:inf:1")),
+        ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1e300:1e-300")),
+        ("--pair", ("sweep", "mobility", "--pair", "Q")),
+    ]
+    for flag, argv in flagged:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert f"argument {flag}:" in err, argv
 
     bad = tmp_path / "ragged.txt"
     bad.write_text("1 2 3\n4 5\n")

@@ -208,7 +208,7 @@ def test_invariant_jacobians_match_dense_chain_rule(random_table):
         p = pi.reshape(-1)
         cov = (np.diag(p) - np.outer(p, p))[:, :-1]
         c1, c2 = spec.pair[0].code, spec.pair[1].code
-        gamma_pi = rcassoc.kernels.gamma_jacobian_values(pi, c1, c2, lam, False)
+        gamma_pi = rcassoc.kernels.gamma_jacobian_values(pi, c1, c2, lam)
         rows_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=1), c1)
         cols_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=0), c2)
         eta_pi = np.vstack([np.repeat(rows_pi, shape[1], axis=1), np.tile(cols_pi, (1, shape[0]))])

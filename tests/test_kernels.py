@@ -87,10 +87,10 @@ def test_gamma_twins_agree():
         pis = _tables(rng, shape, 4)
         for c1, c2 in PAIRS:
             for lam, is_kl in FAMS:
-                batch = kernels.gamma_values_batch(pis, c1, c2, lam, is_kl)
+                batch = kernels.gamma_values_batch(pis, c1, c2, lam)
                 for k, pi in enumerate(pis):
                     want = reference_gamma(pi, c1, c2, lam, is_kl)
-                    single = kernels.gamma_values(pi, c1, c2, lam, is_kl)
+                    single = kernels.gamma_values(pi, c1, c2, lam)
                     np.testing.assert_allclose(single, want, rtol=1e-12, atol=1e-12)
                     np.testing.assert_allclose(batch[k], single, rtol=1e-13, atol=1e-13)
 
@@ -114,7 +114,7 @@ def test_jacobian_twins_agree():
         pi = _tables(rng, shape, 1)[0]
         for c1, c2 in PAIRS:
             for lam, is_kl in FAMS:
-                jac = kernels.gamma_jacobian_values(pi, c1, c2, lam, is_kl)
+                jac = kernels.gamma_jacobian_values(pi, c1, c2, lam)
                 fd = _central_difference(lambda t: reference_gamma(t, c1, c2, lam, is_kl), pi)
                 scale = np.abs(fd).max()
                 np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7 * scale)
@@ -147,13 +147,13 @@ def test_kernel_properties(i1, i2, c1, c2, lam, seed):
     pis = _tables(np.random.default_rng(seed), (i1, i2), 3)
     # under KL, gamma is the log-odds ratio: the margins cancel
     np.testing.assert_allclose(
-        kernels.gamma_values_batch(pis, c1, c2, 0.0, True),
+        kernels.gamma_values_batch(pis, c1, c2, 0.0),
         kernels.lor_values_batch(pis, c1, c2),
         rtol=1e-10,
         atol=1e-10,
     )
-    batch = kernels.gamma_values_batch(pis, c1, c2, lam, False)
-    stacked = np.stack([kernels.gamma_values(pi, c1, c2, lam, False) for pi in pis])
+    batch = kernels.gamma_values_batch(pis, c1, c2, lam)
+    stacked = np.stack([kernels.gamma_values(pi, c1, c2, lam) for pi in pis])
     np.testing.assert_allclose(batch, stacked, rtol=1e-13, atol=1e-13)
     lor_stacked = np.stack([kernels.lor_values(pi, c1, c2) for pi in pis])
     np.testing.assert_allclose(kernels.lor_values_batch(pis, c1, c2), lor_stacked, rtol=1e-13, atol=1e-13)
