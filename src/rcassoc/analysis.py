@@ -10,8 +10,28 @@ integrated to scores and standardized to weighted mean 0 / variance 1 under
 the table marginals, with the scale folded into psi.  ``reconstruct`` goes
 the other way, recovering the unique joint table carrying given marginal
 logits and a given interaction matrix.
+
+For a pair in {G, C, R}^2 it uses the representation by the survival
+surface S(i, j) = P(X >= i, Y >= j), whose row 0 and column 0 are the
+marginal survivals and whose second differences are the cells.  G and C
+share their upper event (X >= i), so at cut (i, j) the four quadrant
+probabilities are affine in S(i, j):
+
+    p11 = S(i, j)                  p01 = S(a, j) - S(i, j)
+    p10 = S(i, b) - S(i, j)        p00 = S(a, b) - S(a, j) - S(i, b) + S(i, j)
+
+with a = i - 1 for a C row margin and a = 0 for a G one, and b likewise
+for the columns.  F is increasing, so gamma[i-1, j-1] rises strictly with
+S(i, j) on the interval where all four quadrants are positive, and a
+row-major scan fixes each S(i, j) by one bracketed scalar root once its
+predecessors are known.  An R margin is a C margin on the reversed axis,
+with gamma negated.  A target is unattainable exactly when a cut's bracket
+holds no sign change (possible only for lam > 0, where F(0+) = -1/lam is
+finite) or a cell comes out <= 0.  Pairs with an L margin are solved by a
+Newton iteration on the canonical parameters instead.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,7 +76,13 @@ class DegenerateScoreError(ValueError):
 
 
 class ReconstructionError(RuntimeError):
-    """Newton reconstruction failed to reach the target invariants."""
+    """Reconstruction could not reach the target invariants.
+
+    ``residual_norm`` is the max-norm invariant residual of the Newton
+    path or of the scanned table, or, when the scan rules the target out,
+    the gap between a cut's target and the range its bracket reaches, or
+    the amount by which a cell falls below 0.
+    """
 
     def __init__(self, message, residual_norm):
         super().__init__(f"{message} (final residual {residual_norm:.3e})")
@@ -214,14 +240,19 @@ def extract_invariants(table, l1=None, l2=None, fam=None):
 def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_iter=200):
     """The unique table with given marginal logits and interaction matrix.
 
-    Newton iteration on the canonical parameters solving the exactly
-    determined system {row logits, column logits, vec gamma} = targets,
-    started from the independence table with the target marginals.  When
-    the direct solve fails on a strongly associated target, the
-    interaction block is ramped up from zero in warm-started stages.
-    Raises ValueError on non-finite targets, and ReconstructionError (with
-    the final residual) when the target is not attainable, e.g. outside the
-    link domain of the family.
+    Each pair has one path.  A pair in {G, C, R}^2 is solved by the survival
+    scan of the module docstring: one monotone scalar root per cut, with no
+    jacobian and no use of ``max_iter``; its table is returned only when the
+    invariants recomputed from it (one workspace) are within ``tol`` of the
+    target in the max norm.  A pair with an L margin runs Newton iterations
+    on the canonical parameters, at most ``max_iter`` per stage, started
+    from the independence table with the target marginals; when the direct
+    solve fails, the interaction block is ramped up from zero in
+    warm-started stages.  It stops once the max-norm residual is within
+    ``tol``.  Raises ValueError on non-finite targets, and
+    ReconstructionError, which carries a positive residual, when the target
+    is not attainable: the scan names the cut or cell that rules it out,
+    the Newton path reports its final residual.
     """
     fam = fam or kl()
     if not isinstance(row_logits, MarginalLogits) or not isinstance(col_logits, MarginalLogits):
@@ -237,29 +268,40 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
         raise ValueError(
             f"gamma target shape {g_target.shape} does not match logits ({i1 - 1}, {i2 - 1})"
         )
-    if not all(np.all(np.isfinite(v)) for v in (row_logits.values, col_logits.values, g_target)):
+    target = np.concatenate([row_logits.values, col_logits.values, g_target.ravel()])
+    if not np.isfinite(target).all():
         raise ValueError("reconstruction targets must be finite")
     pair = (row_logits.logit_type, col_logits.logit_type)
     spec = ModelSpec(pair=pair, family=fam, rank=0)
-    marginal_part = np.concatenate([row_logits.values, col_logits.values])
-    gamma_part = g_target.ravel()
+    rows = margin_from_logits(row_logits.values, pair[0])
+    cols = margin_from_logits(col_logits.values, pair[1])
+    if LogitType.LOCAL in pair:
+        return _newton_solve(np.outer(rows, cols), spec, target, tol, max_iter).pi2d.copy()
+    pi = _survival_scan(rows, cols, g_target, pair, fam.lam)
+    ws = _Workspace(theta_from_prob(pi), spec, (i1, i2), None)
+    miss = float(np.abs(ws.invariants - target).max())
+    if not miss <= tol:
+        raise ReconstructionError("scanned table misses the target invariants", miss)
+    return ws.pi2d.copy()
 
-    start = np.outer(
-        margin_from_logits(row_logits.values, pair[0]),
-        margin_from_logits(col_logits.values, pair[1]),
-    )
+
+def _newton_solve(start, spec, target, tol, max_iter):
+    """Workspace whose invariants match ``target``, by Newton from ``start``."""
+    shape = start.shape
+    n_marginal = shape[0] + shape[1] - 2
     theta0 = theta_from_prob(start)
 
     def newton(theta_init, scale):
-        target = np.concatenate([marginal_part, scale * gamma_part])
+        goal = target.copy()
+        goal[n_marginal:] *= scale
 
         def residual_ws(th):
             # trial points may step outside the link domain; the resulting
             # non-finite residuals are rejected by the caller, so suppress
             # the numpy warnings they would otherwise emit
             with np.errstate(all="ignore"):
-                ws = _Workspace(th, spec, (i1, i2), None)
-                r = ws.invariants - target
+                ws = _Workspace(th, spec, shape, None)
+                r = ws.invariants - goal
             return r, ws
 
         res, ws = residual_ws(theta_init)
@@ -307,7 +349,7 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
         raise ReconstructionError("reconstruction did not converge", norm)
 
     try:
-        return newton(theta0, 1.0).pi2d.copy()
+        return newton(theta0, 1.0)
     except ReconstructionError as err:
         failure = err
 
@@ -332,9 +374,200 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
         theta = ws.theta
         reached = stage
         if reached >= 1.0:
-            return ws.pi2d.copy()
+            return ws
         increment = min(0.25, 2.0 * increment)
     raise failure
+
+
+def _pair_sum(*terms):
+    """Sum of ``terms`` as an unevaluated pair hi + lo: hi is the correctly
+    rounded sum and lo the correctly rounded remainder."""
+    hi = math.fsum(terms)
+    return hi, math.fsum(terms + (-hi,))
+
+
+def _second_difference(a, b, c, d):
+    """a - b - c + d for pairs, correctly rounded to one float."""
+    return math.fsum((a[0], a[1], -b[0], -b[1], -c[0], -c[1], d[0], d[1]))
+
+
+def _survival_scan(rows, cols, gamma, pair, lam):
+    """Table with margins ``rows``, ``cols`` and interactions ``gamma`` for a
+    pair in {G, C, R}^2, by one root per cut of S(x, y) = P(X >= x, Y >= y).
+
+    Every S is kept as a pair hi + lo from ``_pair_sum``, about twice the
+    precision of one float, and every difference of S values is taken by
+    ``math.fsum``, so each quadrant and cell keeps its relative precision
+    however small it is next to the S values around it.
+    """
+    flip = [lt is LogitType.REVERSE for lt in pair]
+    cont = [lt is not LogitType.GLOBAL for lt in pair]
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if flip[0]:
+        rows, gamma = rows[::-1], -gamma[::-1]
+    if flip[1]:
+        cols, gamma = cols[::-1], -gamma[:, ::-1]
+    i1, i2 = rows.size, cols.size
+    rows, cols, gamma = rows.tolist(), cols.tolist(), gamma.tolist()
+
+    def events(margin, continuation):
+        # (lower, upper) event probabilities at each cut x = 1..I-1
+        return [
+            (margin[x - 1] if continuation else math.fsum(margin[:x]), math.fsum(margin[x:]))
+            for x in range(1, len(margin))
+        ]
+
+    row_events, col_events = events(rows, cont[0]), events(cols, cont[1])
+    # s[x][y] for x < I1, y < I2; row 0 and column 0 are the marginal survivals
+    s = [[_pair_sum(*rows[x:])] + [None] * (i2 - 1) for x in range(i1)]
+    s[0][1:] = [_pair_sum(*cols[y:]) for y in range(1, i2)]
+    for x in range(1, i1):
+        a = x - 1 if cont[0] else 0
+        r0, r1 = row_events[x - 1]
+        for y in range(1, i2):
+            b = y - 1 if cont[1] else 0
+            c0, c1 = col_events[y - 1]
+            # the cut's gamma index in the caller's orientation, for errors
+            cut = (i1 - 1 - x if flip[0] else x - 1, i2 - 1 - y if flip[1] else y - 1)
+            weights = (r0 * c0, r0 * c1, r1 * c0, r1 * c1)
+            s[x][y] = _cut_root(s[a][b], s[a][y], s[x][b], weights, gamma[x - 1][y - 1], lam, cut)
+    # cells are second differences of S, with S = 0 past the last row and column
+    zero = (0.0, 0.0)
+    ext = [row + [zero] for row in s] + [[zero] * (i2 + 1)]
+    pi = np.array([
+        [_second_difference(ext[r][c], ext[r][c + 1], ext[r + 1][c], ext[r + 1][c + 1])
+         for c in range(i2)]
+        for r in range(i1)
+    ])
+    pi = pi[:: -1 if flip[0] else 1, :: -1 if flip[1] else 1]
+    bad = np.argwhere(pi <= 0.0)
+    if bad.size:
+        r, c = bad[0]
+        cell = float(pi[r, c])
+        raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
+    return pi
+
+
+def _plackett(psi, row, col, diff):
+    """Cell q of a 2x2 table with q (diff + q) = psi (row - q)(col - q).
+
+    ``row`` and ``col`` are the totals of q's row and column and ``diff``
+    is the opposite cell minus q; the feasible root, taken without
+    cancellation.
+    """
+    b = diff + psi * (row + col)
+    root = math.sqrt(b * b + 4.0 * (1.0 - psi) * psi * row * col)
+    if b > 0.0:
+        return 2.0 * psi * row * col / (b + root)
+    return (root - b) / (2.0 * (1.0 - psi))
+
+
+_ROOT_STEPS = 100
+
+
+def _out_of_reach(cut, gap):
+    """The error for a cut whose bracket holds no root; ``gap`` is the least
+    |gamma - target| the bracket reaches."""
+    return ReconstructionError(
+        f"target gamma[{cut[0]}, {cut[1]}] is out of reach given the margins "
+        "and the cuts solved before it",
+        gap,
+    )
+
+
+def _cut_root(sab, say, sxb, weights, target, lam, cut):
+    """S(x, y) at one cut, as a ``_pair_sum`` pair, from the S values before it.
+
+    The quadrants are p00 = S(a, b) - S(a, y) - S(x, b) + s, p01 = S(a, y) - s,
+    p10 = S(x, b) - s and p11 = s, and ``weights`` holds the matching
+    products of marginal event probabilities.  The root is sought in the
+    coordinate q of the smallest quadrant at the Plackett start (odds ratio
+    e^gamma, exact at lam = 0), where the other three are q's row total
+    minus q, its column total minus q, and q plus a constant, each formed
+    without cancellation.  Safeguarded Newton steps in log q keep q inside
+    the bracket where all four quadrants are positive; gamma rises with q
+    when q is p00 or p11 and falls otherwise.  ``cut`` names the cut in
+    the error raised when the bracket holds no root.
+    """
+    # quadrants are indexed 2u + v, so q's row mate is m ^ 1, its column
+    # mate m ^ 2 and its opposite m ^ 3
+    row_lower = math.fsum((sab[0], sab[1], -sxb[0], -sxb[1]))  # p00 + p01
+    col_lower = math.fsum((sab[0], sab[1], -say[0], -say[1]))  # p00 + p10
+    diag = math.fsum((say[0], say[1], sxb[0], sxb[1], -sab[0], -sab[1]))  # p11 - p00
+    psi = math.exp(max(-50.0, min(50.0, target)))
+    q = _plackett(psi, row_lower, col_lower, diag)
+    start = (q, row_lower - q, col_lower - q, diag + q)
+    m = start.index(min(start))
+    sign = 1.0 if m in (0, 3) else -1.0
+    row_t = row_lower if m < 2 else sxb[0] + sxb[1]
+    col_t = col_lower if m % 2 == 0 else say[0] + say[1]
+    if m == 0:
+        diff = diag
+    else:
+        # the opposite quadrant minus q: p00 - p11, or p10 - p01 = -anti for q = p01
+        anti = math.fsum((say[0], say[1], -sxb[0], -sxb[1])) if m < 3 else 0.0
+        diff = (diag, -anti, anti, -diag)[m]
+        q = _plackett(psi**sign, row_t, col_t, diff)
+    w_m, w_r, w_c, w_o = weights[m], weights[m ^ 1], weights[m ^ 2], weights[m ^ 3]
+    goal = sign * target
+
+    if lam == 0.0:
+        offset = math.log(w_r * w_c / (w_m * w_o)) - goal
+
+        def value(q):
+            # gamma - target in the orientation of q, and its derivative in log q
+            a, b, o = row_t - q, col_t - q, diff + q
+            return math.log(q / a) + math.log(o / b) + offset, 1.0 + q / a + q / b + q / o
+
+    else:
+
+        def value(q):
+            a, b, o = row_t - q, col_t - q, diff + q
+            tq, ta, tb, to = (q / w_m) ** lam, (a / w_r) ** lam, (b / w_c) ** lam, (o / w_o) ** lam
+            return (tq - ta - tb + to) / lam - goal, tq + q * (ta / a + tb / b + to / o)
+
+        def edge(q):
+            # value at a bracket end, where one or two quadrants are 0
+            a, b, o = max(row_t - q, 0.0), max(col_t - q, 0.0), max(diff + q, 0.0)
+            tq, ta, tb, to = (q / w_m) ** lam, (a / w_r) ** lam, (b / w_c) ** lam, (o / w_o) ** lam
+            return (tq - ta - tb + to) / lam - goal
+
+    lo, hi = max(0.0, -diff), min(row_t, col_t)
+    if not lo < hi:
+        raise _out_of_reach(cut, math.inf)
+    if lam > 0.0:
+        # F(0+) = -1/lam is finite, so the bracket may hold no sign change
+        at_lo, at_hi = edge(lo), edge(hi)
+        if at_lo >= 0.0:
+            raise _out_of_reach(cut, at_lo)
+        if at_hi <= 0.0:
+            raise _out_of_reach(cut, -at_hi)
+    if not lo < q < hi:
+        q = 0.5 * (lo + hi)
+    for _ in range(_ROOT_STEPS):
+        v, slope = value(q)
+        if v < 0.0:
+            lo = q
+        elif v > 0.0:
+            hi = q
+        else:
+            break
+        step = v / slope
+        nxt = q * math.exp(min(-step, 30.0))
+        if abs(step) <= 1e-12:
+            if lo <= nxt <= hi:
+                q = nxt
+            break
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * math.ulp(hi):
+            break
+        q = nxt
+    if m == 3:
+        return q, 0.0
+    if m == 0:
+        return _pair_sum(*say, *sxb, -sab[0], -sab[1], q)
+    return _pair_sum(*(sxb if m == 2 else say), -q)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CLAIM_FAILED = 4
 
+# the sweep builds every lambda, and three times as many cells, up front
+GRID_MAX_POINTS = 10_000
+
 # ---------------------------------------------------------------------------
 # argument types: each raises argparse.ArgumentTypeError, which exits 2
 # ---------------------------------------------------------------------------
@@ -60,6 +63,13 @@ def _pair(text):
     if len(s) != 2 or any(c not in "LGCR" for c in s):
         raise argparse.ArgumentTypeError(f"logit pair must be two of L/G/C/R, got {text!r}")
     return s
+
+
+def _logit(text):
+    try:
+        return LogitType.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grid(text):
@@ -75,6 +85,10 @@ def _grid(text):
         raise argparse.ArgumentTypeError("grid max must not be below min")
     if not all(map(math.isfinite, (lo, hi, step, (hi - lo) / step))):
         raise argparse.ArgumentTypeError(f"grid and its point count must be finite, got {text!r}")
+    if _grid_count(lo, hi, step) > GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has more than {GRID_MAX_POINTS} points, got {text!r}"
+        )
     return lo, hi, step
 
 
@@ -91,12 +105,15 @@ def _int_at_least(low):
     return parse
 
 
-def _grid_values(grid):
+def _grid_count(lo, hi, step):
     # a relative tolerance absorbs the rounding of (hi - lo) / step, so that
     # MAX itself is kept when it lies on the grid and no point exceeds it
+    return math.floor((hi - lo) / step * (1.0 + 1e-9)) + 1
+
+
+def _grid_values(grid):
     lo, hi, step = grid
-    count = math.floor((hi - lo) / step * (1.0 + 1e-9)) + 1
-    return np.round(lo + step * np.arange(count), 12)
+    return np.round(lo + step * np.arange(_grid_count(lo, hi, step)), 12)
 
 
 def _spec_payload(ns):
@@ -485,7 +502,11 @@ def build_parser():
             )
         for flag, margin in (("--rows-logit", "row"), ("--cols-logit", "column")):
             p.add_argument(
-                flag, type=LogitType, choices=list("LGCR"), default="G", help=f"{margin} logit type"
+                flag,
+                type=_logit,
+                choices=list("LGCR"),
+                default="G",
+                help=f"{margin} logit type (any case)",
             )
         p.add_argument(
             "--lambda",

@@ -1,9 +1,12 @@
 """Scores, reconstruction, dependence reports, and built-in counterexamples."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcassoc import (
     ContingencyTable,
@@ -165,26 +168,89 @@ def test_reconstruct_round_trip(random_table):
         np.testing.assert_allclose(back, pi, atol=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ReconstructionError,
-    reason="the Newton solve stalls at residual 9.3e-3 on this attainable CG target; "
-    "reconstruction by one scalar root per cut (ROADMAP item 1) is the fix",
-)
-def test_reconstruct_cg_attainable_target_stall():
-    # the second 16-cell Dirichlet(1) draw of this seed, lifted by 0.02 / cells
-    rng = np.random.default_rng([112, 6])
-    rng.dirichlet(np.ones(16))
+# the pairs reconstructed by the survival scan, one root per cut
+SCAN_PAIRS = [(a, b) for a in "GCR" for b in "GCR"]
+
+
+def _round_trip(pi, pair, lam):
+    """reconstruct(extract_invariants(pi)) and the max |invariant residual| of it."""
+    fam = cressie_read(lam)
+    target = extract_invariants(ContingencyTable(pi, *pair), fam=fam)
+    back = reconstruct(*target, fam=fam)
+    got = extract_invariants(ContingencyTable(back, *pair), fam=fam)
+    return back, max(np.abs(x.values - t.values).max() for x, t in zip(got, target))
+
+
+def _lifted_draw(seed, discarded):
+    """A 4x4 Dirichlet(1) table lifted by 0.02 / cells, drawn after draws of
+    the ``discarded`` sizes."""
+    rng = np.random.default_rng(seed)
+    for size in discarded:
+        rng.dirichlet(np.ones(size))
     pi = rng.dirichlet(np.ones(16)) + 0.02 / 16
-    pi = (pi / pi.sum()).reshape(4, 4)
-    fam = cressie_read(-0.5)
-    rows, cols, g = extract_invariants(ContingencyTable(pi, "C", "G"), fam=fam)
-    back = reconstruct(rows, cols, g, fam=fam)
-    np.testing.assert_allclose(back, pi, atol=1e-9)
+    return (pi / pi.sum()).reshape(4, 4)
+
+
+def test_reconstruct_cg_attainable_target_stall():
+    # a Newton solve on all cells stalled on this table at residual 9.3e-3
+    pi = _lifted_draw([112, 6], (16,))
+    np.testing.assert_allclose(_round_trip(pi, "CG", -0.5)[0], pi, atol=1e-9)
+
+
+def test_reconstruct_gr_attainable_target_stall():
+    # a Newton solve on all cells stalled on this table at residual 3.717e-3
+    pi = _lifted_draw([1, 3], (16, 16, 16, 36))
+    np.testing.assert_allclose(_round_trip(pi, "GR", -0.5)[0], pi, atol=1e-9)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("pair", SCAN_PAIRS, ids="".join)
+@settings(max_examples=8, deadline=None)
+@given(i1=st.integers(2, 6), i2=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_inverts_extract_invariants(pair, lam, i1, i2, seed):
+    # plain Dirichlet(1) cells, with no floor, so some cells are small
+    pi = np.random.default_rng(seed).dirichlet(np.ones(i1 * i2)).reshape(i1, i2)
+    np.testing.assert_allclose(_round_trip(pi, pair, lam)[0], pi, atol=1e-9)
+
+
+@pytest.mark.parametrize("tiny", [1e-6, 1e-9])
+def test_reconstruct_tiny_cell(tiny):
+    # a corner or interior cell far below the S values it is a second
+    # difference of must still reproduce every invariant
+    rng = np.random.default_rng(76)
+    for pos in [(0, 0), (0, 3), (3, 0), (3, 3), (1, 2), (2, 1)]:
+        for pair in SCAN_PAIRS:
+            for lam in (-0.5, 0.0, 1.0):
+                pi = rng.dirichlet(np.ones(16)).reshape(4, 4) + 0.02 / 16
+                pi[pos] = 0.0
+                pi *= (1.0 - tiny) / pi.sum()
+                pi[pos] = tiny
+                assert _round_trip(pi, pair, lam)[1] <= 1e-9, (pos, pair, lam)
+
+
+def test_reconstruct_names_the_unattainable_cut_or_cell(mobility):
+    # under lam = 1, F(0+) = -1 is finite, so gamma + 1 leaves some cut
+    # with no sign change in its bracket
+    fam = cressie_read(1.0)
+    rows, cols, g = extract_invariants(mobility, fam=fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError, match=r"gamma\[0, 2\]") as exc:
+            reconstruct(rows, cols, g.values + 1.0, fam=fam)
+    assert exc.value.residual_norm > 0
+
+    # every cut has a root, but a cell comes out negative
+    rows, cols, g = extract_invariants(mobility)
+    bumped = g.values.copy()
+    bumped[1, 1] += 3.0
+    with pytest.raises(ReconstructionError, match=r"cell pi\[1, 2\]") as exc:
+        reconstruct(rows, cols, bumped)
+    assert exc.value.residual_norm > 0
 
 
 def test_reconstruct_failure_carries_residual(mobility):
-    rows, cols, g = extract_invariants(mobility)
+    # an L pair keeps the Newton solve, which one iteration cannot finish
+    rows, cols, g = extract_invariants(ContingencyTable(mobility.probs, "L", "L"))
     with pytest.raises(ReconstructionError) as exc:
         reconstruct(rows, cols, g.values + 0.3, max_iter=1)
     assert exc.value.residual_norm > 0

@@ -170,8 +170,9 @@ def test_sweep_json_failed_row_names_its_error(capsys):
 
 
 def test_sweep_records_failed_cells(capsys):
-    # rank 3 is infeasible for a 3-column table: the cell is kept with
-    # empty deviance/dof and converged false, and the exit code stays 0
+    # rank 5 exceeds the 4x4 interaction matrix of the 5x5 mobility table:
+    # the cell is kept with empty deviance/dof and converged false, and the
+    # exit code stays 0
     code, out, _ = run_cli(
         capsys, "sweep", "mobility", "--pair", "GG", "--rank", "5"
     )
@@ -211,6 +212,30 @@ def test_reconstruct_round_trip(capsys, tmp_path):
     np.testing.assert_allclose(np.asarray(payload["pi"]), table.probs, atol=1e-7)
     res = payload["residual"]
     assert max(res["row_logits"], res["col_logits"], res["gamma"]) <= 1e-8
+
+
+def test_reconstruct_unattainable_names_the_cut_exits_3(capsys, tmp_path):
+    # under lambda = 1, gamma + 1 on the mobility table leaves cut (0, 2)
+    # with no root in its bracket
+    fam = cressie_read(1.0)
+    rows, cols, gamma = extract_invariants(load_mobility(), fam=fam)
+    rfile, cfile, gfile = tmp_path / "r.txt", tmp_path / "c.txt", tmp_path / "g.txt"
+    rfile.write_text("\n".join(f"{v:.17g}" for v in rows.values) + "\n")
+    cfile.write_text("\n".join(f"{v:.17g}" for v in cols.values) + "\n")
+    gfile.write_text(
+        "\n".join(" ".join(f"{v + 1.0:.17g}" for v in row) for row in gamma.values) + "\n"
+    )
+    code, payload, _ = run_json(
+        capsys,
+        "reconstruct",
+        "--lambda", "1",
+        "--row-logits", str(rfile),
+        "--col-logits", str(cfile),
+        "--gamma", str(gfile),
+    )
+    assert code == 3
+    assert "gamma[0, 2]" in payload["error"]
+    assert payload["residual_norm"] > 0
 
 
 def test_reconstruct_zero_gamma_gives_independence(capsys, tmp_path):
@@ -373,6 +398,21 @@ def test_seed_is_recorded(capsys):
     assert payload["spec"]["seed"] == 7
 
 
+def test_logit_letters_take_any_case(capsys):
+    upper = run_cli(capsys, "fit", "mobility", "--rows-logit", "G", "--cols-logit", "C")
+    lower = run_cli(capsys, "fit", "mobility", "--rows-logit", "g", "--cols-logit", "c")
+    assert upper[0] == lower[0] == 0
+    assert lower[1] == upper[1]
+
+
+def test_lambda_grid_point_bound():
+    parser = cli.build_parser()
+    ns = parser.parse_args(["sweep", "mobility", "--lambda-grid=0:0.9999:1e-4"])
+    assert cli._grid_values(ns.lambda_grid).size == cli.GRID_MAX_POINTS
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "mobility", "--lambda-grid=0:1:1e-4"])
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     cases = [
         ("fit", "no-such-file.txt"),
@@ -395,6 +435,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:inf:1")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1e300:1e-300")),
+        ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1:1e-9")),
+        ("--rows-logit", ("fit", "mobility", "--rows-logit", "q")),
         ("--pair", ("sweep", "mobility", "--pair", "Q")),
     ]
     for flag, argv in flagged:
