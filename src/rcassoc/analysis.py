@@ -27,11 +27,38 @@ row-major scan fixes each S(i, j) by one bracketed scalar root once its
 predecessors are known.  An R margin is a C margin on the reversed axis,
 with gamma negated.  A target is unattainable exactly when a cut's bracket
 holds no sign change (possible only for lam > 0, where F(0+) = -1/lam is
-finite) or a cell comes out <= 0.  Pairs with an L margin are solved by a
-Newton iteration on the canonical parameters instead.
+finite) or a cell comes out <= 0.
+
+With L rows (other pairs with one L margin are transposed) each gamma is a
+difference across two adjacent rows.  At column cut j, with c0 and c1 the
+lower and upper column-event probabilities, T_i the mass of row i still to
+place (1 for G columns, P(Y >= j - 1 | X = i) for C columns) and
+t_i = P(lower event | X = i),
+
+    gamma[i-1, j-1] = psi_i(t_i) - psi_(i-1)(t_(i-1)),
+    psi_i(t) = F((T_i - t) / c1) - F(t / c0),
+
+and psi_i falls strictly in t.  So psi_i(t_i) = k_j + sum_(i' < i)
+gamma[i', j-1], and one scalar k_j, fixed by sum_i r_i t_i = c0, settles
+the column: one monotone scalar root per column, with each t_i closed form
+at lam = 0 (t_i = T_i expit(log(c0 / c1) - psi_i)) and a bracketed scalar
+inversion otherwise.  C columns are solved in order, G columns each on its
+own.  For LL, with a_ij = pi_ij / (r_i c_j),
+
+    F(a_ij) = Gamma_ij + alpha_i + beta_j,
+
+where Gamma is the double running sum of gamma, and the margins fix alpha
+and beta (up to one gauge).  These are the optimality conditions of the
+convex problem: minimize sum r_i c_j (Phi(a_ij) - Gamma_ij a_ij), with
+Phi' = F, subject to the margins; Newton steps solve them for a and the
+multipliers together.  A column target is out of reach when its bracket
+for k_j holds no root, and an LL target when no positive table meets those
+conditions; both happen only for lam > 0.
 """
 
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -78,10 +105,12 @@ class DegenerateScoreError(ValueError):
 class ReconstructionError(RuntimeError):
     """Reconstruction could not reach the target invariants.
 
-    ``residual_norm`` is the max-norm invariant residual of the Newton
-    path or of the scanned table, or, when the scan rules the target out,
-    the gap between a cut's target and the range its bracket reaches, or
-    the amount by which a cell falls below 0.
+    ``residual_norm`` is positive.  It is the max-norm invariant residual of
+    the reconstructed table, or, when the target is ruled out, the gap
+    between a cut's target and the range its bracket reaches, a column's
+    log-odds gap at the end of its bracket (or the width by which that
+    bracket is empty), the amount by which a cell falls below 0, or, for
+    LL, the largest error left in its margin and optimality equations.
     """
 
     def __init__(self, message, residual_norm):
@@ -199,35 +228,44 @@ def score_correlation(pi, decomposition):
 
 
 def margin_from_logits(values, logit_type):
-    """Probability vector whose marginal logits equal ``values``."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    """Probability vector whose marginal logits equal ``values``.
+
+    Plain floats throughout: a margin has a handful of categories, where
+    numpy's per-call cost would dominate.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1).tolist()
     lt = LogitType.parse(logit_type)
-    size = values.shape[0] + 1
-    e = np.exp(values)
-    if lt is LogitType.LOCAL:
-        m = np.concatenate(([1.0], np.cumprod(e)))
-    elif lt is LogitType.GLOBAL:
-        surv = np.concatenate(([1.0], e / (1.0 + e), [0.0]))  # P(> i), i = 0..size
-        m = -np.diff(surv)
+    improper = ValueError("logit values do not define a proper positive margin")
+    if not values:
+        return np.ones(1)
+    if lt is LogitType.GLOBAL:
+        # P(X >= i) = expit(values[i - 1]); each cell is a difference of two
+        # of them, formed from the logit difference without cancellation
+        m = [_expit(-values[0])] + [
+            _expit(v) * _expit(-w) * -math.expm1(w - v) for v, w in zip(values, values[1:])
+        ] + [_expit(values[-1])]
     elif lt is LogitType.CONTINUATION:
-        m = np.empty(size)
-        surv = 1.0
-        for i in range(size - 1):
-            m[i] = surv / (1.0 + e[i])
-            surv -= m[i]
-        m[-1] = surv
-    else:  # REVERSE
-        m = np.empty(size)
-        m[0] = 1.0
-        below = 1.0
-        for i in range(size - 1):
-            m[i + 1] = below * e[i]
-            below += m[i + 1]
-        m /= below
-    total = m.sum()
-    if not np.isfinite(total) or total <= 0 or np.any(m <= 0):
-        raise ValueError("logit values do not define a proper positive margin")
-    return m / total
+        m, surv = [], 1.0
+        for v in values:
+            m.append(surv * _expit(-v))
+            surv *= _expit(v)
+        m.append(surv)
+    else:
+        try:
+            e = [math.exp(v) for v in values]
+        except OverflowError:
+            raise improper from None
+        if lt is LogitType.LOCAL:
+            m = list(itertools.accumulate(e, operator.mul, initial=1.0))
+        else:  # REVERSE
+            m, below = [1.0], 1.0
+            for x in e:
+                m.append(below * x)
+                below += m[-1]
+    total = math.fsum(m)
+    if not (math.isfinite(total) and total > 0.0 and all(x > 0.0 for x in m)):
+        raise improper
+    return np.array(m) / total
 
 
 def extract_invariants(table, l1=None, l2=None, fam=None):
@@ -237,22 +275,17 @@ def extract_invariants(table, l1=None, l2=None, fam=None):
     return rows, cols, g
 
 
-def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_iter=200):
+def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9):
     """The unique table with given marginal logits and interaction matrix.
 
-    Each pair has one path.  A pair in {G, C, R}^2 is solved by the survival
-    scan of the module docstring: one monotone scalar root per cut, with no
-    jacobian and no use of ``max_iter``; its table is returned only when the
-    invariants recomputed from it (one workspace) are within ``tol`` of the
-    target in the max norm.  A pair with an L margin runs Newton iterations
-    on the canonical parameters, at most ``max_iter`` per stage, started
-    from the independence table with the target marginals; when the direct
-    solve fails, the interaction block is ramped up from zero in
-    warm-started stages.  It stops once the max-norm residual is within
-    ``tol``.  Raises ValueError on non-finite targets, and
-    ReconstructionError, which carries a positive residual, when the target
-    is not attainable: the scan names the cut or cell that rules it out,
-    the Newton path reports its final residual.
+    Each pair has one path, described in the module docstring: the survival
+    scan for a pair in {G, C, R}^2, the column sweep for a pair with one L
+    margin, and Newton steps on the LL optimality conditions.  The table is
+    returned only when the invariants recomputed from it (one workspace)
+    are within ``tol`` of the target in the max norm.  Raises ValueError on
+    non-finite targets, and ReconstructionError, which carries a positive
+    residual, when the target is not attainable: the error names the cut,
+    the gamma column or the cell that rules it out.
     """
     fam = fam or kl()
     if not isinstance(row_logits, MarginalLogits) or not isinstance(col_logits, MarginalLogits):
@@ -272,111 +305,353 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9, max_it
     if not np.isfinite(target).all():
         raise ValueError("reconstruction targets must be finite")
     pair = (row_logits.logit_type, col_logits.logit_type)
-    spec = ModelSpec(pair=pair, family=fam, rank=0)
     rows = margin_from_logits(row_logits.values, pair[0])
     cols = margin_from_logits(col_logits.values, pair[1])
-    if LogitType.LOCAL in pair:
-        return _newton_solve(np.outer(rows, cols), spec, target, tol, max_iter).pi2d.copy()
-    pi = _survival_scan(rows, cols, g_target, pair, fam.lam)
-    ws = _Workspace(theta_from_prob(pi), spec, (i1, i2), None)
+    if pair == (LogitType.LOCAL, LogitType.LOCAL):
+        pi = _ll_solve(rows, cols, g_target, fam.lam, tol)
+    elif LogitType.LOCAL in pair:
+        pi = _column_sweep(rows, cols, g_target, pair, fam.lam)
+    else:
+        pi = _survival_scan(rows, cols, g_target, pair, fam.lam)
+    bad = np.argwhere(pi <= 0.0)
+    if bad.size:
+        r, c = bad[0]
+        cell = float(pi[r, c])
+        raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
+    ws = _Workspace(theta_from_prob(pi), ModelSpec(pair=pair, family=fam, rank=0), (i1, i2), None)
     miss = float(np.abs(ws.invariants - target).max())
     if not miss <= tol:
-        raise ReconstructionError("scanned table misses the target invariants", miss)
+        raise ReconstructionError("reconstructed table misses the target invariants", miss)
     return ws.pi2d.copy()
 
 
-def _newton_solve(start, spec, target, tol, max_iter):
-    """Workspace whose invariants match ``target``, by Newton from ``start``."""
-    shape = start.shape
-    n_marginal = shape[0] + shape[1] - 2
-    theta0 = theta_from_prob(start)
+_ROOT_STEPS = 100
 
-    def newton(theta_init, scale):
-        goal = target.copy()
-        goal[n_marginal:] *= scale
 
-        def residual_ws(th):
-            # trial points may step outside the link domain; the resulting
-            # non-finite residuals are rejected by the caller, so suppress
-            # the numpy warnings they would otherwise emit
-            with np.errstate(all="ignore"):
-                ws = _Workspace(th, spec, shape, None)
-                r = ws.invariants - goal
-            return r, ws
+def _expit(z):
+    """1 / (1 + e^-z) without overflow."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
-        res, ws = residual_ws(theta_init)
-        norm = float(np.abs(res).max())
-        sq = float(res @ res)
-        n_par = ws.theta.size
-        mu = 0.0
-        for _ in range(max_iter):
-            if norm <= tol:
-                return ws
-            jac = ws.invariant_jac
-            # pure Newton while it makes progress; on rejection escalate a
-            # Levenberg-Marquardt ridge, which both turns the step toward
-            # steepest descent and shortens it (so boundary blow-ups heal
-            # without a separate line search)
-            while True:
-                try:
-                    if mu == 0.0:
-                        step = np.linalg.solve(jac, -res)
-                    else:
-                        jtj = jac.T @ jac
-                        ridge = mu * max(np.trace(jtj) / n_par, np.finfo(float).tiny)
-                        step = np.linalg.solve(
-                            jtj + ridge * np.eye(n_par), -(jac.T @ res)
-                        )
-                except np.linalg.LinAlgError:
-                    step = None
-                trial_sq = np.inf
-                if step is not None:
-                    try:
-                        trial_res, trial_ws = residual_ws(ws.theta + step)
-                        trial_sq = float(trial_res @ trial_res)
-                    except (FloatingPointError, ZeroDivisionError):
-                        trial_sq = np.inf
-                if np.isfinite(trial_sq) and trial_sq < sq:
-                    res, ws, sq = trial_res, trial_ws, trial_sq
-                    norm = float(np.abs(res).max())
-                    mu = 0.0 if mu < 1e-10 else mu / 8.0
-                    break
-                mu = 1e-6 if mu == 0.0 else 10.0 * mu
-                if mu > 1e14:
-                    raise ReconstructionError("reconstruction stalled", norm)
-        if norm <= tol:
-            return ws
-        raise ReconstructionError("reconstruction did not converge", norm)
 
-    try:
-        return newton(theta0, 1.0)
-    except ReconstructionError as err:
-        failure = err
+def _logistic(z):
+    """(expit(z), expit(-z), log expit(z), log expit(-z)) from one exp and
+    one log1p, without overflow."""
+    e = math.exp(-abs(z))
+    s, log_s = 1.0 / (1.0 + e), -math.log1p(e)
+    if z >= 0.0:
+        return s, e * s, log_s, log_s - z
+    return e * s, s, log_s + z, log_s
 
-    # Continuation: scale the interaction target up from the independence
-    # solution in warm-started stages, halving the increment when a stage
-    # fails.  Targets whose Newton basin excludes the independence start
-    # are usually reachable along this path; genuinely unattainable ones
-    # still fail at the increment floor with the latest residual attached.
-    theta = theta0
-    reached = 0.0
-    increment = 0.25
-    for _ in range(200):
-        stage = min(1.0, reached + increment)
-        try:
-            ws = newton(theta, stage)
-        except ReconstructionError as err:
-            failure = err
-            increment *= 0.5
-            if increment < 1.0 / 64.0:
-                raise failure
+
+def _power(log_base, lam):
+    """e^(lam log_base), saturating instead of raising on overflow."""
+    return math.exp(min(lam * log_base, 709.0))
+
+
+def _settled(step, x):
+    # Newton converges quadratically, so after a step this small the error
+    # left is far below rounding
+    return abs(step) <= 1e-8 * max(1.0, abs(x))
+
+
+def _collapsed(lo, hi):
+    # a finite bracket no wider than a few ulps
+    return hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))) < math.inf
+
+
+def _invert_psi(y, p, q, lam, z):
+    """(z, dpsi/dz at z) with psi(z) = F(e^p expit(-z)) - F(e^q expit(z)) = y.
+
+    For lam != 0 only.  psi falls strictly in z.  With A = a^lam for
+    a = e^p expit(-z) and B = b^lam for b = e^q expit(z), the root solves
+    A - B = lam y.  The Newton steps are taken on log A - log(B + lam y),
+    which is nearly linear in z where a is small (z > 0), or on
+    log(A - lam y) - log B where b is small (z < 0), and bisect once the
+    root is bracketed.  ``z`` is the start.
+    """
+    goal = lam * y
+    lo, hi = -math.inf, math.inf
+    last = math.inf
+    for _ in range(_ROOT_STEPS):
+        sp, sm, lsp, lsm = _logistic(z)
+        la, lb = p + lsm, q + lsp
+        big_a, big_b = _power(la, lam), _power(lb, lam)
+        if (z < 0.0 and big_a > goal) or big_b + goal <= 0.0:
+            h = math.log(big_a - goal) - lam * lb
+            slope = -lam * (big_a * sp / (big_a - goal) + sm)
+        else:
+            h = lam * la - math.log(big_b + goal)
+            slope = -lam * (sp + big_b * sm / (big_b + goal))
+        if slope == 0.0:
+            break  # z so far out that expit(z) or expit(-z) underflows
+        step = -h / slope
+        if step > 0.0:
+            lo = z
+        elif step < 0.0:
+            hi = z
+        else:
+            break
+        nxt = z + step
+        if _settled(step, z) and lo <= nxt <= hi:
+            z = nxt
+            break
+        if not lo < nxt < hi or abs(step) > 0.5 * abs(last) and hi - lo < math.inf:
+            nxt = 0.5 * (lo + hi)
+        if _collapsed(lo, hi):
+            break
+        last = nxt - z
+        z = nxt
+    return z, -(big_a * sp + big_b * sm)
+
+
+def _running(gcol, m):
+    """psi_i - psi_m for every row, from gamma[i - 1] = psi_i - psi_(i-1),
+    summed outward from row m so that no large partial sum cancels."""
+    run = [0.0] * (len(gcol) + 1)
+    for i in range(m + 1, len(run)):
+        run[i] = run[i - 1] + gcol[i - 1]
+    for i in range(m - 1, -1, -1):
+        run[i] = run[i + 1] - gcol[i]
+    return run
+
+
+def _column_root(log_mass, rows, gcol, c0, c1, lam, name):
+    """logit(t_i / T_i) for every row at one column cut of a pair with L rows.
+
+    ``log_mass`` holds log T_i, the mass of row i still to place, ``gcol``
+    the cut's gamma column, and c0, c1 the lower and upper column-event
+    probabilities.  Row i's share t_i of the lower event solves
+    psi_i(t_i) = k + run[i], with psi_i(t) = F((T_i - t) / c1) - F(t / c0)
+    and ``run`` the running sums of ``gcol`` from a reference row, moved
+    to the row whose psi is nearest 0 as k converges; so a large gamma
+    entry, from a tiny cell, never cancels against k in a moderate psi.
+    The one scalar k solves sum_i r_i t_i = c0, taken as log S0 - log S1 =
+    log(c0 / c1) with S0 = sum_i r_i t_i and S1 = sum_i r_i (T_i - t_i);
+    that falls in k, so Newton steps in k, safeguarded by bisection, find
+    it.  psi_i = 0 where t_i / T_i = c0 / (c0 + c1), and the root puts rows
+    on both sides of that, so k lies in [-max run, -min run].  At lam = 0
+    each t_i is closed form; otherwise it comes from ``_invert_psi``,
+    restarted from a first-order prediction after each step in k.  For
+    lam > 0, F is bounded below by -1/lam, so k is further confined to the
+    interval where every psi_i reaches its target, and ``name`` names the
+    column in the error raised when that interval holds no root.
+    """
+    n = len(rows)
+    odds = math.log(c0 / c1)
+    weights = [r * math.exp(lt) for r, lt in zip(rows, log_mass)]
+    p = [lt - math.log(c1) for lt in log_mass]
+    q = [lt - math.log(c0) for lt in log_mass]
+    m = weights.index(max(weights))
+    run = _running(gcol, m)
+    # f(-max run) >= 0 >= f(-min run)
+    lo, hi = -max(run), -min(run)
+    signs = {True, False}
+    if lam > 0.0:
+        # f at an end where some psi_i reaches the end of its range is unknown
+        edge_lo = max(-math.exp(lam * qi) / lam - g for qi, g in zip(q, run))
+        edge_hi = min(math.exp(lam * pi) / lam - g for pi, g in zip(p, run))
+        if edge_lo > lo:
+            lo = edge_lo
+            signs.discard(True)
+        if edge_hi < hi:
+            hi = edge_hi
+            signs.discard(False)
+        if not lo <= hi:
+            raise _column_out_of_reach(name, lo - hi)
+    k = -math.fsum(w * g for w, g in zip(weights, run)) / math.fsum(weights)
+    if not lo < k < hi:
+        k = 0.5 * (lo + hi)
+    z = [odds] * n
+    slopes = [-1.0] * n
+    done = False
+    last = math.inf
+    for _ in range(_ROOT_STEPS):
+        if lam == 0.0:
+            z = [odds - k - g for g in run]
+        else:
+            for i in range(n):
+                z[i], slopes[i] = _invert_psi(k + run[i], p[i], q[i], lam, z[i])
+        if done:
+            return z
+        # re-anchor the sums at the row whose psi is nearest 0, so that k is
+        # no larger than the psi it must resolve
+        nearest = min(range(n), key=lambda i: abs(k + run[i]))
+        if nearest != m:
+            shift, m = run[nearest], nearest
+            k, lo, hi, run = k + shift, lo + shift, hi + shift, _running(gcol, m)
+        sp, sm = zip(*(_logistic(zi)[:2] for zi in z))
+        s0 = math.fsum(w * a for w, a in zip(weights, sp))
+        s1 = math.fsum(w * b for w, b in zip(weights, sm))
+        f = math.log(s0) - math.log(s1) - odds
+        if f == 0.0:
+            return z
+        signs.add(f > 0.0)
+        if f > 0.0:
+            lo = k
+        else:
+            hi = k
+        # dS0/dk, which is -dS1/dk; 0 only when every row has underflowed
+        ds = math.fsum(w * a * b / s for w, a, b, s in zip(weights, sp, sm, slopes) if a * b > 0.0)
+        step = -f / (ds * (1.0 / s0 + 1.0 / s1)) if ds else math.copysign(math.inf, f)
+        nxt = k + step
+        done = _settled(step, k) and lo <= nxt <= hi
+        if not done and (not lo < nxt < hi or abs(step) > 0.5 * abs(last)):
+            nxt = 0.5 * (lo + hi)
+        last = nxt - k
+        if not done and _collapsed(lo, hi):
+            if len(signs) == 2:
+                return z
+            break
+        # first-order prediction of each row's root at the new k
+        z = [zi + (nxt - k) / s if s else zi for zi, s in zip(z, slopes)]
+        k = nxt
+    raise _column_out_of_reach(name, abs(f))
+
+
+def _column_out_of_reach(name, gap):
+    """The error for a column cut whose bracket in k holds no root."""
+    return ReconstructionError(
+        f"target {name} is out of reach given the margins and the columns solved before it",
+        gap,
+    )
+
+
+def _column_sweep(rows, cols, gamma, pair, lam):
+    """Table with margins ``rows``, ``cols`` and interactions ``gamma`` for a
+    pair with one L margin, column cut by column cut.
+
+    The L margin is taken as the rows (the other pairs are transposed) and
+    an R column margin as a C margin on the reversed axis, with gamma
+    negated.  At cut j, ``_column_root`` finds z_i = logit(t_i / T_i),
+    where t_i = P(lower event | X = i) and T_i is 1 for G columns and
+    P(Y >= j - 1 | X = i) for C columns, kept as a log and carried from
+    column to column.  A C cell is r_i T_i expit(z_i), and a G cell the
+    difference of two neighbouring columns' expit(z_i), formed from their
+    z difference without cancellation.
+    """
+    transpose = pair[0] is not LogitType.LOCAL
+    other = pair[0] if transpose else pair[1]
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if transpose:
+        rows, cols, gamma = cols, rows, gamma.T
+    flip = other is LogitType.REVERSE
+    if flip:
+        cols, gamma = cols[::-1], -gamma[:, ::-1]
+    cont = other is not LogitType.GLOBAL
+    i1, i2 = rows.size, cols.size
+    gcols = gamma.T.tolist()
+    rows, cols = rows.tolist(), cols.tolist()
+    log_mass = [0.0] * i1
+    cells = [[0.0] * i2 for _ in range(i1)]
+    zs = []
+    for j in range(1, i2):
+        c0 = cols[j - 1] if cont else math.fsum(cols[:j])
+        c1 = math.fsum(cols[j:])
+        col = i2 - 1 - j if flip else j - 1
+        name = f"gamma[{col}, :]" if transpose else f"gamma[:, {col}]"
+        z = _column_root(log_mass, rows, gcols[j - 1], c0, c1, lam, name)
+        if cont:
+            for i in range(i1):
+                _, _, lsp, lsm = _logistic(z[i])
+                cells[i][j - 1] = rows[i] * math.exp(log_mass[i] + lsp)
+                log_mass[i] += lsm
+        else:
+            zs.append(z)
+    for i in range(i1):
+        if cont:
+            cells[i][-1] = rows[i] * math.exp(log_mass[i])
             continue
-        theta = ws.theta
-        reached = stage
-        if reached >= 1.0:
-            return ws
-        increment = min(0.25, 2.0 * increment)
-    raise failure
+        # expit(a) - expit(b) = expit(a) expit(-b) (1 - e^(b - a))
+        zi = [z[i] for z in zs]
+        cells[i][0] = rows[i] * _expit(zi[0])
+        for j in range(1, i2 - 1):
+            cells[i][j] = rows[i] * _expit(zi[j]) * _expit(-zi[j - 1]) * -math.expm1(zi[j - 1] - zi[j])
+        cells[i][-1] = rows[i] * _expit(-zi[-1])
+    pi = np.array(cells)
+    if flip:
+        pi = pi[:, ::-1]
+    return pi.T if transpose else pi
+
+
+def _ll_solve(rows, cols, gamma, lam, tol):
+    """Table with margins ``rows``, ``cols`` and interactions ``gamma`` for
+    the LL pair.
+
+    With a_ij = pi_ij / (r_i c_j), F(a_ij) = y_ij = Gamma_ij + alpha_i +
+    beta_j, where Gamma is the double running sum of gamma; the margins fix
+    alpha and beta up to one gauge (beta_0 = 0).  These are the optimality
+    conditions of the convex problem: minimize sum r_i c_j (Phi(a_ij) -
+    Gamma_ij a_ij), with Phi' = F, subject to the margins.  Newton steps
+    move the cells a and the multipliers y together (infeasible-start
+    Newton, Boyd and Vandenberghe sec. 10.3), so a cell near F's edge is
+    never read off a steep F^-1.  A step is shortened so that no y_ij moves
+    by more than max(1, |y_ij|), and a cell whose equation F(a) = y cannot
+    yet be met (y below F(0+) = -1/lam) shrinks tenfold instead of turning
+    negative while the multipliers move on.  y is updated in place, so a
+    large alpha_i that cancels against a large Gamma_ij costs no precision
+    in a moderate y_ij.  The iteration stops once a full step is below
+    1e-10.  A target is out of reach when the equations cannot be met with
+    every cell positive (possible only for lam > 0): a multiplier stays
+    past F's edge and squeezes its cell toward 0, and the error names it.
+    """
+    i1, i2 = rows.size, cols.size
+    weight = np.outer(rows, cols)
+    y = np.zeros((i1, i2))
+    y[1:, 1:] = np.cumsum(np.cumsum(gamma, axis=0), axis=1)
+    # first-order start (F(a) ~ a - 1), moved row by row into F's domain,
+    # with a = F^-1(y)
+    y += (rows @ y @ cols - rows @ y) - (y @ cols)[:, None]
+    if lam == 0.0:
+        a = np.exp(y)
+    else:
+        y += np.maximum(0.0, 0.5 - (lam * y + 1.0).min(axis=1, keepdims=True)) / lam
+        a = (lam * y + 1.0) ** (1.0 / lam)
+
+    def residual(a, y):
+        # (F(a) - y, row and column margin errors, 1 / F'(a))
+        if lam == 0.0:
+            return np.log(a) - y, a @ cols - 1.0, rows @ a - 1.0, a
+        power = a**lam
+        return (power - 1.0) / lam - y, a @ cols - 1.0, rows @ a - 1.0, a / power
+
+    cur = residual(a, y)
+    n = i1 + i2 - 1
+    for _ in range(_ROOT_STEPS):
+        e1, er, ec, g = cur
+        w = weight * g
+        we = w * e1
+        hess = np.zeros((n, n))
+        hess[:i1, :i1] = np.diag(w.sum(axis=1))
+        hess[i1:, i1:] = np.diag(w.sum(axis=0)[1:])
+        hess[:i1, i1:] = w[:, 1:]
+        hess[i1:, :i1] = w[:, 1:].T
+        rhs = np.concatenate([we.sum(axis=1) - rows * er, (we.sum(axis=0) - cols * ec)[1:]])
+        try:
+            step = np.linalg.solve(hess, rhs)
+        except np.linalg.LinAlgError:
+            break
+        dy = step[:i1, None] + np.concatenate([[0.0], step[i1:]])
+        da = g * (dy - e1)
+        if np.abs(da / a).max() <= 1e-10 and np.abs(dy).max() <= 1e-10 * max(1.0, np.abs(y).max()):
+            a, y = a + da, y + dy
+            cur = residual(a, y)
+            break
+        t = min(1.0, float((np.maximum(1.0, np.abs(y)) / np.maximum(np.abs(dy), 1e-300)).min()))
+        a, y = np.maximum(a + t * da, 0.1 * a), y + t * dy
+        cur = residual(a, y)
+        if lam > 0.0 and a.min() < 1e-15 and (lam * y + 1.0).min() < 0.0:
+            break  # a cell squeezed to 0 by a multiplier past F's edge
+    e1, er, ec = cur[:3]
+    err = max(np.abs(er).max(), np.abs(ec).max(), np.abs(e1).max())
+    if not err <= tol:
+        r, c = np.unravel_index(np.argmin(a if lam <= 0.0 else lam * y), a.shape)
+        raise ReconstructionError(
+            f"target drives cell pi[{r}, {c}] to 0 before the margins are met", err
+        )
+    return weight * a
 
 
 def _pair_sum(*terms):
@@ -439,13 +714,7 @@ def _survival_scan(rows, cols, gamma, pair, lam):
          for c in range(i2)]
         for r in range(i1)
     ])
-    pi = pi[:: -1 if flip[0] else 1, :: -1 if flip[1] else 1]
-    bad = np.argwhere(pi <= 0.0)
-    if bad.size:
-        r, c = bad[0]
-        cell = float(pi[r, c])
-        raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
-    return pi
+    return pi[:: -1 if flip[0] else 1, :: -1 if flip[1] else 1]
 
 
 def _plackett(psi, row, col, diff):
@@ -460,9 +729,6 @@ def _plackett(psi, row, col, diff):
     if b > 0.0:
         return 2.0 * psi * row * col / (b + root)
     return (root - b) / (2.0 * (1.0 - psi))
-
-
-_ROOT_STEPS = 100
 
 
 def _out_of_reach(cut, gap):

@@ -394,11 +394,6 @@ class _Workspace:
         i1, i2 = self.shape
         return self._in_theta(np.vstack([np.repeat(jr, i2, axis=1), np.tile(jc, (1, i1))]))
 
-    @cached_property
-    def invariant_jac(self):
-        """d invariants / dtheta, a square d x d matrix."""
-        return np.vstack([self._eta_jac, self.gamma_jac])
-
     def constraints(self, plan=None):
         """(h, plan); selects deflation pivots when plan is None."""
         spec, shape = self.spec, self.shape
@@ -416,7 +411,7 @@ class _Workspace:
 
     def constraint_jacobian(self, plan):
         """dh/dtheta (rows are constraint gradients) with the pivots of ``plan``;
-        the linear block takes A's columns blockwise, never the d x d invariant_jac."""
+        the linear block takes A's columns blockwise, never a d x d invariant jacobian."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):

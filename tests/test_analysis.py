@@ -120,6 +120,13 @@ def test_margin_from_logits_round_trips(random_table):
             np.testing.assert_allclose(
                 margin_from_logits(logits.values, code), m, atol=1e-12
             )
+        # an overflowing or a non-finite logit defines no proper margin
+        for bad in ([800.0, 0.0], [0.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="proper positive margin"):
+                margin_from_logits(bad, code)
+    # global logits must fall, or some cell is <= 0
+    with pytest.raises(ValueError, match="proper positive margin"):
+        margin_from_logits([0.0, 1.0], "G")
 
 
 def test_margin_from_logits_global_example():
@@ -168,8 +175,7 @@ def test_reconstruct_round_trip(random_table):
         np.testing.assert_allclose(back, pi, atol=1e-9)
 
 
-# the pairs reconstructed by the survival scan, one root per cut
-SCAN_PAIRS = [(a, b) for a in "GCR" for b in "GCR"]
+ALL_PAIRS = [(a, b) for a in "LGCR" for b in "LGCR"]
 
 
 def _round_trip(pi, pair, lam):
@@ -204,7 +210,7 @@ def test_reconstruct_gr_attainable_target_stall():
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("pair", SCAN_PAIRS, ids="".join)
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
 @settings(max_examples=8, deadline=None)
 @given(i1=st.integers(2, 6), i2=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_reconstruct_inverts_extract_invariants(pair, lam, i1, i2, seed):
@@ -219,7 +225,7 @@ def test_reconstruct_tiny_cell(tiny):
     # difference of must still reproduce every invariant
     rng = np.random.default_rng(76)
     for pos in [(0, 0), (0, 3), (3, 0), (3, 3), (1, 2), (2, 1)]:
-        for pair in SCAN_PAIRS:
+        for pair in ALL_PAIRS:
             for lam in (-0.5, 0.0, 1.0):
                 pi = rng.dirichlet(np.ones(16)).reshape(4, 4) + 0.02 / 16
                 pi[pos] = 0.0
@@ -249,16 +255,35 @@ def test_reconstruct_names_the_unattainable_cut_or_cell(mobility):
 
 
 def test_reconstruct_failure_carries_residual(mobility):
-    # an L pair keeps the Newton solve, which one iteration cannot finish
-    rows, cols, g = extract_invariants(ContingencyTable(mobility.probs, "L", "L"))
-    with pytest.raises(ReconstructionError) as exc:
-        reconstruct(rows, cols, g.values + 0.3, max_iter=1)
+    # under lam = 1 the LL margin equations for gamma + 0.3 have no solution
+    # with every cell positive; the error names the cell driven to 0
+    fam = cressie_read(1.0)
+    rows, cols, g = extract_invariants(ContingencyTable(mobility.probs, "L", "L"), fam=fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError, match=r"cell pi\[4, 0\]") as exc:
+            reconstruct(rows, cols, g.values + 0.3, fam=fam)
     assert exc.value.residual_norm > 0
 
     with pytest.raises(ValueError):
         reconstruct(rows, cols, np.zeros((2, 2)))
     with pytest.raises(TypeError):
         reconstruct(np.zeros(4), cols, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "pair, column", [("LG", r"gamma\[:, 0\]"), ("GL", r"gamma\[0, :\]"), ("LR", r"gamma\[:, 3\]")]
+)
+def test_reconstruct_names_the_unattainable_column(mobility, pair, column):
+    # under lam = 1, F(0+) = -1 is finite, so the column's one scalar root
+    # has no sign change in its bracket
+    fam = cressie_read(1.0)
+    rows, cols, g = extract_invariants(ContingencyTable(mobility.probs, *pair), fam=fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError, match=column) as exc:
+            reconstruct(rows, cols, g.values + 0.3, fam=fam)
+    assert exc.value.residual_norm > 0
 
 
 def test_reconstruct_rejects_non_finite_targets(mobility):

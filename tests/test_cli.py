@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rcassoc.cli as cli
-from rcassoc import ModelSpec, cressie_read, extract_invariants, fit, load_mobility
+from rcassoc import ContingencyTable, ModelSpec, cressie_read, extract_invariants, fit, load_mobility
 from rcassoc.analysis import DependenceReport, VerificationRecord
 from rcassoc.cli import main
 from rcassoc.table import LogitType
@@ -235,6 +235,33 @@ def test_reconstruct_unattainable_names_the_cut_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "gamma[0, 2]" in payload["error"]
+    assert payload["residual_norm"] > 0
+
+
+@pytest.mark.parametrize("pair, named", [("LL", "cell pi[4, 0]"), ("LG", "gamma[:, 0]")])
+def test_reconstruct_unattainable_l_target_exits_3(capsys, tmp_path, pair, named):
+    # under lambda = 1, gamma + 0.3 on the mobility table drives an LL cell
+    # to 0 and leaves the first LG column with no root in its bracket
+    fam = cressie_read(1.0)
+    rows, cols, gamma = extract_invariants(ContingencyTable(load_mobility().probs, *pair), fam=fam)
+    rfile, cfile, gfile = tmp_path / "r.txt", tmp_path / "c.txt", tmp_path / "g.txt"
+    rfile.write_text("\n".join(f"{v:.17g}" for v in rows.values) + "\n")
+    cfile.write_text("\n".join(f"{v:.17g}" for v in cols.values) + "\n")
+    gfile.write_text(
+        "\n".join(" ".join(f"{v + 0.3:.17g}" for v in row) for row in gamma.values) + "\n"
+    )
+    code, payload, _ = run_json(
+        capsys,
+        "reconstruct",
+        "--rows-logit", pair[0],
+        "--cols-logit", pair[1],
+        "--lambda", "1",
+        "--row-logits", str(rfile),
+        "--col-logits", str(cfile),
+        "--gamma", str(gfile),
+    )
+    assert code == 3
+    assert named in payload["error"]
     assert payload["residual_norm"] > 0
 
 
