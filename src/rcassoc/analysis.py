@@ -275,14 +275,14 @@ def extract_invariants(table, l1=None, l2=None, fam=None):
     return rows, cols, g
 
 
-def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9):
+def reconstruct(row_logits, col_logits, gamma_target, fam=None):
     """The unique table with given marginal logits and interaction matrix.
 
     Each pair has one path, described in the module docstring: the survival
     scan for a pair in {G, C, R}^2, the column sweep for a pair with one L
     margin, and Newton steps on the LL optimality conditions.  The table is
     returned only when the invariants recomputed from it (one workspace)
-    are within ``tol`` of the target in the max norm.  Raises ValueError on
+    are within 1e-9 of the target in the max norm.  Raises ValueError on
     non-finite targets, and ReconstructionError, which carries a positive
     residual, when the target is not attainable: the error names the cut,
     the gamma column or the cell that rules it out.
@@ -308,7 +308,7 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9):
     rows = margin_from_logits(row_logits.values, pair[0])
     cols = margin_from_logits(col_logits.values, pair[1])
     if pair == (LogitType.LOCAL, LogitType.LOCAL):
-        pi = _ll_solve(rows, cols, g_target, fam.lam, tol)
+        pi = _ll_solve(rows, cols, g_target, fam.lam)
     elif LogitType.LOCAL in pair:
         pi = _column_sweep(rows, cols, g_target, pair, fam.lam)
     else:
@@ -320,11 +320,13 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None, tol=1e-9):
         raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
     ws = _Workspace(theta_from_prob(pi), ModelSpec(pair=pair, family=fam, rank=0), (i1, i2), None)
     miss = float(np.abs(ws.invariants - target).max())
-    if not miss <= tol:
+    if not miss <= _RECONSTRUCT_TOL:
         raise ReconstructionError("reconstructed table misses the target invariants", miss)
     return ws.pi2d.copy()
 
 
+# largest max-norm miss of the invariants and of the LL equations reconstruct accepts
+_RECONSTRUCT_TOL = 1e-9
 _ROOT_STEPS = 100
 
 
@@ -576,7 +578,7 @@ def _column_sweep(rows, cols, gamma, pair, lam):
     return pi.T if transpose else pi
 
 
-def _ll_solve(rows, cols, gamma, lam, tol):
+def _ll_solve(rows, cols, gamma, lam):
     """Table with margins ``rows``, ``cols`` and interactions ``gamma`` for
     the LL pair.
 
@@ -646,7 +648,7 @@ def _ll_solve(rows, cols, gamma, lam, tol):
             break  # a cell squeezed to 0 by a multiplier past F's edge
     e1, er, ec = cur[:3]
     err = max(np.abs(er).max(), np.abs(ec).max(), np.abs(e1).max())
-    if not err <= tol:
+    if not err <= _RECONSTRUCT_TOL:
         r, c = np.unravel_index(np.argmin(a if lam <= 0.0 else lam * y), a.shape)
         raise ReconstructionError(
             f"target drives cell pi[{r}, {c}] to 0 before the margins are met", err

@@ -309,7 +309,7 @@ def _sweep_cell(args):
     }
     try:
         result = fit(counts, _model_spec(tuple(pair), lam, rank, names))
-    except (ValueError, PivotError) as exc:  # ValueError covers LinkDomainError
+    except (ValueError, PivotError) as exc:  # invalid specs and deflation pivot failures
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row["deviance"] = result.deviance

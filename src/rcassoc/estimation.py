@@ -23,28 +23,32 @@ F^-1 w = (w / p + sum(w) / pi_last) / n in closed form, so F is never
 formed or factorized.  The one factorization per iteration is an R-only
 pivoted QR of the (d + 1) x k matrix C H, where C'C = F^-1: it gives
 G = R'R, the rank (dependent constraint rows are dropped), and the
-triangular solves for lambda.  The restoration vector u = F^-1 H G^-1 h
-solves H' u = h.  The stationarity test is on the multiplier residual
-s - H lambda0, with lambda0 = G^-1 H' F^-1 s: the score that the
-constraint gradients leave unexplained.  With no constraint rows (the
-saturated model) the step is F^-1 s and no factorization runs.
+triangular solves for lambda.  The direction solves H' direction = -h.
+The stationarity test is on the multiplier residual s - H lambda0, with
+lambda0 = G^-1 H' F^-1 s: the score that the constraint gradients leave
+unexplained.  With no constraint rows (the saturated model) the step is
+F^-1 s and no factorization runs.
 
 Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
 without its last column, so a pi-jacobian J maps to column c
 (J[:, c] - J pi) pi_c.  The deflation residual carries d vec(gamma) / dtheta
 through its stages in tangent form (``rank``).
 
-A cubic line search on f(t) = y' log pi(t) / n - h(t)' h(t) / 2 picks the
-step length.  It stops as soon as no step can gain (the backtracking rule
-of Nocedal & Wright, ch. 3): after the cubic probes and t = 1 it halves t
-only along an ascent direction, f'(0) > 0, and only while the predicted
-gain t f'(0) exceeds a few ulps of max(1, |f(0)|).  A search that ends
-without a step hands over to the stationary test or a restoration step.
-Deflation pivots are frozen for the duration of one outer iteration so h
-stays smooth along the search path.  A workspace computes the marginal
-logits and the jacobians only when they are first read, so trial points
-of the line search, which need only h and the log-likelihood, never
-build them.
+A cubic line search on the exact l1 penalty merit
+f(t) = y' log pi(t) / n - mu ||h(t)||_1 picks the step length (Han 1977;
+Powell 1978; Nocedal & Wright, sec. 15.4 and 18.3).  As s' direction =
+direction' F direction - lambda' h and H' direction = -h, f'(0) is at least
+direction' F direction / n + (mu - ||lambda||_inf / n) ||h||_1, so each
+iteration takes mu = max(previous mu, 2 ||lambda||_inf / n) and the step is
+an ascent direction of f wherever the iterate is not stationary.  The
+search stops as soon as no step can gain (the backtracking rule of Nocedal
+& Wright, ch. 3): after the cubic probes and t = 1 it halves t only along
+an ascent direction, f'(0) > 0, and only while the predicted gain t f'(0)
+exceeds a few ulps of max(1, |f(0)|); the fit then ends.  Deflation
+pivots are frozen for one outer iteration so h stays smooth along the
+search path.  A workspace computes the marginal logits and the jacobians
+only when they are first read, so line-search trial points, which need
+only h and the log-likelihood, never build them.
 """
 
 import warnings
@@ -56,7 +60,7 @@ import scipy.linalg
 from scipy.stats import chi2
 
 from . import kernels
-from .divergence import DivergenceFamily, LinkDomainError
+from .divergence import DivergenceFamily
 from .rank import PivotError, apply_plan, rank_residual, rank_residual_jacobian
 from .table import ContingencyTable, LogitType
 
@@ -454,18 +458,19 @@ def _info_solve(n, pi, w):
 
 
 def _multiplier_step(s, h, jac, n, pi, warn):
-    """Aitchison-Silvey step in multiplier form: (direction, u, residual, rank).
+    """Aitchison-Silvey step in multiplier form: (direction, lambda, residual, rank).
 
     ``jac`` is H' (rows are constraint gradients).  The rank is the number
     of |diag R| of the R-only pivoted QR of C H above a ``matrix_rank``-style
     tolerance; the leading ``rank`` pivoted rows H1, h1 are independent and
     the rest are dropped, with a warning when ``warn`` is set.  With
-    lambda0 = G^-1 H1' F^-1 s, residual = s - H1 lambda0 and
-    u = F^-1 H1 G^-1 h1, the direction is F^-1 residual - u.
+    lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0, the multipliers
+    are lambda = lambda0 + G^-1 h1 and the direction is F^-1 (s - H1 lambda).
+    ``lambda`` is indexed like the rows of ``jac``, zero on dropped rows.
     """
     k, d = jac.shape
     if k == 0:
-        return _info_solve(n, pi, s), np.zeros(d), s, 0
+        return _info_solve(n, pi, s), np.zeros(0), s, 0
     # C H with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n), so C'C = F^-1
     ch = (np.hstack([jac, jac.sum(axis=1, keepdims=True)]) / np.sqrt(n * pi)).T
     r, piv = scipy.linalg.qr(ch, overwrite_a=True, mode="r", pivoting=True)
@@ -481,8 +486,9 @@ def _multiplier_step(s, h, jac, n, pi, warn):
     rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[piv[:rank]]])
     lam0, lam_h = scipy.linalg.cho_solve((r[:rank, :rank], False), rhs).T
     resid = s - lam0 @ kept
-    u = _info_solve(n, pi, lam_h @ kept)
-    return _info_solve(n, pi, resid) - u, u, resid, rank
+    lam = np.zeros(k)
+    lam[piv[:rank]] = lam0 + lam_h
+    return _info_solve(n, pi, resid - lam_h @ kept), lam, resid, rank
 
 
 def _cubic_local_max(f0, fp0, f14, f12):
@@ -510,13 +516,15 @@ def _cubic_local_max(f0, fp0, f14, f12):
     return t if t > 0 else None
 
 
-def _objective(theta, y, spec, shape, linear, plan):
-    try:
-        ws = _Workspace(theta, spec, shape, linear)
-        h, _ = ws.constraints(plan)
-    except (LinkDomainError, PivotError, FloatingPointError, ZeroDivisionError):
-        return -np.inf
-    val = ws.loglik(y) / y.sum() - 0.5 * float(h @ h)
+def _objective(theta, y, spec, shape, linear, plan, mu):
+    """The merit y' log pi / n - mu ||h||_1 at theta, or -inf where it is not finite."""
+    with np.errstate(all="ignore"):
+        try:
+            ws = _Workspace(theta, spec, shape, linear)
+            h, _ = ws.constraints(plan)
+        except PivotError:
+            return -np.inf
+        val = ws.loglik(y) / y.sum() - mu * float(np.abs(h).sum())
     return val if np.isfinite(val) else -np.inf
 
 
@@ -576,12 +584,14 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     gradients in the F^-1 metric) below ``tol_score * n`` in every
     coordinate, or ``max_iter`` is reached.
 
-    The line search returns no step when the direction is not an ascent
-    direction of the merit f and neither the cubic probes nor t = 1 raise
-    it, or when halving has brought the predicted gain t f'(0) down to
-    rounding level.  The fit then stops as "converged (stationary)" if the
-    constraints already hold to ``tol_h``, and otherwise takes a damped
-    Newton step on the constraints alone.
+    Every step is line-searched on the merit f = y' log pi / n - mu ||h||_1,
+    mu = max(previous mu, 2 ||lambda||_inf / n) with lambda the step's
+    multipliers; there is no restoration phase.  When the search finds no
+    step, the fit stops as "converged (stationary)" if the constraints hold
+    to ``tol_h`` and as "line search stalled away from feasibility"
+    otherwise.  A cell driven so close to 0 that the step is not finite (a
+    maximum on the boundary) stops the fit unconverged at the previous
+    iterate, with a message naming the cell.
     """
     y2d = _as_counts(y)
     shape = y2d.shape
@@ -593,61 +603,65 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     theta = theta_from_prob(smoothed)
 
     prev_ll = None
+    mu = 0.0
     converged = False
     message = "maximum iterations reached"
     iterations = 0
+    # (workspace, h, rank) at the latest iterate with a finite step
+    last = None
     for iterations in range(1, max_iter + 1):
-        at_iterate = None
         ws = _Workspace(theta, spec, shape, linear)
         try:
             h, plan = ws.constraints()
-            jac = ws.constraint_jacobian(plan)
+            with np.errstate(all="ignore"):  # a non-finite jacobian stops the fit below
+                jac = ws.constraint_jacobian(plan)
         except PivotError as exc:
             message = f"deflation pivot failure: {exc}"
+            last = None
+            break
+        # F^-1 divides by each cell, so a subnormal cell overflows it
+        if ws.pi.min() < np.finfo(np.float64).tiny or not np.isfinite(jac).all():
+            cell = tuple(int(i) for i in np.unravel_index(np.argmin(ws.pi), shape))
+            message = (
+                f"cell {cell} probability {ws.pi.min():.3g} is too close to 0 "
+                "for a finite step; stopped at the previous iterate"
+            )
             break
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max()) if h.size else 0.0
         s0 = ws.score(yv)
-        direction, u, resid, rank = _multiplier_step(
+        direction, lam, resid, rank = _multiplier_step(
             s0, h, jac, n, ws.pi, warn=(iterations == 1)
         )
-        # what the result needs if the fit stops before theta moves again
-        at_iterate = ws, h, rank
+        last = ws, h, rank
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
             if float(np.abs(resid).max()) <= tol_score * n:
                 converged = True
                 message = "converged"
                 break
-        theta0 = ws.theta
-        f0 = ll / n - 0.5 * float(h @ h)
-        fp0 = float(s0 @ direction) / n - float(h @ (jac @ direction))
+        # twice the least exact penalty, so f'(0) keeps a margin of
+        # ||lambda||_inf ||h||_1 / n as lambda moves between iterations
+        mu = max(mu, 2.0 * float(np.abs(lam).max(initial=0.0)) / n)
+        f0 = ll / n - mu * float(np.abs(h).sum())
+        fp0 = float(s0 @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
 
         def feval(t):
-            return _objective(theta0 + t * direction, yv, spec, shape, linear, plan)
+            return _objective(theta + t * direction, yv, spec, shape, linear, plan, mu)
 
         t = _search(f0, fp0, feval)
         if t is None:
             if hnorm <= tol_h:
                 converged = True
                 message = "converged (stationary)"
-                break
-            # Near the optimum the penalized objective can decrease along the
-            # restoration component even though feasibility improves, so the
-            # search stalls while h is still above tolerance.  Polish with
-            # damped Newton steps on the constraints alone.
-            t_r = _restoration_step(theta0, u, spec, shape, linear, plan, hnorm)
-            if t_r is None:
+            else:
                 message = "line search stalled away from feasibility"
-                break
-            theta = theta0 - t_r * u
-            prev_ll = ll
-            continue
-        theta = theta0 + t * direction
+            break
+        theta = theta + t * direction
         prev_ll = ll
     else:
-        at_iterate = None
+        last = None
 
-    if at_iterate is None:
+    if last is None:
         # theta moved after its last workspace, or the pivots failed there
         ws = _Workspace(theta, spec, shape, linear)
         try:
@@ -657,7 +671,8 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             h, jac = np.zeros(0), np.zeros((0, theta.shape[0]))
         dof = _multiplier_step(ws.score(yv), h, jac, n, ws.pi, warn=False)[3]
     else:
-        ws, h, dof = at_iterate
+        ws, h, dof = last
+        theta = ws.theta
     dev = _deviance(y2d, ws.pi2d)
     pval = float(chi2.sf(dev, dof)) if dof > 0 else float("nan")
     return FitResult(
@@ -673,24 +688,6 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         spec=spec,
         message=message,
     )
-
-
-def _restoration_step(theta0, u, spec, shape, linear, plan, hnorm):
-    """Largest damped Newton step on h alone that clearly shrinks its norm."""
-    if not np.any(u):
-        return None
-    t = 1.0
-    while t > 2.0**-20:
-        try:
-            ws = _Workspace(theta0 - t * u, spec, shape, linear)
-            trial, _ = ws.constraints(plan)
-        except (LinkDomainError, PivotError, FloatingPointError, ZeroDivisionError):
-            trial = None
-        if trial is not None and np.all(np.isfinite(trial)):
-            if float(np.abs(trial).max()) <= 0.9 * hnorm:
-                return t
-        t *= 0.5
-    return None
 
 
 # the line search stops halving once its predicted gain is this many ulps of f

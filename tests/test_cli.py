@@ -97,6 +97,27 @@ def test_fit_non_convergence_exits_3(capsys, monkeypatch):
     assert payload["fit"]["converged"] is False
 
 
+def test_fit_boundary_maximum_exits_3(capsys, tmp_path):
+    # a zero count drives its cell toward 0 under LL: the fit stops
+    # unconverged with a message naming the cell, never with a traceback
+    path = tmp_path / "boundary.txt"
+    path.write_text("34 85 193\n28 341 306\n0 99 914\n")
+    code, payload, _ = run_json(
+        capsys, "fit", str(path), "--rows-logit", "L", "--cols-logit", "L", "--lambda=0"
+    )
+    assert code == 3
+    assert payload["fit"]["converged"] is False
+    assert payload["fit"]["message"].startswith("cell (2, 0) probability ")
+    code, sweep, _ = run_json(
+        capsys, "sweep", str(path), "--pair", "LL", "--lambda=0", "--format", "json"
+    )
+    assert code == 0
+    (cell,) = sweep["cells"]
+    assert cell["error"] is None
+    assert cell["converged"] is False
+    assert cell["message"] == payload["fit"]["message"]
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "mobility", "--lambda-grid=-0.12:0.04:0.04", "--pair", "GG"

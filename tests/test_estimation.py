@@ -62,22 +62,24 @@ def _dense_info(pi, n):
     return n * (np.diag(pi) - np.outer(pi, pi))[:-1, :-1]
 
 
-def _iterate(theta, y, spec, shape):
-    """One outer iteration of fit from ``theta``, built from fit's own
-    helpers: (h, score, cell probabilities, direction, step length or None)."""
+def _iterate(theta, y, spec, shape, mu=0.0):
+    """One outer iteration of fit from ``theta`` with penalty ``mu`` so far,
+    built from fit's own helpers: (h, score, cell probabilities, direction,
+    step length or None, the penalty the step was searched with)."""
     linear = _linear_system(spec, shape)
     ws = _Workspace(theta, spec, shape, linear)
     h, plan = ws.constraints()
     jac = ws.constraint_jacobian(plan)
     s = ws.score(y)
     n = y.sum()
-    direction = _multiplier_step(s, h, jac, n, ws.pi, warn=True)[0]
-    f0 = ws.loglik(y) / n - 0.5 * float(h @ h)
-    fp0 = float(s @ direction) / n - float(h @ (jac @ direction))
+    direction, lam, _, _ = _multiplier_step(s, h, jac, n, ws.pi, warn=True)
+    mu = max(mu, 2.0 * float(np.abs(lam).max(initial=0.0)) / n)
+    f0 = ws.loglik(y) / n - mu * float(np.abs(h).sum())
+    fp0 = float(s @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
     t = _search(
-        f0, fp0, lambda t: _objective(theta + t * direction, y, spec, shape, linear, plan)
+        f0, fp0, lambda t: _objective(theta + t * direction, y, spec, shape, linear, plan, mu)
     )
-    return h, s, ws.pi, direction, t
+    return h, s, ws.pi, direction, t, mu
 
 
 def test_canonical_zero_theta_is_uniform():
@@ -224,7 +226,7 @@ def test_as_step_unconstrained_is_newton(random_table):
     rng = np.random.default_rng(67)
     pi = random_table(rng, (5, 5))
     y = rng.integers(1, 80, size=25).astype(np.float64)
-    h, s, pi_now, direction, _ = _iterate(theta_from_prob(pi), y, _spec(4), (5, 5))
+    h, s, pi_now, direction, _, _ = _iterate(theta_from_prob(pi), y, _spec(4), (5, 5))
     assert h.size == 0
     info = _dense_info(pi_now, y.sum())
     np.testing.assert_allclose(direction, np.linalg.solve(info, s), atol=1e-10)
@@ -234,7 +236,7 @@ def test_as_step_near_zero_at_fit(mobility_counts):
     spec = _spec(1, (MarginalShift(),))
     result = fit(mobility_counts, spec)
     assert result.converged
-    h, _, _, direction, _ = _iterate(
+    h, _, _, direction, _, _ = _iterate(
         result.theta_hat, mobility_counts.reshape(-1), spec, mobility_counts.shape
     )
     assert np.abs(h).max() <= 1e-6
@@ -247,7 +249,7 @@ def test_line_search_accepts_first_direction(mobility_counts):
     n = y.sum()
     smoothed = (y + 0.5) / (n + y.size / 2.0)
     theta0 = theta_from_prob(smoothed)
-    _, _, _, direction, t = _iterate(theta0, y.reshape(-1), spec, y.shape)
+    _, _, _, direction, t, mu = _iterate(theta0, y.reshape(-1), spec, y.shape)
 
     table = ContingencyTable.from_probabilities(smoothed, "G", "G")
     _, plan = rank_residual(gamma_matrix(table, fam=spec.family).values, 1)
@@ -256,8 +258,9 @@ def test_line_search_accepts_first_direction(mobility_counts):
         p = CanonicalParam(theta, y.shape)
         ht, _ = constraint_eval(p, spec, plan=plan)
         pi = canonical_to_prob(p).reshape(-1)
-        return float(y.reshape(-1) @ np.log(pi)) / n - 0.5 * float(ht @ ht)
+        return float(y.reshape(-1) @ np.log(pi)) / n - mu * float(np.abs(ht).sum())
 
+    assert mu > 0.0
     assert t is not None and 0.0 < t <= 1.0
     assert merit(theta0 + t * direction) > merit(theta0)
 
@@ -392,28 +395,26 @@ def test_manual_iteration_merit_is_monotone(mobility_counts):
     spec = _spec(4, (MarginalHomogeneity(),))
     y = mobility_counts.reshape(-1)
     n = y.sum()
-    theta = theta_from_prob((mobility_counts + 0.5) / (n + 12.5))
+    start = theta = theta_from_prob((mobility_counts + 0.5) / (n + 12.5))
 
-    def merit(th):
+    def merit(th, mu):
         p = CanonicalParam(th, (5, 5))
         h, _ = constraint_eval(p, spec)
-        return float(y @ np.log(canonical_to_prob(p).reshape(-1))) / n - 0.5 * float(h @ h)
+        return float(y @ np.log(canonical_to_prob(p).reshape(-1))) / n - mu * float(np.abs(h).sum())
 
-    start = current = merit(theta)
-    h0 = None
+    mu, h0 = 0.0, None
     for _ in range(25):
-        h, _, _, direction, t = _iterate(theta, y, spec, (5, 5))
+        h, _, _, direction, t, mu = _iterate(theta, y, spec, (5, 5), mu)
         if h0 is None:
             h0 = np.abs(h).max()
         if t is None:
-            # plain steps stall near the ridge; the fitter's restoration
-            # phase takes over from here, tested via fit() elsewhere
+            # with the exact penalty a step fails to gain only once stationary
+            assert np.abs(h).max() <= 1e-7
             break
-        theta = theta + t * direction
-        nxt = merit(theta)
-        assert nxt >= current - 1e-12
-        current = nxt
-    assert current > start
+        nxt = theta + t * direction
+        assert merit(nxt, mu) >= merit(theta, mu) - 1e-12
+        theta = nxt
+    assert merit(theta, mu) > merit(start, mu)
     assert np.abs(h).max() <= 0.1 * h0
 
 
@@ -432,6 +433,49 @@ def test_fit_stops_at_max_iter(mobility_counts):
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)), max_iter=1)
     assert not result.converged
     assert result.message
+
+
+@pytest.mark.parametrize("pair, lam", [("GG", 0.16), ("CC", 0.16), ("CC", 1.0)])
+def test_fit_converges_where_the_quadratic_merit_stalled(mobility_counts, pair, lam):
+    # under the merit ll/n - ||h||^2/2 these sweep cells ended "converged
+    # (stationary)": the search found no step before the stop tests held
+    result = fit(mobility_counts, _spec(1, lam=lam, pair=tuple(pair)))
+    assert result.message == "converged"
+    assert result.dof == 9
+
+
+BOUNDARY_COUNTS = np.array([[34.0, 85.0, 193.0], [28.0, 341.0, 306.0], [0.0, 99.0, 914.0]])
+# the fit takes one cell of this table to a subnormal probability while its
+# jacobian is still finite, but F^-1 divides by it
+SUBNORMAL_COUNTS = np.array(
+    [[47.0, 0.0, 123.0], [138.0, 53.0, 0.0], [75.0, 98.0, 45.0], [57.0, 15.0, 0.0]]
+)
+
+
+@pytest.mark.parametrize(
+    "counts, pair, lam, cell",
+    [
+        (BOUNDARY_COUNTS, ("L", "L"), 0.0, (2, 0)),
+        (BOUNDARY_COUNTS, ("R", "C"), 0.0, (2, 0)),
+        (SUBNORMAL_COUNTS, ("R", "C"), 0.7, (3, 2)),
+    ],
+)
+def test_fit_stops_before_a_cell_underflows(counts, pair, lam, cell):
+    # a zero count drives its cell toward 0 until the step is no longer
+    # finite; the fit stops at the previous iterate, where it still is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(counts, _spec(1, lam=lam, pair=pair))
+    assert not result.converged
+    assert result.message.startswith(f"cell {cell} probability ")
+    assert result.message.endswith("finite step; stopped at the previous iterate")
+    assert result.dof == (counts.shape[0] - 2) * (counts.shape[1] - 2)
+    assert np.isfinite(result.deviance) and np.isfinite(result.loglik)
+    assert result.pi_hat.min() >= np.finfo(np.float64).tiny
+    ws = _Workspace(result.theta_hat, result.spec, counts.shape, None)
+    h, plan = ws.constraints()
+    assert np.isfinite(ws.constraint_jacobian(plan)).all()
+    assert result.constraint_norm == np.abs(h).max()
 
 
 def _strong_large_table(rng):
@@ -504,10 +548,11 @@ def test_factor_constraints_full_row_rank():
     jac = rng.normal(size=(6, 15))
     h = rng.normal(size=6)
     n, pi, s = _random_point(rng, 15)
-    direction, u, resid, rank = _multiplier_step(s, h, jac, n, pi, warn=True)
+    direction, lam, resid, rank = _multiplier_step(s, h, jac, n, pi, warn=True)
     assert rank == 6
-    np.testing.assert_allclose(jac @ u, h, rtol=0, atol=1e-10)
     np.testing.assert_allclose(jac @ direction, -h, rtol=0, atol=1e-10)
+    # the direction is F^-1 (s - H lambda) in the step's own multipliers
+    np.testing.assert_allclose(direction, _info_solve(n, pi, s - lam @ jac), rtol=0, atol=1e-10)
     # the residual score is F^-1-orthogonal to every constraint gradient
     np.testing.assert_allclose(jac @ _info_solve(n, pi, resid), 0.0, rtol=0, atol=1e-10)
 
@@ -521,15 +566,23 @@ def test_factor_constraints_drops_duplicated_row():
     doubled_h = np.append(h, h[1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        direction, u, resid, rank = _multiplier_step(s, doubled_h, doubled_jac, n, pi, warn=True)
+        direction, lam, resid, rank = _multiplier_step(s, doubled_h, doubled_jac, n, pi, warn=True)
     redundant = [w for w in caught if issubclass(w.category, RedundantConstraintWarning)]
     assert len(redundant) == 1
     assert "1 of 5" in str(redundant[0].message)
     assert rank == 4
-    np.testing.assert_allclose(doubled_jac @ u, doubled_h, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(doubled_jac @ direction, -doubled_h, rtol=0, atol=1e-10)
+    # one copy of the duplicated row is dropped: its multiplier is 0
+    assert lam[1] == 0.0 or lam[4] == 0.0
+    np.testing.assert_allclose(
+        direction, _info_solve(n, pi, s - lam @ doubled_jac), rtol=0, atol=1e-10
+    )
     single = _multiplier_step(s, h, jac, n, pi, warn=True)
-    for got, want in zip((direction, u, resid), single[:3]):
+    for got, want in zip((direction, resid), (single[0], single[2])):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    merged = lam[:4].copy()
+    merged[1] += lam[4]
+    np.testing.assert_allclose(merged, single[1], rtol=0, atol=1e-10)
 
 
 def _null_space_direction(s, h, jac, n, pi):
@@ -557,7 +610,7 @@ def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
     theta = theta_from_prob((counts + 0.5) / (n + counts.size / 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RedundantConstraintWarning)
-        _, _, _, first, t = _iterate(theta, y, spec, counts.shape)
+        _, _, _, first, t, _ = _iterate(theta, y, spec, counts.shape)
     theta = theta + t * first
     linear = _linear_system(spec, counts.shape)
     ws = _Workspace(theta, spec, counts.shape, linear)
