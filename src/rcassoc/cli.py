@@ -267,6 +267,7 @@ def _fit_payload(ns, spec, result):
             "dof": result.dof,
             "p_value": result.p_value,
             "iterations": result.iterations,
+            "evaluations": result.evaluations,
             "converged": result.converged,
             "constraint_norm": result.constraint_norm,
             "loglik": result.loglik,
@@ -304,6 +305,7 @@ def _sweep_cell(args):
         "dof": None,
         "converged": False,
         "iterations": None,
+        "evaluations": None,
         "message": None,
         "error": None,
     }
@@ -316,6 +318,7 @@ def _sweep_cell(args):
     row["dof"] = result.dof
     row["converged"] = bool(result.converged)
     row["iterations"] = result.iterations
+    row["evaluations"] = result.evaluations
     row["message"] = result.message
     return row
 
@@ -324,8 +327,9 @@ def cmd_sweep(ns):
     """Fit every (pair, lambda) cell; failures are recorded, exit stays 0.
 
     CSV rows hold pair, lambda, deviance, dof and converged; JSON rows add
-    the fit's iterations and stop message, and ``error`` (exception type
-    and text) for a cell whose fit raised, which is null otherwise.
+    the fit's iterations, line-search merit evaluations and stop message,
+    and ``error`` (exception type and text) for a cell whose fit raised,
+    which is null otherwise.
     """
     table = _load_table(ns)
     counts = np.asarray(table.counts, dtype=np.float64)

@@ -34,21 +34,28 @@ without its last column, so a pi-jacobian J maps to column c
 (J[:, c] - J pi) pi_c.  The deflation residual carries d vec(gamma) / dtheta
 through its stages in tangent form (``rank``).
 
-A cubic line search on the exact l1 penalty merit
+A line search on the exact l1 penalty merit
 f(t) = y' log pi(t) / n - mu ||h(t)||_1 picks the step length (Han 1977;
 Powell 1978; Nocedal & Wright, sec. 15.4 and 18.3).  As s' direction =
 direction' F direction - lambda' h and H' direction = -h, f'(0) is at least
 direction' F direction / n + (mu - ||lambda||_inf / n) ||h||_1, so each
 iteration takes mu = max(previous mu, 2 ||lambda||_inf / n) and the step is
 an ascent direction of f wherever the iterate is not stationary.  The
-search stops as soon as no step can gain (the backtracking rule of Nocedal
-& Wright, ch. 3): after the cubic probes and t = 1 it halves t only along
-an ascent direction, f'(0) > 0, and only while the predicted gain t f'(0)
-exceeds a few ulps of max(1, |f(0)|); the fit then ends.  Deflation
-pivots are frozen for one outer iteration so h stays smooth along the
-search path.  A workspace computes the marginal logits and the jacobians
-only when they are first read, so line-search trial points, which need
-only h and the log-likelihood, never build them.
+search tries the unit step first, as Nocedal & Wright (ch. 3) advise for
+Newton-type steps, and takes it when f(1) > f(0) and
+f(1) - f(0) >= f'(0) / 2, that is when the quadratic through f(0), f'(0)
+and f(1) peaks at or beyond t = 1.  Otherwise it fits a cubic through
+f(0), f'(0) and the probes t = 1/4 and 1/2 and tries its maximizer.  It
+stops as soon as no step can gain (the backtracking rule of Nocedal &
+Wright, ch. 3): it halves t from 1 only along an ascent direction,
+f'(0) > 0, and only while the predicted gain t f'(0) exceeds a few ulps of
+max(1, |f(0)|); the fit then ends.  Deflation pivots are frozen for one
+outer iteration so h stays smooth along the search path.  A workspace
+computes the marginal logits and the jacobians only when they are first
+read, so line-search trial points, which need only h and the
+log-likelihood, never build them; the accepted trial point's workspace is
+the next iteration's, so an iteration whose unit step is taken builds one
+workspace.
 """
 
 import warnings
@@ -516,11 +523,11 @@ def _cubic_local_max(f0, fp0, f14, f12):
     return t if t > 0 else None
 
 
-def _objective(theta, y, spec, shape, linear, plan, mu):
-    """The merit y' log pi / n - mu ||h||_1 at theta, or -inf where it is not finite."""
+def _objective(ws, y, plan, mu):
+    """The merit y' log pi / n - mu ||h||_1 at the workspace ``ws``, or -inf
+    where it is not finite."""
     with np.errstate(all="ignore"):
         try:
-            ws = _Workspace(theta, spec, shape, linear)
             h, _ = ws.constraints(plan)
         except PivotError:
             return -np.inf
@@ -548,6 +555,8 @@ class FitResult:
     loglik: float
     spec: ModelSpec
     message: str = ""
+    # merit evaluations across all of the fit's line searches
+    evaluations: int = 0
 
 
 def _deviance(y2d, pi2d):
@@ -577,21 +586,25 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     """Constrained maximum likelihood fit of ``spec`` to counts ``y``.
 
     Starts from the smoothed empirical table (y + 1/2) / (n + cells / 2)
-    and iterates multiplier-form regression steps with cubic line search
-    until the constraint norm falls below ``tol_h``, the relative
-    log-likelihood change below ``tol_rel`` and the multiplier residual
-    s - H lambda0 (the score left after projecting out the constraint
-    gradients in the F^-1 metric) below ``tol_score * n`` in every
-    coordinate, or ``max_iter`` is reached.
+    and iterates line-searched multiplier-form regression steps until the
+    constraint norm falls below ``tol_h``, the relative log-likelihood
+    change below ``tol_rel`` and the multiplier residual s - H lambda0 (the
+    score left after projecting out the constraint gradients in the F^-1
+    metric) below ``tol_score * n`` in every coordinate, or ``max_iter`` is
+    reached.
 
     Every step is line-searched on the merit f = y' log pi / n - mu ||h||_1,
     mu = max(previous mu, 2 ||lambda||_inf / n) with lambda the step's
-    multipliers; there is no restoration phase.  When the search finds no
-    step, the fit stops as "converged (stationary)" if the constraints hold
-    to ``tol_h`` and as "line search stalled away from feasibility"
-    otherwise.  A cell driven so close to 0 that the step is not finite (a
-    maximum on the boundary) stops the fit unconverged at the previous
-    iterate, with a message naming the cell.
+    multipliers; there is no restoration phase.  The search (``_search``)
+    tries the unit step first and falls back to the cubic probes.  Each
+    trial point's workspace is kept, and the accepted one becomes the next
+    iterate's, so no workspace is built twice at one theta.
+    ``FitResult.evaluations`` counts the merit evaluations of all searches.
+    When the search finds no step, the fit stops as "converged
+    (stationary)" if the constraints hold to ``tol_h`` and as "line search
+    stalled away from feasibility" otherwise.  A cell driven so close to 0
+    that the step is not finite (a maximum on the boundary) stops the fit
+    unconverged at the previous iterate, with a message naming the cell.
     """
     y2d = _as_counts(y)
     shape = y2d.shape
@@ -600,17 +613,17 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     yv = y2d.reshape(-1)
     n = yv.sum()
     smoothed = (y2d + 0.5) / (n + y2d.size / 2.0)
-    theta = theta_from_prob(smoothed)
 
     prev_ll = None
     mu = 0.0
     converged = False
     message = "maximum iterations reached"
     iterations = 0
+    evaluations = 0
     # (workspace, h, rank) at the latest iterate with a finite step
     last = None
+    ws = _Workspace(theta_from_prob(smoothed), spec, shape, linear)
     for iterations in range(1, max_iter + 1):
-        ws = _Workspace(theta, spec, shape, linear)
         try:
             h, plan = ws.constraints()
             with np.errstate(all="ignore"):  # a non-finite jacobian stops the fit below
@@ -644,11 +657,16 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         mu = max(mu, 2.0 * float(np.abs(lam).max(initial=0.0)) / n)
         f0 = ll / n - mu * float(np.abs(h).sum())
         fp0 = float(s0 @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
+        # trial workspaces by step length; the accepted one is the next iterate's
+        trials = {}
 
         def feval(t):
-            return _objective(theta + t * direction, yv, spec, shape, linear, plan, mu)
+            with np.errstate(all="ignore"):
+                trials[t] = _Workspace(ws.theta + t * direction, spec, shape, linear)
+            return _objective(trials[t], yv, plan, mu)
 
         t = _search(f0, fp0, feval)
+        evaluations += len(trials)
         if t is None:
             if hnorm <= tol_h:
                 converged = True
@@ -656,27 +674,25 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             else:
                 message = "line search stalled away from feasibility"
             break
-        theta = theta + t * direction
+        ws = trials[t]
         prev_ll = ll
     else:
         last = None
 
     if last is None:
-        # theta moved after its last workspace, or the pivots failed there
-        ws = _Workspace(theta, spec, shape, linear)
+        # the fit ran out of iterations or the pivots failed at ws
         try:
             h, plan = ws.constraints()
             jac = ws.constraint_jacobian(plan)
         except PivotError:
-            h, jac = np.zeros(0), np.zeros((0, theta.shape[0]))
+            h, jac = np.zeros(0), np.zeros((0, ws.theta.shape[0]))
         dof = _multiplier_step(ws.score(yv), h, jac, n, ws.pi, warn=False)[3]
     else:
         ws, h, dof = last
-        theta = ws.theta
     dev = _deviance(y2d, ws.pi2d)
     pval = float(chi2.sf(dev, dof)) if dof > 0 else float("nan")
     return FitResult(
-        theta_hat=theta,
+        theta_hat=ws.theta,
         pi_hat=ws.pi2d.copy(),
         deviance=dev,
         dof=dof,
@@ -687,6 +703,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         loglik=float(yv @ np.log(ws.pi)),
         spec=spec,
         message=message,
+        evaluations=evaluations,
     )
 
 
@@ -697,12 +714,18 @@ _GAIN_ULPS = 4
 def _search(f0, fp0, feval):
     """Step length t in (0, 1] with feval(t) > f0, or None when no step can gain.
 
-    Tries the cubic probes, then halves from t = 1 while the predicted gain
-    t * fp0 stays above _GAIN_ULPS ulps of max(1, |f0|): below that a rise
-    of f is rounding noise, and with fp0 <= 0 no small step can rise, so
-    the search ends after t = 1.  No t is evaluated twice.
+    Tries the unit step first and takes it when f(1) > f0 and
+    f(1) - f0 >= fp0 / 2, that is when the quadratic through f0, fp0 and
+    f(1) peaks at or beyond t = 1.  Otherwise tries the cubic probes, then
+    halves from t = 1 while the predicted gain t * fp0 stays above
+    _GAIN_ULPS ulps of max(1, |f0|): below that a rise of f is rounding
+    noise, and with fp0 <= 0 no small step can rise, so the search ends
+    after the probes.  No t is evaluated twice.
     """
     f = cache(feval)
+    f1 = f(1.0)
+    if f1 > f0 and f1 - f0 >= fp0 / 2.0:
+        return 1.0
     t_cubic = _cubic_local_max(f0, fp0, f(0.25), f(0.5))
     if t_cubic is not None:
         t_cubic = min(t_cubic, 1.0)

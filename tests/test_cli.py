@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import rcassoc.cli as cli
-from rcassoc import ContingencyTable, ModelSpec, cressie_read, extract_invariants, fit, load_mobility
+from rcassoc import (
+    ContingencyTable,
+    MarginalShift,
+    ModelSpec,
+    cressie_read,
+    extract_invariants,
+    fit,
+    load_mobility,
+)
 from rcassoc.analysis import DependenceReport, VerificationRecord
 from rcassoc.cli import main
 from rcassoc.table import LogitType
@@ -38,6 +46,9 @@ def test_fit_mobility_marginal_shift(capsys):
     assert fit["deviance"] == pytest.approx(17.1868, abs=1e-3)
     assert fit["dof"] == 12
     assert fit["p_value"] == pytest.approx(0.1427, abs=1e-3)
+    # the line searches' merit evaluations, as the library fit counts them
+    spec = ModelSpec(("G", "G"), cressie_read(-0.04), 1, (MarginalShift(),))
+    assert fit["evaluations"] == cli.fit(load_mobility(), spec).evaluations > 0
     assert payload["scores"]["psi"][0] == pytest.approx(1.9796, abs=1e-3)
     assert payload["correlation"] == pytest.approx(0.4587, abs=1e-3)
     dep = payload["dependence"]
@@ -174,6 +185,7 @@ def test_sweep_json_format(capsys):
     # a fitted row carries the fit's iteration count and stop message
     result = fit(load_mobility(), ModelSpec(("G", "G"), cressie_read(0.0), 1))
     assert cells[0]["iterations"] == result.iterations > 0
+    assert cells[0]["evaluations"] == result.evaluations > 0
     assert cells[0]["message"] == result.message
     assert cells[0]["error"] is None
 
@@ -187,6 +199,7 @@ def test_sweep_json_failed_row_names_its_error(capsys):
     assert cell["deviance"] is None and cell["dof"] is None
     assert cell["converged"] is False
     assert cell["iterations"] is None and cell["message"] is None
+    assert cell["evaluations"] is None
     assert cell["error"].startswith("ValueError: rank 5 exceeds the maximum 4")
 
 

@@ -77,7 +77,9 @@ def _iterate(theta, y, spec, shape, mu=0.0):
     f0 = ws.loglik(y) / n - mu * float(np.abs(h).sum())
     fp0 = float(s @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
     t = _search(
-        f0, fp0, lambda t: _objective(theta + t * direction, y, spec, shape, linear, plan, mu)
+        f0,
+        fp0,
+        lambda t: _objective(_Workspace(theta + t * direction, spec, shape, linear), y, plan, mu),
     )
     return h, s, ws.pi, direction, t, mu
 
@@ -298,6 +300,23 @@ def _counted(f):
         return f(t)
 
     return wrapped, ts
+
+
+def test_search_takes_unit_step_after_one_evaluation():
+    # concave, peaking at t = 4/3: the quadratic through f(0), f'(0), f(1)
+    # peaks beyond 1, so t = 1 is taken without the cubic probes
+    feval, ts = _counted(lambda t: t - 0.375 * t * t)
+    assert _search(0.0, 1.0, feval) == 1.0
+    assert ts == [1.0]
+
+
+def test_search_rise_at_unit_step_short_of_half_slope_probes():
+    # f(1) = 0.4 rises but falls short of f'(0)/2 = 0.5: the peak is at 5/6,
+    # which the cubic probes find; each t is evaluated once
+    feval, ts = _counted(lambda t: t - 0.6 * t * t)
+    assert _search(0.0, 1.0, feval) == pytest.approx(5.0 / 6.0)
+    assert ts[:3] == [1.0, 0.25, 0.5]
+    assert len(ts) == 4 and len(ts) == len(set(ts)), ts
 
 
 @pytest.mark.parametrize(
