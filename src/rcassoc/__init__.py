@@ -24,7 +24,7 @@ from .analysis import (
     svd_scores,
 )
 from .datasets import load_mobility
-from .divergence import LinkDomainError, cressie_read, kl
+from .divergence import cressie_read, kl
 from .estimation import (
     CanonicalParam,
     EqualColumnSpacing,
@@ -49,7 +49,6 @@ __all__ = [
     "TableParseError",
     "load_mobility",
     # divergence scaling
-    "LinkDomainError",
     "cressie_read",
     "kl",
     # interactions

@@ -65,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .divergence import DivergenceFamily, cressie_read, kl
-from .estimation import ModelSpec, _Workspace, theta_from_prob
+from .divergence import cressie_read, kl
 from .interactions import (
     InteractionMatrix,
     MarginalLogits,
@@ -281,8 +280,8 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
     Each pair has one path, described in the module docstring: the survival
     scan for a pair in {G, C, R}^2, the column sweep for a pair with one L
     margin, and Newton steps on the LL optimality conditions.  The table is
-    returned only when the invariants recomputed from it (one workspace)
-    are within 1e-9 of the target in the max norm.  Raises ValueError on
+    returned only when the invariants recomputed from it by the kernels are
+    within 1e-9 of the target in the max norm.  Raises ValueError on
     non-finite targets, and ReconstructionError, which carries a positive
     residual, when the target is not attainable: the error names the cut,
     the gamma column or the cell that rules it out.
@@ -318,11 +317,17 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
         r, c = bad[0]
         cell = float(pi[r, c])
         raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
-    ws = _Workspace(theta_from_prob(pi), ModelSpec(pair=pair, family=fam, rank=0), (i1, i2), None)
-    miss = float(np.abs(ws.invariants - target).max())
+    pi = pi / pi.sum()
+    codes = (pair[0].code, pair[1].code)
+    got = np.concatenate([
+        kernels.marginal_logit_values(pi.sum(axis=1), codes[0]),
+        kernels.marginal_logit_values(pi.sum(axis=0), codes[1]),
+        kernels.gamma_values(pi, *codes, fam.lam).ravel(),
+    ])
+    miss = float(np.abs(got - target).max())
     if not miss <= _RECONSTRUCT_TOL:
         raise ReconstructionError("reconstructed table misses the target invariants", miss)
-    return ws.pi2d.copy()
+    return pi
 
 
 # largest max-norm miss of the invariants and of the LL equations reconstruct accepts
@@ -462,7 +467,7 @@ def _column_root(log_mass, rows, gcol, c0, c1, lam, name):
             hi = edge_hi
             signs.discard(False)
         if not lo <= hi:
-            raise _column_out_of_reach(name, lo - hi)
+            raise _out_of_reach(name, "columns", lo - hi)
     k = -math.fsum(w * g for w, g in zip(weights, run)) / math.fsum(weights)
     if not lo < k < hi:
         k = 0.5 * (lo + hi)
@@ -510,13 +515,15 @@ def _column_root(log_mass, rows, gcol, c0, c1, lam, name):
         # first-order prediction of each row's root at the new k
         z = [zi + (nxt - k) / s if s else zi for zi, s in zip(z, slopes)]
         k = nxt
-    raise _column_out_of_reach(name, abs(f))
+    raise _out_of_reach(name, "columns", abs(f))
 
 
-def _column_out_of_reach(name, gap):
-    """The error for a column cut whose bracket in k holds no root."""
+def _out_of_reach(name, solved, gap):
+    """The error for the target ``name``, a gamma entry or column, whose
+    bracket holds no root once the ``solved`` (cuts or columns) before it
+    are fixed; ``gap`` is how far the bracket falls short."""
     return ReconstructionError(
-        f"target {name} is out of reach given the margins and the columns solved before it",
+        f"target {name} is out of reach given the margins and the {solved} solved before it",
         gap,
     )
 
@@ -704,10 +711,10 @@ def _survival_scan(rows, cols, gamma, pair, lam):
         for y in range(1, i2):
             b = y - 1 if cont[1] else 0
             c0, c1 = col_events[y - 1]
-            # the cut's gamma index in the caller's orientation, for errors
-            cut = (i1 - 1 - x if flip[0] else x - 1, i2 - 1 - y if flip[1] else y - 1)
+            # the cut's gamma entry in the caller's orientation, for errors
+            name = f"gamma[{i1 - 1 - x if flip[0] else x - 1}, {i2 - 1 - y if flip[1] else y - 1}]"
             weights = (r0 * c0, r0 * c1, r1 * c0, r1 * c1)
-            s[x][y] = _cut_root(s[a][b], s[a][y], s[x][b], weights, gamma[x - 1][y - 1], lam, cut)
+            s[x][y] = _cut_root(s[a][b], s[a][y], s[x][b], weights, gamma[x - 1][y - 1], lam, name)
     # cells are second differences of S, with S = 0 past the last row and column
     zero = (0.0, 0.0)
     ext = [row + [zero] for row in s] + [[zero] * (i2 + 1)]
@@ -733,17 +740,7 @@ def _plackett(psi, row, col, diff):
     return (root - b) / (2.0 * (1.0 - psi))
 
 
-def _out_of_reach(cut, gap):
-    """The error for a cut whose bracket holds no root; ``gap`` is the least
-    |gamma - target| the bracket reaches."""
-    return ReconstructionError(
-        f"target gamma[{cut[0]}, {cut[1]}] is out of reach given the margins "
-        "and the cuts solved before it",
-        gap,
-    )
-
-
-def _cut_root(sab, say, sxb, weights, target, lam, cut):
+def _cut_root(sab, say, sxb, weights, target, lam, name):
     """S(x, y) at one cut, as a ``_pair_sum`` pair, from the S values before it.
 
     The quadrants are p00 = S(a, b) - S(a, y) - S(x, b) + s, p01 = S(a, y) - s,
@@ -754,8 +751,9 @@ def _cut_root(sab, say, sxb, weights, target, lam, cut):
     minus q, its column total minus q, and q plus a constant, each formed
     without cancellation.  Safeguarded Newton steps in log q keep q inside
     the bracket where all four quadrants are positive; gamma rises with q
-    when q is p00 or p11 and falls otherwise.  ``cut`` names the cut in
-    the error raised when the bracket holds no root.
+    when q is p00 or p11 and falls otherwise.  ``name`` names the cut's
+    gamma entry in the error raised when the bracket holds no root, whose
+    gap is the least |gamma - target| the bracket reaches.
     """
     # quadrants are indexed 2u + v, so q's row mate is m ^ 1, its column
     # mate m ^ 2 and its opposite m ^ 3
@@ -802,14 +800,14 @@ def _cut_root(sab, say, sxb, weights, target, lam, cut):
 
     lo, hi = max(0.0, -diff), min(row_t, col_t)
     if not lo < hi:
-        raise _out_of_reach(cut, math.inf)
+        raise _out_of_reach(name, "cuts", math.inf)
     if lam > 0.0:
         # F(0+) = -1/lam is finite, so the bracket may hold no sign change
         at_lo, at_hi = edge(lo), edge(hi)
         if at_lo >= 0.0:
-            raise _out_of_reach(cut, at_lo)
+            raise _out_of_reach(name, "cuts", at_lo)
         if at_hi <= 0.0:
-            raise _out_of_reach(cut, -at_hi)
+            raise _out_of_reach(name, "cuts", -at_hi)
     if not lo < q < hi:
         q = 0.5 * (lo + hi)
     for _ in range(_ROOT_STEPS):
@@ -1100,19 +1098,24 @@ def _association_proposal(rng, shape, batch):
     return pis / pis.sum(axis=(1, 2), keepdims=True)
 
 
-def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count, batch=4096, max_batches=2000):
+# the collector proposes tables in stacks of _BATCH and gives up after _MAX_BATCHES
+_BATCH = 4096
+_MAX_BATCHES = 2000
+
+
+def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
     """Rejection-sampled tables with all-nonnegative gamma for a pair.
 
     Returns an array (count, I1, I2).  Every returned table passes the
     exact filter min gamma >= 0; the proposal distribution only affects
     the acceptance rate.  Raises RuntimeError when ``count`` tables cannot
-    be collected within ``max_batches`` batches.
+    be collected within ``_MAX_BATCHES`` batches of ``_BATCH`` proposals.
     """
     i1, i2 = shape
     keep = []
     have = 0
-    for _ in range(max_batches):
-        draws = _association_proposal(rng, shape, batch)
+    for _ in range(_MAX_BATCHES):
+        draws = _association_proposal(rng, shape, _BATCH)
         gammas = gamma_matrix_batch(draws, pair[0], pair[1], fam)
         ok = np.all(gammas >= 0.0, axis=(1, 2))
         if np.any(ok):

@@ -7,9 +7,13 @@ interaction matrix, ``check`` dependence properties of a table, and
 
 Flag defaults and input checks live in ``build_parser``, on the flags and
 in their ``type=`` callables, and each subcommand dispatches through
-``set_defaults(run=...)``.  ``--format`` and ``--pair`` default to None so
-that the recorded spec shows whether they were given; each handler then
-picks its own output format and logit pairs.
+``set_defaults(run=...)``.  Each subcommand takes only the options it
+reads: ``sweep`` and ``check`` take their logit pairs from ``--pair``, not
+from ``--rows-logit``/``--cols-logit``.  Every payload but the
+counterexamples' records a ``spec`` of the subcommand and its options.
+``--format``, ``--pair`` and ``--lambda-grid`` default to None, so the spec
+shows whether they were given; each handler then picks its own output
+format, logit pairs and grid.
 
 Exit codes: 0 success, 2 usage or parse error, 3 non-convergence or an
 unattainable reconstruction, 4 claim-verification failure.
@@ -42,7 +46,6 @@ from .datasets import dataset_names, dataset_path
 from .divergence import cressie_read
 from .estimation import ModelSpec, constraint_from_name, constraint_names, fit
 from .interactions import MarginalLogits
-from .rank import PivotError
 from .table import ContingencyTable, LogitType, TableParseError, read_counts, read_numbers
 
 EXIT_OK = 0
@@ -116,23 +119,28 @@ def _grid_values(grid):
     return np.round(lo + step * np.arange(_grid_count(lo, hi, step)), 12)
 
 
+# (namespace attribute, spec key) of each option a spec records; --jobs
+# and the input files of reconstruct are not recorded
+_SPEC_KEYS = (
+    ("rows_logit", "row_logit"),
+    ("cols_logit", "col_logit"),
+    ("lam", "lambda"),
+    ("rank", "rank"),
+    ("constraint", "constraints"),
+    ("fmt", "format"),
+    ("input", "input"),
+    ("lambda_grid", "lambda_grid"),
+    ("pair", "pairs"),
+)
+
+
 def _spec_payload(ns):
-    out = {
-        "command": ns.command,
-        "row_logit": ns.rows_logit.value,
-        "col_logit": ns.cols_logit.value,
-        "lambda": ns.lam,
-        "rank": ns.rank,
-        "constraints": list(ns.constraint),
-        "format": ns.fmt,
-        "seed": ns.seed,
-    }
-    if getattr(ns, "input", None) is not None:
-        out["input"] = ns.input
-    if getattr(ns, "lambda_grid", None) is not None:
-        out["lambda_grid"] = list(ns.lambda_grid)
-    if getattr(ns, "pair", None):
-        out["pairs"] = list(ns.pair)
+    """The subcommand and every option of it that a spec records."""
+    out = {"command": ns.command}
+    for attr, key in _SPEC_KEYS:
+        if hasattr(ns, attr):
+            value = getattr(ns, attr)
+            out[key] = value.value if isinstance(value, LogitType) else value
     return out
 
 
@@ -154,7 +162,7 @@ def _resolve_input(token):
 
 
 def _load_table(ns):
-    return read_counts(_resolve_input(ns.input), ns.rows_logit, ns.cols_logit)
+    return read_counts(_resolve_input(ns.input))
 
 
 def _read_vector(path):
@@ -311,7 +319,7 @@ def _sweep_cell(args):
     }
     try:
         result = fit(counts, _model_spec(tuple(pair), lam, rank, names))
-    except (ValueError, PivotError) as exc:  # invalid specs and deflation pivot failures
+    except ValueError as exc:  # invalid specs; fit itself stops on a pivot failure
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row["deviance"] = result.deviance
@@ -380,8 +388,8 @@ def cmd_reconstruct(ns):
             f"({eta_rows.shape[0]}, {eta_cols.shape[0]})"
         )
     fam = cressie_read(ns.lam)
-    rows = MarginalLogits(eta_rows, ns.rows_logit, "row")
-    cols = MarginalLogits(eta_cols, ns.cols_logit, "column")
+    rows = MarginalLogits(eta_rows, ns.rows_logit)
+    cols = MarginalLogits(eta_cols, ns.cols_logit)
     try:
         pi = reconstruct(rows, cols, gamma, fam=fam)
     except ReconstructionError as exc:
@@ -497,21 +505,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, with_table=True):
+    def common(p, with_table=True, with_logits=True):
         if with_table:
             p.add_argument(
                 "input",
                 metavar="TABLE",
                 help="counts file, or a bundled dataset name: " + ", ".join(dataset_names()),
             )
-        for flag, margin in (("--rows-logit", "row"), ("--cols-logit", "column")):
-            p.add_argument(
-                flag,
-                type=_logit,
-                choices=list("LGCR"),
-                default="G",
-                help=f"{margin} logit type (any case)",
-            )
+        if with_logits:
+            for flag, margin in (("--rows-logit", "row"), ("--cols-logit", "column")):
+                p.add_argument(
+                    flag,
+                    type=_logit,
+                    choices=list("LGCR"),
+                    default="G",
+                    help=f"{margin} logit type (any case)",
+                )
         p.add_argument(
             "--lambda",
             dest="lam",
@@ -520,7 +529,6 @@ def build_parser():
             help="Cressie-Read power; 0 selects the Kullback-Leibler link",
         )
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", type=int, default=0, help="seed recorded with the run")
 
     def model(p):
         p.add_argument("--rank", type=_int_at_least(0), default=1, help="interaction rank bound K")
@@ -538,7 +546,7 @@ def build_parser():
     p_fit.set_defaults(run=cmd_fit)
 
     p_sweep = sub.add_parser("sweep", help="fit a lambda grid across logit pairs")
-    common(p_sweep)
+    common(p_sweep, with_logits=False)
     model(p_sweep)
     p_sweep.add_argument(
         "--lambda-grid",
@@ -557,16 +565,15 @@ def build_parser():
     p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel fit processes")
     p_sweep.set_defaults(run=cmd_sweep)
 
-    # reconstruct and check fit no model; their spec records rank 1, no constraints
     p_rec = sub.add_parser("reconstruct", help="rebuild a table from logits and interactions")
     common(p_rec, with_table=False)
     p_rec.add_argument("--row-logits", dest="row_logits_file", required=True, metavar="FILE")
     p_rec.add_argument("--col-logits", dest="col_logits_file", required=True, metavar="FILE")
     p_rec.add_argument("--gamma", dest="gamma_file", required=True, metavar="FILE")
-    p_rec.set_defaults(run=cmd_reconstruct, rank=1, constraint=[])
+    p_rec.set_defaults(run=cmd_reconstruct)
 
     p_check = sub.add_parser("check", help="dependence report for an observed table")
-    common(p_check)
+    common(p_check, with_logits=False)
     p_check.add_argument(
         "--pair",
         type=_pair,
@@ -574,18 +581,11 @@ def build_parser():
         metavar="XY",
         help="logit pair (repeatable; default GG)",
     )
-    p_check.set_defaults(run=cmd_check, rank=1, constraint=[])
+    p_check.set_defaults(run=cmd_check)
 
     p_ce = sub.add_parser("counterexamples", help="verify the built-in sign-claim tables")
     p_ce.add_argument("--only", choices=list(counterexample_names()), default=None)
     p_ce.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
-    p_ce.add_argument(
-        "--json",
-        dest="fmt",
-        action="store_const",
-        const="json",
-        help="shorthand for --format json",
-    )
     p_ce.set_defaults(run=cmd_counterexamples)
 
     return parser

@@ -64,7 +64,7 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from . import kernels
 from .divergence import DivergenceFamily
@@ -294,13 +294,6 @@ class ModelSpec:
         ):
             return False
         return True
-
-    def describe(self):
-        cons = ",".join(c.name for c in self.linear_constraints) or "none"
-        return (
-            f"{self.pair[0].value}{self.pair[1].value} "
-            f"{self.family} K={self.rank} constraints={cons}"
-        )
 
 
 @dataclass(frozen=True)
@@ -690,7 +683,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     else:
         ws, h, dof = last
     dev = _deviance(y2d, ws.pi2d)
-    pval = float(chi2.sf(dev, dof)) if dof > 0 else float("nan")
+    pval = float(chdtrc(dof, dev)) if dof > 0 else float("nan")
     return FitResult(
         theta_hat=ws.theta,
         pi_hat=ws.pi2d.copy(),

@@ -10,6 +10,11 @@ and the log-odds ratio eta[i, j] is the same contrast with log of the joint
 event probabilities (the marginal factors cancel).  Under the KL family the
 two coincide exactly.  All 16 logit-type pairs are supported; the pair may
 be given explicitly or default to the table's own margin types.
+
+A table's results carry their logit types: ``InteractionMatrix`` holds the
+values and the pair, ``MarginalLogits`` the values and the margin's type.
+The batched functions return plain arrays.  Derivatives are taken in
+``kernels``, which the fitter calls directly.
 """
 
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .divergence import DivergenceFamily, kl
+from .divergence import kl
 from .table import LogitType
 
 __all__ = [
@@ -27,7 +32,6 @@ __all__ = [
     "table_logits",
     "gamma_matrix",
     "lor_matrix",
-    "gamma_jacobian",
     "gamma_matrix_batch",
     "lor_matrix_batch",
 ]
@@ -35,15 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """(I1-1, I2-1) association values for one logit pair.
-
-    ``scale`` is the divergence family whose link produced the values, or
-    None for a plain log-odds-ratio matrix.
-    """
+    """(I1-1, I2-1) association values for one logit pair."""
 
     values: np.ndarray
     pair: tuple[LogitType, LogitType]
-    scale: DivergenceFamily | None
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -53,21 +52,6 @@ class InteractionMatrix:
             self, "pair", (LogitType.parse(self.pair[0]), LogitType.parse(self.pair[1]))
         )
 
-    @property
-    def row_logit(self):
-        return self.pair[0]
-
-    @property
-    def col_logit(self):
-        return self.pair[1]
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def __getitem__(self, key):
-        return self.values[key]
-
 
 @dataclass(frozen=True)
 class MarginalLogits:
@@ -75,15 +59,12 @@ class MarginalLogits:
 
     values: np.ndarray
     logit_type: LogitType
-    margin: str = "row"
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "logit_type", LogitType.parse(self.logit_type))
-        if self.margin not in ("row", "column"):
-            raise ValueError(f"margin must be 'row' or 'column', got {self.margin!r}")
 
     def __len__(self):
         return self.values.shape[0]
@@ -103,21 +84,21 @@ def _resolve_pair(table, l1, l2):
     return row, col
 
 
-def marginal_logits(margin, logit_type, which="row"):
+def marginal_logits(margin, logit_type):
     """Marginal logits of a probability vector under one logit type."""
     margin = np.asarray(margin, dtype=np.float64)
     _check_positive(margin, "marginal probabilities")
     lt = LogitType.parse(logit_type)
     values = kernels.marginal_logit_values(margin, lt.code)
-    return MarginalLogits(values, lt, which)
+    return MarginalLogits(values, lt)
 
 
 def table_logits(table, l1=None, l2=None):
     """(row, column) marginal logits of a table."""
     row, col = _resolve_pair(table, l1, l2)
     return (
-        marginal_logits(table.row_margin(), row, "row"),
-        marginal_logits(table.col_margin(), col, "column"),
+        marginal_logits(table.row_margin(), row),
+        marginal_logits(table.col_margin(), col),
     )
 
 
@@ -127,7 +108,7 @@ def gamma_matrix(table, l1=None, l2=None, fam=None):
     row, col = _resolve_pair(table, l1, l2)
     _check_positive(table.probs, "cell probabilities")
     values = kernels.gamma_values(table.probs, row.code, col.code, fam.lam)
-    return InteractionMatrix(values, (row, col), fam)
+    return InteractionMatrix(values, (row, col))
 
 
 def lor_matrix(table, l1=None, l2=None):
@@ -135,20 +116,7 @@ def lor_matrix(table, l1=None, l2=None):
     row, col = _resolve_pair(table, l1, l2)
     _check_positive(table.probs, "cell probabilities")
     values = kernels.lor_values(table.probs, row.code, col.code)
-    return InteractionMatrix(values, (row, col), None)
-
-
-def gamma_jacobian(table, l1=None, l2=None, fam=None):
-    """Derivative of vec(gamma) with respect to vec(pi), both C-ordered.
-
-    Shape ``((I1-1)(I2-1), I1*I2)``.  Table entries are treated as free
-    coordinates; differentiating through a normalized parametrization is
-    the caller's chain-rule step.
-    """
-    fam = fam or kl()
-    row, col = _resolve_pair(table, l1, l2)
-    _check_positive(table.probs, "cell probabilities")
-    return kernels.gamma_jacobian_values(table.probs, row.code, col.code, fam.lam)
+    return InteractionMatrix(values, (row, col))
 
 
 def gamma_matrix_batch(pis, l1, l2, fam=None):

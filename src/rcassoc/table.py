@@ -129,11 +129,6 @@ class ContingencyTable:
     def shape(self):
         return self.probs.shape
 
-    @property
-    def n(self):
-        """Total count, or None for a pure probability table."""
-        return None if self.counts is None else float(self.counts.sum())
-
     def row_margin(self):
         return self.probs.sum(axis=1)
 

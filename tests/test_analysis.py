@@ -159,7 +159,7 @@ def test_reconstruct_matches_plackett_closed_form():
         feasible = [x for x in roots if lo < x < hi]
         assert len(feasible) == 1
         rows = marginal_logits(np.array([r1, 1 - r1]), "L")
-        cols = marginal_logits(np.array([c1, 1 - c1]), "L", "column")
+        cols = marginal_logits(np.array([c1, 1 - c1]), "L")
         pi = reconstruct(rows, cols, np.array([[np.log(psi)]]))
         assert pi[0, 0] == pytest.approx(feasible[0], abs=1e-9)
         np.testing.assert_allclose(pi.sum(axis=1), [r1, 1 - r1], atol=1e-9)

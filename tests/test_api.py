@@ -1,10 +1,16 @@
-"""The top-level public surface and the README library example that uses it."""
+"""The top-level public surface, the README examples that use it, and what
+importing the command line costs."""
 
 import ast
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import rcassoc
+from rcassoc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -40,7 +46,6 @@ PUBLIC = {
     "svd_scores",
     "theta_from_prob",
     "TableParseError",
-    "LinkDomainError",
     "PivotError",
     "ReconstructionError",
     "DegenerateScoreError",
@@ -84,3 +89,33 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
+
+
+def _readme_commands():
+    """Every ``rcassoc ...`` command of the README's shell blocks as an argv,
+    continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rcassoc ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "fit", "sweep", "check", "reconstruct", "counterexamples"
+    }
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: rcassoc {shlex.join(argv)}")
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import, longer than the fits the
+    # CLI runs; the p-value comes from scipy.special
+    code = "import sys, rcassoc.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -129,6 +129,20 @@ def test_fit_boundary_maximum_exits_3(capsys, tmp_path):
     assert cell["message"] == payload["fit"]["message"]
 
 
+def test_fit_stalled_away_from_feasibility_exits_3(capsys, tmp_path):
+    # a zero-count table whose LL maximum lies on the boundary of the
+    # simplex; see test_fit_stopped_away_from_feasibility_is_not_converged
+    path = tmp_path / "stall.txt"
+    path.write_text("161 4 36 12\n0 67 0 38\n121 54 158 74\n")
+    code, payload, _ = run_json(
+        capsys, "fit", str(path), "--rows-logit", "L", "--cols-logit", "L", "--lambda=0"
+    )
+    assert code == 3
+    assert payload["fit"]["converged"] is False
+    assert payload["fit"]["message"] == "line search stalled away from feasibility"
+    assert payload["fit"]["constraint_norm"] > 1e-7
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "mobility", "--lambda-grid=-0.12:0.04:0.04", "--pair", "GG"
@@ -425,7 +439,7 @@ def test_counterexamples_text(capsys):
 
 
 def test_counterexamples_only_json(capsys):
-    code, payload, _ = run_json(capsys, "counterexamples", "--only", "cc", "--json")
+    code, payload, _ = run_json(capsys, "counterexamples", "--only", "cc", "--format", "json")
     assert code == 0
     assert payload["passed"] is True
     assert len(payload["records"]) == 1
@@ -454,9 +468,43 @@ def test_counterexamples_failure_exits_4(capsys, monkeypatch):
     assert out.startswith("FAIL ll:")
 
 
-def test_seed_is_recorded(capsys):
-    _, payload, _ = run_json(capsys, "fit", "mobility", "--seed", "7")
-    assert payload["spec"]["seed"] == 7
+def test_spec_records_each_subcommands_own_options(capsys, tmp_path):
+    _, payload, _ = run_json(capsys, "fit", "mobility", "--lambda=-0.04", "--rank", "2")
+    assert payload["spec"] == {
+        "command": "fit", "row_logit": "G", "col_logit": "G", "lambda": -0.04, "rank": 2,
+        "constraints": [], "format": None, "input": "mobility",
+    }
+    _, payload, _ = run_json(capsys, "sweep", "mobility", "--pair", "GG", "--format", "json")
+    assert payload["spec"] == {
+        "command": "sweep", "lambda": 0.0, "rank": 1, "constraints": [], "format": "json",
+        "input": "mobility", "lambda_grid": None, "pairs": ["GG"],
+    }
+    _, payload, _ = run_json(capsys, "check", "mobility")
+    assert payload["spec"] == {
+        "command": "check", "lambda": 0.0, "format": None, "input": "mobility", "pairs": None,
+    }
+    rfile = tmp_path / "r.txt"
+    rfile.write_text("0.0\n")
+    _, payload, _ = run_json(
+        capsys, "reconstruct", "--row-logits", str(rfile), "--col-logits", str(rfile),
+        "--gamma", str(rfile),
+    )
+    assert payload["spec"] == {
+        "command": "reconstruct", "row_logit": "G", "col_logit": "G", "lambda": 0.0,
+        "format": None,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "mobility", "--seed", "7"),
+    ("sweep", "mobility", "--rows-logit", "L"),
+    ("check", "mobility", "--cols-logit", "C"),
+    ("counterexamples", "--json"),
+])
+def test_options_that_change_nothing_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_logit_letters_take_any_case(capsys):

@@ -146,7 +146,7 @@ def test_probs_are_frozen(mobility):
 
 
 def test_margins_and_n(mobility, mobility_counts):
-    assert mobility.n == 3500
+    assert mobility.counts.sum() == 3500
     np.testing.assert_allclose(mobility.row_margin().sum(), 1.0, atol=1e-14)
     np.testing.assert_allclose(
         mobility.probs, mobility_counts / mobility_counts.sum(), atol=1e-15
