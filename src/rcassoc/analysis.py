@@ -282,9 +282,10 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
     margin, and Newton steps on the LL optimality conditions.  The table is
     returned only when the invariants recomputed from it by the kernels are
     within 1e-9 of the target in the max norm.  Raises ValueError on
-    non-finite targets, and ReconstructionError, which carries a positive
-    residual, when the target is not attainable: the error names the cut,
-    the gamma column or the cell that rules it out.
+    non-finite targets and on an InteractionMatrix of another pair than the
+    logits', and ReconstructionError, which carries a positive residual,
+    when the target is not attainable: the error names the cut, the gamma
+    column or the cell that rules it out.
     """
     fam = fam or kl()
     if not isinstance(row_logits, MarginalLogits) or not isinstance(col_logits, MarginalLogits):
@@ -304,6 +305,11 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
     if not np.isfinite(target).all():
         raise ValueError("reconstruction targets must be finite")
     pair = (row_logits.logit_type, col_logits.logit_type)
+    if isinstance(gamma_target, InteractionMatrix) and gamma_target.pair != pair:
+        raise ValueError(
+            f"gamma target is for pair {''.join(gamma_target.pair)} "
+            f"but the logits are of pair {''.join(pair)}"
+        )
     rows = margin_from_logits(row_logits.values, pair[0])
     cols = margin_from_logits(col_logits.values, pair[1])
     if pair == (LogitType.LOCAL, LogitType.LOCAL):

@@ -9,7 +9,8 @@ Flag defaults and input checks live in ``build_parser``, on the flags and
 in their ``type=`` callables, and each subcommand dispatches through
 ``set_defaults(run=...)``.  Each subcommand takes only the options it
 reads: ``sweep`` and ``check`` take their logit pairs from ``--pair``, not
-from ``--rows-logit``/``--cols-logit``.  Every payload but the
+from ``--rows-logit``/``--cols-logit``, and ``sweep`` takes one of
+``--lambda`` and ``--lambda-grid``.  Every payload but the
 counterexamples' records a ``spec`` of the subcommand and its options.
 ``--format``, ``--pair`` and ``--lambda-grid`` default to None, so the spec
 shows whether they were given; each handler then picks its own output
@@ -334,10 +335,12 @@ def _sweep_cell(args):
 def cmd_sweep(ns):
     """Fit every (pair, lambda) cell; failures are recorded, exit stays 0.
 
-    CSV rows hold pair, lambda, deviance, dof and converged; JSON rows add
-    the fit's iterations, line-search merit evaluations and stop message,
-    and ``error`` (exception type and text) for a cell whose fit raised,
-    which is null otherwise.
+    The lambdas are the ``--lambda-grid`` points, or else the one
+    ``--lambda``; the parser rejects both together.  CSV rows hold pair,
+    lambda, deviance, dof and converged; JSON rows add the fit's
+    iterations, line-search merit evaluations and stop message, and
+    ``error`` (exception type and text) for a cell whose fit raised, which
+    is null otherwise.
     """
     table = _load_table(ns)
     counts = np.asarray(table.counts, dtype=np.float64)
@@ -505,7 +508,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, with_table=True, with_logits=True):
+    def common(p, with_table=True, with_logits=True, lam_flags=None):
         if with_table:
             p.add_argument(
                 "input",
@@ -521,7 +524,7 @@ def build_parser():
                     default="G",
                     help=f"{margin} logit type (any case)",
                 )
-        p.add_argument(
+        (lam_flags or p).add_argument(
             "--lambda",
             dest="lam",
             type=float,
@@ -546,9 +549,11 @@ def build_parser():
     p_fit.set_defaults(run=cmd_fit)
 
     p_sweep = sub.add_parser("sweep", help="fit a lambda grid across logit pairs")
-    common(p_sweep, with_logits=False)
+    # one lambda or a grid of them: given both, argparse exits 2 naming both
+    lam_flags = p_sweep.add_mutually_exclusive_group()
+    common(p_sweep, with_logits=False, lam_flags=lam_flags)
     model(p_sweep)
-    p_sweep.add_argument(
+    lam_flags.add_argument(
         "--lambda-grid",
         type=_grid,
         default=None,

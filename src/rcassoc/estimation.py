@@ -41,26 +41,24 @@ direction' F direction - lambda' h and H' direction = -h, f'(0) is at least
 direction' F direction / n + (mu - ||lambda||_inf / n) ||h||_1, so each
 iteration takes mu = max(previous mu, 2 ||lambda||_inf / n) and the step is
 an ascent direction of f wherever the iterate is not stationary.  The
-search tries the unit step first, as Nocedal & Wright (ch. 3) advise for
-Newton-type steps, and takes it when f(1) > f(0) and
-f(1) - f(0) >= f'(0) / 2, that is when the quadratic through f(0), f'(0)
-and f(1) peaks at or beyond t = 1.  Otherwise it fits a cubic through
-f(0), f'(0) and the probes t = 1/4 and 1/2 and tries its maximizer.  It
-stops as soon as no step can gain (the backtracking rule of Nocedal &
-Wright, ch. 3): it halves t from 1 only along an ascent direction,
-f'(0) > 0, and only while the predicted gain t f'(0) exceeds a few ulps of
-max(1, |f(0)|); the fit then ends.  Deflation pivots are frozen for one
-outer iteration so h stays smooth along the search path.  A workspace
-computes the marginal logits and the jacobians only when they are first
-read, so line-search trial points, which need only h and the
-log-likelihood, never build them; the accepted trial point's workspace is
-the next iteration's, so an iteration whose unit step is taken builds one
-workspace.
+search tries the unit step first, as Nocedal & Wright (2006, sec. 3.5)
+advise for Newton-type steps, and takes it when f(1) > f(0) and
+f(1) - f(0) >= f'(0) / 4, that is when the quadratic through f(0), f'(0)
+and f(1) peaks at t >= 2/3.  Otherwise it backtracks from that peak,
+floored at t = 1/2, by halving (Dennis & Schnabel 1983, Alg. A6.3.1).  It
+stops as soon as no step can gain: at once when f'(0) <= 0, and once the
+predicted gain t f'(0) falls to a few ulps of max(1, |f(0)|); the fit then
+ends.  Deflation pivots are frozen for one outer iteration so h stays
+smooth along the search path.  A workspace computes the marginal logits
+and the jacobians only when they are first read, so line-search trial
+points, which need only h and the log-likelihood, never build them; the
+accepted trial point's workspace is the next iteration's, so an iteration
+whose unit step is taken builds one workspace.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -491,31 +489,6 @@ def _multiplier_step(s, h, jac, n, pi, warn):
     return _info_solve(n, pi, resid - lam_h @ kept), lam, resid, rank
 
 
-def _cubic_local_max(f0, fp0, f14, f12):
-    """Interior local maximizer of the cubic through f(0), f'(0), f(1/4), f(1/2).
-
-    Returns None when the fitted cubic has no local maximum at t > 0.
-    """
-    if not np.all(np.isfinite([f0, fp0, f14, f12])):
-        return None
-    rhs = np.array([f14 - f0 - fp0 / 4.0, f12 - f0 - fp0 / 2.0])
-    m = np.array([[1.0 / 64.0, 1.0 / 16.0], [1.0 / 8.0, 1.0 / 4.0]])
-    a, b = np.linalg.solve(m, rhs)
-    if abs(a) < 1e-12 * max(1.0, abs(b), abs(fp0)):
-        # effectively quadratic
-        if b >= 0:
-            return None
-        t = -fp0 / (2.0 * b)
-        return t if t > 0 else None
-    disc = b * b - 3.0 * a * fp0
-    if disc < 0:
-        return None
-    root = np.sqrt(disc)
-    # local max where the second derivative 6 a t + 2 b is negative
-    t = (-b - root) / (3.0 * a) if a > 0 else (-b + root) / (3.0 * a)
-    return t if t > 0 else None
-
-
 def _objective(ws, y, plan, mu):
     """The merit y' log pi / n - mu ||h||_1 at the workspace ``ws``, or -inf
     where it is not finite."""
@@ -589,8 +562,9 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     Every step is line-searched on the merit f = y' log pi / n - mu ||h||_1,
     mu = max(previous mu, 2 ||lambda||_inf / n) with lambda the step's
     multipliers; there is no restoration phase.  The search (``_search``)
-    tries the unit step first and falls back to the cubic probes.  Each
-    trial point's workspace is kept, and the accepted one becomes the next
+    tries the unit step first and otherwise halves from the peak of the
+    quadratic through f(0), f'(0) and f(1), floored at 1/2.  Each trial
+    point's workspace is kept, and the accepted one becomes the next
     iterate's, so no workspace is built twice at one theta.
     ``FitResult.evaluations`` counts the merit evaluations of all searches.
     When the search finds no step, the fit stops as "converged
@@ -708,27 +682,26 @@ def _search(f0, fp0, feval):
     """Step length t in (0, 1] with feval(t) > f0, or None when no step can gain.
 
     Tries the unit step first and takes it when f(1) > f0 and
-    f(1) - f0 >= fp0 / 2, that is when the quadratic through f0, fp0 and
-    f(1) peaks at or beyond t = 1.  Otherwise tries the cubic probes, then
-    halves from t = 1 while the predicted gain t * fp0 stays above
-    _GAIN_ULPS ulps of max(1, |f0|): below that a rise of f is rounding
-    noise, and with fp0 <= 0 no small step can rise, so the search ends
-    after the probes.  No t is evaluated twice.
+    f(1) - f0 >= fp0 / 4, that is when the quadratic through f0, fp0 and
+    f(1) peaks at t >= 2/3 (Nocedal & Wright 2006, sec. 3.5).  Otherwise,
+    along an ascent direction, tries that peak, floored at t = 1/2, and
+    halves it while the predicted gain t * fp0 stays above _GAIN_ULPS ulps
+    of max(1, |f0|) (Dennis & Schnabel 1983, Alg. A6.3.1): below that a
+    rise of f is rounding noise.  With fp0 <= 0 no small step can rise, so
+    the search ends after the unit step.  The trial sequence 1, t, t/2, ...
+    never repeats a value.
     """
-    f = cache(feval)
-    f1 = f(1.0)
-    if f1 > f0 and f1 - f0 >= fp0 / 2.0:
+    f1 = feval(1.0)
+    if f1 > f0 and f1 - f0 >= fp0 / 4.0:
         return 1.0
-    t_cubic = _cubic_local_max(f0, fp0, f(0.25), f(0.5))
-    if t_cubic is not None:
-        t_cubic = min(t_cubic, 1.0)
-        if f(t_cubic) > f0:
-            return t_cubic
+    if fp0 <= 0.0:
+        return None
+    # the quadratic's peak, below 2/3 here: f1 - f0 < fp0 / 4 or f1 <= f0,
+    # so the denominator is positive, and f1 = -inf gives 0
+    t = max(0.5, fp0 / (2.0 * (fp0 - (f1 - f0))))
     floor = _GAIN_ULPS * np.finfo(np.float64).eps * max(1.0, abs(f0))
-    t = 1.0
-    while True:
-        if f(t) > f0:
+    while t > 2.0**-40 and t * fp0 > floor:
+        if feval(t) > f0:
             return t
         t *= 0.5
-        if not (t > 2.0**-40 and t * fp0 > floor):
-            return None
+    return None

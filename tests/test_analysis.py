@@ -254,6 +254,16 @@ def test_reconstruct_names_the_unattainable_cut_or_cell(mobility):
     assert exc.value.residual_norm > 0
 
 
+def test_reconstruct_rejects_gamma_of_another_pair(mobility):
+    # LL interactions are not GG ones: they must not be read as GG values
+    rows, cols, gg = extract_invariants(mobility)
+    _, _, ll = extract_invariants(ContingencyTable(mobility.probs, "L", "L"))
+    with pytest.raises(ValueError, match="is for pair LL but the logits are of pair GG"):
+        reconstruct(rows, cols, ll)
+    # plain arrays carry no pair and are taken as the logits' pair
+    np.testing.assert_allclose(reconstruct(rows, cols, gg.values), reconstruct(rows, cols, gg))
+
+
 def test_reconstruct_failure_carries_residual(mobility):
     # under lam = 1 the LL margin equations for gamma + 0.3 have no solution
     # with every cell positive; the error names the cell driven to 0

@@ -178,6 +178,24 @@ def test_sweep_grid_never_exceeds_its_max(capsys, monkeypatch):
     assert lambdas["-1:1:0.04"][0] == -1.0 and lambdas["-1:1:0.04"][-1] == 1.0
 
 
+def test_sweep_takes_one_lambda_or_a_grid(capsys, monkeypatch):
+    # given both, the sweep exits 2 naming both flags and fits nothing;
+    # --lambda alone is a one-point grid
+    def no_fit(table, spec):
+        raise ValueError("not fitted")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    argv = ("sweep", "mobility", "--pair", "GG", "--lambda", "0.5", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--lambda-grid=0:0:1")
+    assert code == 2 and out == ""
+    assert "argument --lambda-grid: not allowed with argument --lambda" in err
+
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert [c["lambda"] for c in payload["cells"]] == [0.5]
+    assert payload["spec"]["lambda"] == 0.5 and payload["spec"]["lambda_grid"] is None
+
+
 def test_sweep_parallel_matches_serial(capsys):
     argv = ["sweep", "mobility", "--lambda-grid=-0.08:0.0:0.04", "--pair", "GG", "--pair", "LL"]
     _, serial, _ = run_cli(capsys, *argv)

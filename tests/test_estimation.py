@@ -31,7 +31,6 @@ from rcassoc import (
 from rcassoc.estimation import (
     _GAIN_ULPS,
     Custom,
-    _cubic_local_max,
     _info_solve,
     _linear_system,
     _multiplier_step,
@@ -270,25 +269,8 @@ def test_line_search_accepts_first_direction(mobility_counts):
     assert merit(theta0 + t * direction) > merit(theta0)
 
 
-def test_cubic_local_max_by_hand():
-    # f(t) = t^3 - 2.7 t^2 + 1.35 t has a local maximum at t = 0.3
-    def f(t):
-        return t**3 - 2.7 * t**2 + 1.35 * t
-
-    t = _cubic_local_max(f(0.0), 1.35, f(0.25), f(0.5))
-    assert t == pytest.approx(0.3, abs=1e-9)
-
-
-def test_cubic_local_max_declines_when_absent():
-    # increasing cubic: no interior maximum
-    def f(t):
-        return t**3 + t
-
-    assert _cubic_local_max(f(0.0), 1.0, f(0.25), f(0.5)) is None
-
-
 def test_search_clips_to_unit_step():
-    # concave quadratic with maximum at t = 2: cubic fit proposes 2, clipped to 1
+    # concave quadratic with maximum at t = 2: the unit step is taken
     def f(t):
         return t - 0.25 * t * t
 
@@ -306,20 +288,21 @@ def _counted(f):
 
 
 def test_search_takes_unit_step_after_one_evaluation():
-    # concave, peaking at t = 4/3: the quadratic through f(0), f'(0), f(1)
-    # peaks beyond 1, so t = 1 is taken without the cubic probes
-    feval, ts = _counted(lambda t: t - 0.375 * t * t)
-    assert _search(0.0, 1.0, feval) == 1.0
-    assert ts == [1.0]
+    # concave, peaking at t = 4/3 and at t = 5/6: f(1) >= f'(0)/4, so the
+    # quadratic through f(0), f'(0), f(1) peaks at t >= 2/3 and t = 1 is
+    # taken after one evaluation
+    for curvature in (0.375, 0.6):
+        feval, ts = _counted(lambda t: t - curvature * t * t)
+        assert _search(0.0, 1.0, feval) == 1.0
+        assert ts == [1.0]
 
 
-def test_search_rise_at_unit_step_short_of_half_slope_probes():
-    # f(1) = 0.4 rises but falls short of f'(0)/2 = 0.5: the peak is at 5/6,
-    # which the cubic probes find; each t is evaluated once
-    feval, ts = _counted(lambda t: t - 0.6 * t * t)
-    assert _search(0.0, 1.0, feval) == pytest.approx(5.0 / 6.0)
-    assert ts[:3] == [1.0, 0.25, 0.5]
-    assert len(ts) == 4 and len(ts) == len(set(ts)), ts
+def test_search_rise_at_unit_step_short_of_quarter_slope_tries_the_peak():
+    # f(1) = 0.1 rises but falls short of f'(0)/4 = 0.25: the quadratic
+    # through f(0), f'(0) and f(1) is f itself, and its peak 5/9 is tried next
+    feval, ts = _counted(lambda t: t - 0.9 * t * t)
+    assert _search(0.0, 1.0, feval) == pytest.approx(5.0 / 9.0)
+    assert ts == [1.0, pytest.approx(5.0 / 9.0)]
 
 
 @pytest.mark.parametrize(
@@ -327,25 +310,24 @@ def test_search_rise_at_unit_step_short_of_half_slope_probes():
     [
         (lambda t: -t, -1.0),
         (lambda t: -t * t, 0.0),
-        # the cubic probes propose t = 1/3, which does not rise either
+        # a cubic whose slope -(3t - 1)^2 touches 0 at t = 1/3 and never rises
         (lambda t: -t + 3.0 * t * t - 3.0 * t**3, -1.0),
     ],
     ids=["descent", "flat-slope", "cubic-proposal"],
 )
 def test_search_off_ascent_gives_up_after_unit_step(f, fp0):
-    # with f'(0) <= 0 no small step can rise: the cubic probes and t = 1 only
+    # with f'(0) <= 0 no small step can rise: t = 1 only
     feval, ts = _counted(f)
     assert _search(f(0.0), fp0, feval) is None
-    assert len(ts) <= 4
-    assert min(ts) == 0.25
+    assert ts == [1.0]
 
 
 @pytest.mark.parametrize(
     "f, expected",
     [
-        # the cubic proposal is clipped to 1, where f falls; halving then meets t = 1/2
+        # f falls at t = 1, so the quadratic's peak 1/4 is clipped up to t = 1/2
         (lambda t: t * (1.0 - 0.1 * t) if t <= 0.6 else -1.0, 0.5),
-        # the probes and t = 1 miss a rise that only halving below 1/4 finds
+        # t = 1 misses a rise that only halving below 1/1000 finds
         (lambda t: t if t < 1e-3 else -1.0, 2.0**-10),
     ],
     ids=["clipped-proposal", "small-rise"],
@@ -357,7 +339,7 @@ def test_search_evaluates_each_step_once(f, expected):
 
 
 def test_search_finds_small_rise_on_ascent():
-    # f rises only for t < 1e-3; the cubic probes miss it and halving finds it
+    # f rises only for t < 1e-3; the unit step misses it and halving finds it
     def f(t):
         return t if t < 1e-3 else -1.0
 
@@ -592,6 +574,18 @@ def test_fit_ends_near_polished_optimum(case, mobility_counts, polished):
     assert gap <= 2.0 * tol_rel * (abs(result.loglik) + 1.0), gap
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_lambda_one_pairs_reach_one_deviance(mobility_counts, rank):
+    # with F(u) = u - 1 every pair's gamma is a linear image of pi - r c',
+    # so all 16 pairs define one rank-K model and must end at one maximum
+    results = [
+        fit(mobility_counts, _spec(rank, lam=1.0, pair=(a, b))) for a in "LGCR" for b in "LGCR"
+    ]
+    assert all(r.converged for r in results)
+    deviances = [r.deviance for r in results]
+    assert max(deviances) - min(deviances) <= 1e-5, deviances
+
+
 def test_duplicate_constraint_warns_and_matches(mobility_counts):
     single = fit(mobility_counts, _spec(1, (MarginalHomogeneity(),)))
     with pytest.warns(RedundantConstraintWarning):
@@ -690,9 +684,9 @@ def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
 def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     # jacobians are built once per outer iteration, never at line-search
     # trial points, and the converged result reuses the last iterate's; one
-    # R-only QR per outer iteration; line searches that cannot gain stop
-    # early, so at most five workspaces per outer iteration; the linear
-    # constraint matrix is built once per fit
+    # R-only QR per outer iteration; the only workspaces are the start and
+    # one per merit evaluation, so none is built outside the line search;
+    # the linear constraint matrix is built once per fit
     calls = {"jacobian": 0, "workspace": 0, "coefficients": 0}
     qr_modes = []
     qr = scipy.linalg.qr
@@ -723,7 +717,7 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     assert calls["jacobian"] == result.iterations
     assert qr_modes == ["r"] * result.iterations
     assert calls["coefficients"] == 1
-    assert calls["workspace"] <= 5 * result.iterations, (calls, result.iterations)
+    assert calls["workspace"] == 1 + result.evaluations, (calls, result.evaluations)
 
 
 def test_custom_matches_named_constraint(mobility_counts):
