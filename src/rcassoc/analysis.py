@@ -267,10 +267,11 @@ def margin_from_logits(values, logit_type):
     return np.array(m) / total
 
 
-def extract_invariants(table, l1=None, l2=None, fam=None):
-    """(row logits, column logits, gamma) of a table; reconstruct's inverse."""
-    rows, cols = table_logits(table, l1, l2)
-    g = gamma_matrix(table, l1, l2, fam)
+def extract_invariants(table, fam=None):
+    """(row logits, column logits, gamma) of a table under its own logit pair;
+    reconstruct's inverse."""
+    rows, cols = table_logits(table)
+    g = gamma_matrix(table, fam=fam)
     return rows, cols, g
 
 
@@ -324,11 +325,10 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
         cell = float(pi[r, c])
         raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
     pi = pi / pi.sum()
-    codes = (pair[0].code, pair[1].code)
     got = np.concatenate([
-        kernels.marginal_logit_values(pi.sum(axis=1), codes[0]),
-        kernels.marginal_logit_values(pi.sum(axis=0), codes[1]),
-        kernels.gamma_values(pi, *codes, fam.lam).ravel(),
+        kernels.marginal_logit_values(pi.sum(axis=1), pair[0]),
+        kernels.marginal_logit_values(pi.sum(axis=0), pair[1]),
+        kernels.gamma_values(pi, *pair, fam.lam).ravel(),
     ])
     miss = float(np.abs(got - target).max())
     if not miss <= _RECONSTRUCT_TOL:
@@ -897,7 +897,7 @@ def _order_flags(pi):
             collapsed = False
             break
     # global-logit quadrants: P(col > j | row > i) against P(col > j | row <= i)
-    p, p_row, _ = kernels.quadrant_values(pi, kernels.LOGIT_G, kernels.LOGIT_G)
+    p, p_row, _ = kernels.quadrant_values(pi, "G", "G")
     s1 = p[1, :, 1, :] / p_row[1][:, None]
     s0 = p[0, :, 1, :] / p_row[0][:, None]
     qd = bool(np.all(s1 - s0 >= -_SIGN_TOL))

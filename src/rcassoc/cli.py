@@ -11,7 +11,8 @@ in their ``type=`` callables, and each subcommand dispatches through
 reads: ``sweep`` and ``check`` take their logit pairs from ``--pair``, not
 from ``--rows-logit``/``--cols-logit``, and ``sweep`` takes one of
 ``--lambda`` and ``--lambda-grid``.  Every payload but the
-counterexamples' records a ``spec`` of the subcommand and its options.
+counterexamples' records a ``spec`` of the subcommand and the options it
+read: a sweep given ``--lambda-grid`` records no ``lambda``.
 ``--format``, ``--pair`` and ``--lambda-grid`` default to None, so the spec
 shows whether they were given; each handler then picks its own output
 format, logit pairs and grid.
@@ -358,7 +359,10 @@ def cmd_sweep(ns):
         rows = [_sweep_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r["pair"], r["lambda"]))
     if ns.fmt == "json":
-        _emit({"spec": _spec_payload(ns), "cells": rows}, "json")
+        spec = _spec_payload(ns)
+        if ns.lambda_grid is not None:
+            del spec["lambda"]
+        _emit({"spec": spec, "cells": rows}, "json")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["pair", "lambda", "deviance", "dof", "converged"])
@@ -385,11 +389,6 @@ def cmd_reconstruct(ns):
     eta_rows = _read_vector(ns.row_logits_file)
     eta_cols = _read_vector(ns.col_logits_file)
     gamma = read_numbers(ns.gamma_file)[0]
-    if gamma.shape != (eta_rows.shape[0], eta_cols.shape[0]):
-        raise ValueError(
-            f"gamma is {gamma.shape} but the logit files imply "
-            f"({eta_rows.shape[0]}, {eta_cols.shape[0]})"
-        )
     fam = cressie_read(ns.lam)
     rows = MarginalLogits(eta_rows, ns.rows_logit)
     cols = MarginalLogits(eta_cols, ns.cols_logit)

@@ -17,18 +17,17 @@ _KL_EPS = 1e-8
 
 @dataclass(frozen=True)
 class DivergenceFamily:
-    """One member of the divergence class, identified by ``name`` and ``lam``.
+    """One member of the divergence class, identified by ``lam``.
 
     ``lam`` is 0 exactly for the KL family.
     """
 
-    name: str
     lam: float
 
 
 def kl():
     """Kullback-Leibler family: F = log."""
-    return DivergenceFamily(name="KL", lam=0.0)
+    return DivergenceFamily(lam=0.0)
 
 
 def cressie_read(lam):
@@ -44,4 +43,4 @@ def cressie_read(lam):
         return kl()
     if abs(lam + 1.0) < _KL_EPS:
         raise ValueError("lam = -1 is outside this family; no valid generator")
-    return DivergenceFamily(name=f"CR({lam:g})", lam=lam)
+    return DivergenceFamily(lam=lam)

@@ -106,19 +106,19 @@ class LinearConstraint:
 
     name = "custom"
 
-    def validate(self, shape, spec):
-        pass
-
-    def coefficients(self, shape):
-        """(A, offset) over the invariant vector of a table of ``shape``."""
+    def coefficients(self, shape, pair):
+        """(A, offset) over the invariant vector of a table of ``shape`` with
+        logit types ``pair``; ValueError when the restriction does not fit it."""
         raise NotImplementedError
 
 
-def _require_square_same_logits(shape, spec, name):
+def _square_same_logits(shape, pair, name):
+    """The number of cuts of each margin, after checking that ``name`` fits."""
     if shape[0] != shape[1]:
         raise ValueError(f"{name} requires a square table, got {shape[0]}x{shape[1]}")
-    if spec is not None and spec.pair[0] != spec.pair[1]:
+    if pair[0] != pair[1]:
         raise ValueError(f"{name} requires identical row and column logit types")
+    return shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,8 @@ class MarginalHomogeneity(LinearConstraint):
 
     name = "marginal-homogeneity"
 
-    def validate(self, shape, spec):
-        _require_square_same_logits(shape, spec, self.name)
-
-    def coefficients(self, shape):
-        m = shape[0] - 1
+    def coefficients(self, shape, pair):
+        m = _square_same_logits(shape, pair, self.name)
         return np.hstack([np.eye(m), -np.eye(m), np.zeros((m, m * m))]), np.zeros(m)
 
 
@@ -141,13 +138,10 @@ class MarginalShift(LinearConstraint):
 
     name = "marginal-shift"
 
-    def validate(self, shape, spec):
-        _require_square_same_logits(shape, spec, self.name)
-        if shape[0] < 3:
+    def coefficients(self, shape, pair):
+        m = _square_same_logits(shape, pair, self.name)
+        if m < 2:
             raise ValueError(f"{self.name} needs at least 3 categories")
-
-    def coefficients(self, shape):
-        m = shape[0] - 1
         d = _first_difference(m)
         return np.hstack([d, -d, np.zeros((m - 1, m * m))]), np.zeros(m - 1)
 
@@ -158,11 +152,9 @@ class EqualRowSpacing(LinearConstraint):
 
     name = "equal-row-spacing"
 
-    def validate(self, shape, spec):
+    def coefficients(self, shape, pair):
         if shape[0] < 3:
             raise ValueError(f"{self.name} needs at least 3 row categories")
-
-    def coefficients(self, shape):
         m1, m2 = shape[0] - 1, shape[1] - 1
         a = np.kron(_first_difference(m1), np.eye(m2))
         return np.hstack([np.zeros((len(a), m1 + m2)), a]), np.zeros(len(a))
@@ -174,11 +166,9 @@ class EqualColumnSpacing(LinearConstraint):
 
     name = "equal-column-spacing"
 
-    def validate(self, shape, spec):
+    def coefficients(self, shape, pair):
         if shape[1] < 3:
             raise ValueError(f"{self.name} needs at least 3 column categories")
-
-    def coefficients(self, shape):
         m1, m2 = shape[0] - 1, shape[1] - 1
         a = np.kron(np.eye(m1), _first_difference(m2))
         return np.hstack([np.zeros((len(a), m1 + m2)), a]), np.zeros(len(a))
@@ -207,15 +197,13 @@ class Custom(LinearConstraint):
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "offset", off)
 
-    def validate(self, shape, spec):
+    def coefficients(self, shape, pair):
         width = (shape[0] - 1) + (shape[1] - 1) + (shape[0] - 1) * (shape[1] - 1)
         if self.matrix.shape[1] != width:
             raise ValueError(
                 f"custom constraint matrix has {self.matrix.shape[1]} columns, "
                 f"expected {width} for a {shape[0]}x{shape[1]} table"
             )
-
-    def coefficients(self, shape):
         return self.matrix, self.offset
 
 
@@ -269,12 +257,17 @@ class ModelSpec:
             if not isinstance(c, LinearConstraint):
                 raise TypeError(f"not a linear constraint: {c!r}")
 
-    def validate_shape(self, shape):
+    def linear_system(self, shape):
+        """The linear constraints stacked into one (A, offset) for a table of
+        ``shape``, or None when there are none; ValueError when the rank
+        bound or a constraint does not fit the table."""
         kmax = min(shape) - 1
         if self.rank > kmax:
             raise ValueError(f"rank {self.rank} exceeds the maximum {kmax} for shape {shape}")
-        for c in self.linear_constraints:
-            c.validate(shape, self)
+        if not self.linear_constraints:
+            return None
+        blocks = [c.coefficients(shape, self.pair) for c in self.linear_constraints]
+        return np.vstack([a for a, _ in blocks]), np.concatenate([off for _, off in blocks])
 
     def rank_block_active(self, shape):
         """Whether the deflation residual contributes equations.
@@ -344,20 +337,12 @@ def theta_from_prob(pi):
 # ---------------------------------------------------------------------------
 
 
-def _linear_system(spec, shape):
-    """The linear constraints of ``spec`` stacked into one (A, offset), or
-    None when there are none."""
-    if not spec.linear_constraints:
-        return None
-    blocks = [c.coefficients(shape) for c in spec.linear_constraints]
-    return np.vstack([a for a, _ in blocks]), np.concatenate([off for _, off in blocks])
-
-
 class _Workspace:
     """All quantities needed at one theta: pi and gamma, plus the invariant
     vector [eta_row; eta_col; vec gamma] and its jacobians in theta, which
     are built on first read.  ``linear`` is the stacked (A, offset) of the
-    linear constraints from ``_linear_system``, built once per fit, or None."""
+    linear constraints from ``ModelSpec.linear_system``, built once per fit,
+    or None."""
 
     def __init__(self, theta, spec, shape, linear):
         self.theta = np.asarray(theta, dtype=np.float64)
@@ -366,13 +351,12 @@ class _Workspace:
         self._linear = linear
         self.pi = _softmax(self.theta)
         self.pi2d = self.pi.reshape(shape)
-        self._codes = (spec.pair[0].code, spec.pair[1].code)
-        self._gamma_args = (*self._codes, spec.family.lam)
+        self._gamma_args = (*spec.pair, spec.family.lam)
         self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
 
     def _margins(self):
-        """(row margin, its logit code) and (column margin, its logit code)."""
-        return (self.pi2d.sum(axis=1), self._codes[0]), (self.pi2d.sum(axis=0), self._codes[1])
+        """(row margin, its logit type) and (column margin, its logit type)."""
+        return zip((self.pi2d.sum(axis=1), self.pi2d.sum(axis=0)), self.spec.pair)
 
     @cached_property
     def invariants(self):
@@ -443,8 +427,7 @@ def constraint_eval(p, spec, plan=None):
     H is d-by-k with k the number of stacked equations, i.e. the transpose
     of dh/dtheta.  Pass ``plan`` to freeze the deflation pivots.
     """
-    spec.validate_shape(p.shape)
-    ws = _Workspace(p.theta, spec, p.shape, _linear_system(spec, p.shape))
+    ws = _Workspace(p.theta, spec, p.shape, spec.linear_system(p.shape))
     h, plan = ws.constraints(plan)
     return h, ws.constraint_jacobian(plan).T
 
@@ -532,20 +515,12 @@ def _deviance(y2d, pi2d):
 
 
 def _as_counts(y):
-    if isinstance(y, ContingencyTable):
-        if y.counts is None:
-            raise ValueError("fit needs observed counts, not a probability table")
-        return np.asarray(y.counts, dtype=np.float64)
-    y2d = np.asarray(y, dtype=np.float64)
-    if y2d.ndim != 2:
-        raise ValueError(f"counts must be a 2-d array, got shape {y2d.shape}")
-    if not np.all(np.isfinite(y2d)):
-        raise ValueError("counts must be finite")
-    if np.any(y2d < 0):
-        raise ValueError("counts must be non-negative")
-    if y2d.sum() <= 0:
-        raise ValueError("counts must have a positive total")
-    return y2d
+    """The counts of a table, or of an array checked as ``from_counts`` checks it."""
+    if not isinstance(y, ContingencyTable):
+        y = ContingencyTable.from_counts(y)
+    if y.counts is None:
+        raise ValueError("fit needs observed counts, not a probability table")
+    return y.counts
 
 
 def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
@@ -556,8 +531,8 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     constraint norm falls below ``tol_h``, the relative log-likelihood
     change below ``tol_rel`` and the multiplier residual s - H lambda0 (the
     score left after projecting out the constraint gradients in the F^-1
-    metric) below ``tol_score * n`` in every coordinate, or ``max_iter`` is
-    reached.
+    metric) below ``tol_score * n`` in every coordinate, or until
+    ``max_iter`` iterations have each computed a step.
 
     Every step is line-searched on the merit f = y' log pi / n - mu ||h||_1,
     mu = max(previous mu, 2 ||lambda||_inf / n) with lambda the step's
@@ -571,12 +546,19 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     (stationary)" if the constraints hold to ``tol_h`` and as "line search
     stalled away from feasibility" otherwise.  A cell driven so close to 0
     that the step is not finite (a maximum on the boundary) stops the fit
-    unconverged at the previous iterate, with a message naming the cell.
+    unconverged, with a message naming the cell, and so does a failure of
+    the deflation pivots.
+
+    Every stop reports the latest iterate whose step was computed, with the
+    constraint norm and the constraint rank (the dof) of that step: the
+    converged or stationary iterate, iterate ``max_iter`` when the
+    iterations run out, and the previous iterate when a cell or the pivots
+    fail.  A stop before the first step reports the start, with dof 0 and
+    ``constraint_norm`` NaN, as its constraints were not evaluated.
     """
     y2d = _as_counts(y)
     shape = y2d.shape
-    spec.validate_shape(shape)
-    linear = _linear_system(spec, shape)
+    linear = spec.linear_system(shape)
     yv = y2d.reshape(-1)
     n = yv.sum()
     smoothed = (y2d + 0.5) / (n + y2d.size / 2.0)
@@ -587,9 +569,10 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     message = "maximum iterations reached"
     iterations = 0
     evaluations = 0
-    # (workspace, h, rank) at the latest iterate with a finite step
-    last = None
     ws = _Workspace(theta_from_prob(smoothed), spec, shape, linear)
+    # (workspace, h, rank) of the latest iterate whose step was computed, which
+    # every stop reports; h is None at the start, before any step
+    last = ws, None, 0
     for iterations in range(1, max_iter + 1):
         try:
             h, plan = ws.constraints()
@@ -597,7 +580,6 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
                 jac = ws.constraint_jacobian(plan)
         except PivotError as exc:
             message = f"deflation pivot failure: {exc}"
-            last = None
             break
         # F^-1 divides by each cell, so a subnormal cell overflows it
         if ws.pi.min() < np.finfo(np.float64).tiny or not np.isfinite(jac).all():
@@ -608,7 +590,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             )
             break
         ll = ws.loglik(yv)
-        hnorm = float(np.abs(h).max()) if h.size else 0.0
+        hnorm = float(np.abs(h).max(initial=0.0))
         s0 = ws.score(yv)
         direction, lam, resid, rank = _multiplier_step(
             s0, h, jac, n, ws.pi, warn=(iterations == 1)
@@ -643,19 +625,8 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             break
         ws = trials[t]
         prev_ll = ll
-    else:
-        last = None
 
-    if last is None:
-        # the fit ran out of iterations or the pivots failed at ws
-        try:
-            h, plan = ws.constraints()
-            jac = ws.constraint_jacobian(plan)
-        except PivotError:
-            h, jac = np.zeros(0), np.zeros((0, ws.theta.shape[0]))
-        dof = _multiplier_step(ws.score(yv), h, jac, n, ws.pi, warn=False)[3]
-    else:
-        ws, h, dof = last
+    ws, h, dof = last
     dev = _deviance(y2d, ws.pi2d)
     pval = float(chdtrc(dof, dev)) if dof > 0 else float("nan")
     return FitResult(
@@ -664,10 +635,10 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         deviance=dev,
         dof=dof,
         p_value=pval,
-        constraint_norm=float(np.abs(h).max()) if h.size else 0.0,
+        constraint_norm=float("nan") if h is None else float(np.abs(h).max(initial=0.0)),
         iterations=iterations,
         converged=converged,
-        loglik=float(yv @ np.log(ws.pi)),
+        loglik=ws.loglik(yv),
         spec=spec,
         message=message,
         evaluations=evaluations,

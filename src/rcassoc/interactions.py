@@ -89,7 +89,7 @@ def marginal_logits(margin, logit_type):
     margin = np.asarray(margin, dtype=np.float64)
     _check_positive(margin, "marginal probabilities")
     lt = LogitType.parse(logit_type)
-    values = kernels.marginal_logit_values(margin, lt.code)
+    values = kernels.marginal_logit_values(margin, lt)
     return MarginalLogits(values, lt)
 
 
@@ -107,7 +107,7 @@ def gamma_matrix(table, l1=None, l2=None, fam=None):
     fam = fam or kl()
     row, col = _resolve_pair(table, l1, l2)
     _check_positive(table.probs, "cell probabilities")
-    values = kernels.gamma_values(table.probs, row.code, col.code, fam.lam)
+    values = kernels.gamma_values(table.probs, row, col, fam.lam)
     return InteractionMatrix(values, (row, col))
 
 
@@ -115,7 +115,7 @@ def lor_matrix(table, l1=None, l2=None):
     """Log-odds-ratio matrix for a logit pair."""
     row, col = _resolve_pair(table, l1, l2)
     _check_positive(table.probs, "cell probabilities")
-    values = kernels.lor_values(table.probs, row.code, col.code)
+    values = kernels.lor_values(table.probs, row, col)
     return InteractionMatrix(values, (row, col))
 
 
@@ -124,15 +124,11 @@ def gamma_matrix_batch(pis, l1, l2, fam=None):
     fam = fam or kl()
     pis = np.asarray(pis, dtype=np.float64)
     _check_positive(pis, "cell probabilities")
-    return kernels.gamma_values_batch(
-        pis, LogitType.parse(l1).code, LogitType.parse(l2).code, fam.lam
-    )
+    return kernels.gamma_values_batch(pis, LogitType.parse(l1), LogitType.parse(l2), fam.lam)
 
 
 def lor_matrix_batch(pis, l1, l2):
     """Log-odds ratios for a (n, I1, I2) stack of positive tables."""
     pis = np.asarray(pis, dtype=np.float64)
     _check_positive(pis, "cell probabilities")
-    return kernels.lor_values_batch(
-        pis, LogitType.parse(l1).code, LogitType.parse(l2).code
-    )
+    return kernels.lor_values_batch(pis, LogitType.parse(l1), LogitType.parse(l2))

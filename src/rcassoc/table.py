@@ -41,7 +41,8 @@ class TableParseError(ValueError):
 
 
 class LogitType(str, enum.Enum):
-    """Logit family of one margin, keyed by its single-letter code."""
+    """Logit family of one margin; a ``str`` enum, so each member equals its
+    letter (``GLOBAL == "G"``), which is how the kernels take it."""
 
     LOCAL = "L"
     GLOBAL = "G"
@@ -59,14 +60,10 @@ class LogitType(str, enum.Enum):
                 f"unknown logit type {value!r}; expected one of L, G, C, R"
             ) from None
 
-    @property
-    def code(self):
-        """Integer code used by the numeric kernels."""
-        return "LGCR".index(self.value)
-
 
 def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    # a copy, so that the caller's array stays writable
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 
@@ -124,10 +121,6 @@ class ContingencyTable:
         return cls(probs, row_logit, col_logit)
 
     # -- basic views -------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.probs.shape
 
     def row_margin(self):
         return self.probs.sum(axis=1)

@@ -12,6 +12,7 @@ from rcassoc import (
     ContingencyTable,
     MarginalShift,
     ModelSpec,
+    RankDeficiencyWarning,
     cressie_read,
     extract_invariants,
     fit,
@@ -143,6 +144,19 @@ def test_fit_stalled_away_from_feasibility_exits_3(capsys, tmp_path):
     assert payload["fit"]["constraint_norm"] > 1e-7
 
 
+def test_fit_pivot_failure_at_the_start_exits_3(capsys, tmp_path):
+    # gamma = 0 at the start of a uniform table: no step is computed, so the
+    # start's constraint norm is unknown; the scores of gamma = 0 have rank 0
+    path = tmp_path / "uniform.txt"
+    path.write_text("10 10 10 10\n" * 4)
+    with pytest.warns(RankDeficiencyWarning):
+        code, payload, _ = run_json(capsys, "fit", str(path))
+    assert code == 3
+    assert payload["fit"]["message"].startswith("deflation pivot failure")
+    assert payload["fit"]["constraint_norm"] is None
+    assert payload["fit"]["dof"] == 0
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "mobility", "--lambda-grid=-0.12:0.04:0.04", "--pair", "GG"
@@ -194,6 +208,23 @@ def test_sweep_takes_one_lambda_or_a_grid(capsys, monkeypatch):
     assert code == 0
     assert [c["lambda"] for c in payload["cells"]] == [0.5]
     assert payload["spec"]["lambda"] == 0.5 and payload["spec"]["lambda_grid"] is None
+
+
+def test_sweep_spec_records_lambda_only_without_a_grid(capsys, monkeypatch):
+    # the grid replaces --lambda, so a sweep given one records no lambda
+    def no_fit(table, spec):
+        raise ValueError("not fitted")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    argv = ("sweep", "mobility", "--pair", "GG", "--format", "json")
+    code, payload, _ = run_json(capsys, *argv, "--lambda-grid=0:0:1")
+    assert code == 0
+    assert "lambda" not in payload["spec"]
+    assert payload["spec"]["lambda_grid"] == [0.0, 0.0, 1.0]
+
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["spec"]["lambda"] == 0.0 and payload["spec"]["lambda_grid"] is None
 
 
 def test_sweep_parallel_matches_serial(capsys):

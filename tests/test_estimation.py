@@ -32,7 +32,6 @@ from rcassoc.estimation import (
     _GAIN_ULPS,
     Custom,
     _info_solve,
-    _linear_system,
     _multiplier_step,
     _objective,
     _search,
@@ -68,7 +67,7 @@ def _iterate(theta, y, spec, shape, mu=0.0):
     """One outer iteration of fit from ``theta`` with penalty ``mu`` so far,
     built from fit's own helpers: (h, score, cell probabilities, direction,
     step length or None, the penalty the step was searched with)."""
-    linear = _linear_system(spec, shape)
+    linear = spec.linear_system(shape)
     ws = _Workspace(theta, spec, shape, linear)
     h, plan = ws.constraints()
     jac = ws.constraint_jacobian(plan)
@@ -213,7 +212,7 @@ def test_invariant_jacobians_match_dense_chain_rule(random_table):
         ws = _Workspace(theta_from_prob(pi), spec, shape, None)
         p = pi.reshape(-1)
         cov = (np.diag(p) - np.outer(p, p))[:, :-1]
-        c1, c2 = spec.pair[0].code, spec.pair[1].code
+        c1, c2 = spec.pair
         gamma_pi = rcassoc.kernels.gamma_jacobian_values(pi, c1, c2, lam)
         rows_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=1), c1)
         cols_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=0), c2)
@@ -428,15 +427,51 @@ def test_projected_score_at_fit(mobility_counts):
     p_hat = CanonicalParam(result.theta_hat, (5, 5))
     h, big_h = constraint_eval(p_hat, spec)
     x = scipy.linalg.null_space(big_h.T)
-    ws = _Workspace(result.theta_hat, spec, (5, 5), _linear_system(spec, (5, 5)))
+    ws = _Workspace(result.theta_hat, spec, (5, 5), spec.linear_system((5, 5)))
     s = ws.score(mobility_counts.reshape(-1))
     assert np.abs(x.T @ s).max() <= 1e-6 * mobility_counts.sum()
 
 
-def test_fit_stops_at_max_iter(mobility_counts):
-    result = fit(mobility_counts, _spec(1, (MarginalShift(),)), max_iter=1)
+def test_fit_stops_at_max_iter(mobility_counts, monkeypatch):
+    # the stop reports iterate max_iter, the last whose step was computed,
+    # with that step's constraint norm and rank: one QR per iteration and
+    # none after; at max_iter = 1 that iterate is the start
+    qr_calls = []
+    qr = scipy.linalg.qr
+
+    def recording_qr(*args, **kwargs):
+        qr_calls.append(kwargs.get("mode"))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    spec = _spec(1, (MarginalShift(),))
+    results = {}
+    for max_iter in (1, 3):
+        qr_calls.clear()
+        results[max_iter] = result = fit(mobility_counts, spec, max_iter=max_iter)
+        assert not result.converged
+        assert result.message == "maximum iterations reached"
+        assert result.iterations == max_iter
+        assert qr_calls == ["r"] * max_iter
+        h, _ = constraint_eval(CanonicalParam(result.theta_hat, (5, 5)), spec)
+        assert result.constraint_norm == np.abs(h).max()
+        assert result.dof == 12
+    n = mobility_counts.sum()
+    start = theta_from_prob((mobility_counts + 0.5) / (n + mobility_counts.size / 2.0))
+    np.testing.assert_array_equal(results[1].theta_hat, start)
+
+
+def test_fit_pivot_failure_at_the_start_reports_no_constraint_norm():
+    # a uniform table has gamma = 0 at the smoothed start, so deflation finds
+    # no pivot before any step is computed: the fit reports the start, whose
+    # constraints could not be evaluated
+    result = fit(np.full((4, 4), 10.0), _spec(1))
     assert not result.converged
-    assert result.message
+    assert result.message.startswith("deflation pivot failure")
+    assert result.iterations == 1
+    assert np.isnan(result.constraint_norm)
+    assert result.dof == 0 and np.isnan(result.p_value)
+    np.testing.assert_allclose(result.pi_hat, np.full((4, 4), 1 / 16), rtol=1e-15)
 
 
 @pytest.mark.parametrize("pair, lam", [("GG", 0.16), ("CC", 0.16), ("CC", 1.0)])
@@ -671,7 +706,7 @@ def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
         warnings.simplefilter("ignore", RedundantConstraintWarning)
         _, _, _, first, t, _ = _iterate(theta, y, spec, counts.shape)
     theta = theta + t * first
-    linear = _linear_system(spec, counts.shape)
+    linear = spec.linear_system(counts.shape)
     ws = _Workspace(theta, spec, counts.shape, linear)
     h, plan = ws.constraints()
     jac = ws.constraint_jacobian(plan)
@@ -722,7 +757,7 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
 
 def test_custom_matches_named_constraint(mobility_counts):
     named = MarginalHomogeneity()
-    custom = Custom(*named.coefficients((5, 5)))
+    custom = Custom(*named.coefficients((5, 5), ("G", "G")))
     a = fit(mobility_counts, _spec(1, (named,)))
     b = fit(mobility_counts, _spec(1, (custom,)))
     assert b.deviance == pytest.approx(a.deviance, abs=1e-8)
@@ -734,7 +769,7 @@ def test_custom_validates():
         Custom(np.ones((2, 3)), np.zeros(3))
     spec = _spec(1, (Custom(np.ones((1, 7))),))
     with pytest.raises(ValueError):
-        spec.validate_shape((5, 5))
+        spec.linear_system((5, 5))
 
 
 def test_fit_accepts_table_and_array(mobility, mobility_counts):
@@ -751,6 +786,10 @@ def test_fit_rejects_bad_counts():
         fit(np.arange(5.0), spec)
     with pytest.raises(ValueError):
         fit(np.zeros((3, 3)), spec)
+    # arrays pass the checks of ContingencyTable.from_counts, which, like
+    # read_counts, wants at least 2 rows and 2 columns
+    with pytest.raises(ValueError, match="at least 2"):
+        fit(np.array([[3.0, 5.0, 7.0]]), _spec(0, pair=("L", "L")))
     with pytest.raises(ValueError, match="finite"):
         fit(np.array([[1.0, np.nan], [3.0, 4.0]]), _spec(1, pair=("L", "L")))
     prob_only = ContingencyTable.from_probabilities(np.full((5, 5), 0.04), "G", "G")

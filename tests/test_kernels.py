@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from rcassoc import kernels
 
-CODES = range(4)
+CODES = "LGCR"
 PAIRS = [(a, b) for a in CODES for b in CODES]
 FAMS = [(0.0, True), (-0.5, False), (0.7, False), (2.0, False)]
 SHAPES = [(3, 3), (4, 5), (5, 4)]
 
 # 1-based inclusive categories of E(x, 0) and E(x, 1) for L, G, C, R
 DEFINITIONS = {
-    0: lambda x, size: ((x, x), (x + 1, x + 1)),
-    1: lambda x, size: ((1, x), (x + 1, size)),
-    2: lambda x, size: ((x, x), (x + 1, size)),
-    3: lambda x, size: ((1, x), (x + 1, x + 1)),
+    "L": lambda x, size: ((x, x), (x + 1, x + 1)),
+    "G": lambda x, size: ((1, x), (x + 1, size)),
+    "C": lambda x, size: ((x, x), (x + 1, size)),
+    "R": lambda x, size: ((1, x), (x + 1, x + 1)),
 }
 
 
@@ -127,9 +127,9 @@ def test_lor_precision_near_zero_cell():
     pi = rng.dirichlet(np.ones(25)).reshape(5, 5) + 0.01
     pi[3, 0] = 1e-11
     pi /= pi.sum()
-    want = reference_lor(pi, 0, 1)
-    single = kernels.lor_values(pi, 0, 1)
-    batch = kernels.lor_values_batch(np.stack([pi, pi[::-1]]), 0, 1)[0]
+    want = reference_lor(pi, "L", "G")
+    single = kernels.lor_values(pi, "L", "G")
+    batch = kernels.lor_values_batch(np.stack([pi, pi[::-1]]), "L", "G")[0]
     np.testing.assert_allclose(single, want, rtol=1e-12, atol=0)
     np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
 
@@ -176,17 +176,17 @@ def test_event_bounds_match_event_sets():
 def test_marginal_logit_values_by_hand():
     m = np.array([0.2, 0.3, 0.5])
     np.testing.assert_allclose(
-        kernels.marginal_logit_values(m, 1),  # global
+        kernels.marginal_logit_values(m, "G"),
         [np.log(0.8 / 0.2), np.log(0.5 / 0.5)],
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        kernels.marginal_logit_values(m, 2),  # continuation
+        kernels.marginal_logit_values(m, "C"),
         [np.log(0.8 / 0.2), np.log(0.5 / 0.3)],
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        kernels.marginal_logit_values(m, 0),  # local
+        kernels.marginal_logit_values(m, "L"),
         [np.log(0.3 / 0.2), np.log(0.5 / 0.3)],
         atol=1e-14,
     )

@@ -21,15 +21,13 @@ APPENDIX_LL = np.array(
 
 def _event(size, logit, x, b):
     """1-based categories of E(x, b) on a margin, read off the kernel operator."""
-    ops = kernels._operator(size, LogitType.parse(logit).code)
+    ops = kernels._operator(size, logit)
     return tuple(int(k) + 1 for k in np.flatnonzero(ops[b * (size - 1) + x - 1]))
 
 
 def _quadrants(pi, row_logit, col_logit):
     """Event probabilities (p, p1, p2) of every cut, indexed [u, i-1, v, j-1]."""
-    return kernels.quadrant_values(
-        pi, LogitType.parse(row_logit).code, LogitType.parse(col_logit).code
-    )
+    return kernels.quadrant_values(pi, row_logit, col_logit)
 
 
 def test_logit_type_parse():
@@ -38,7 +36,6 @@ def test_logit_type_parse():
     assert LogitType.parse(" c ") is LogitType.CONTINUATION
     with pytest.raises(ValueError):
         LogitType.parse("Q")
-    assert [LogitType.parse(c).code for c in "LGCR"] == [0, 1, 2, 3]
 
 
 def test_event_set_examples():
@@ -46,8 +43,8 @@ def test_event_set_examples():
     assert _event(5, "C", 2, 1) == (3, 4, 5)
     assert _event(3, "L", 1, 1) == (2,)
     # cuts run 1..size-1 and sides are 0 or 1: there is no row for cut 3 or side 2
-    for code in range(4):
-        assert kernels._operator(3, code).shape == (2 * 2 + 1, 3)
+    for logit in "LGCR":
+        assert kernels._operator(3, logit).shape == (2 * 2 + 1, 3)
 
 
 def test_event_set_disjoint_every_type_and_cut():
@@ -237,3 +234,13 @@ def test_bundled_dataset(mobility_counts):
     assert mobility_counts.shape == (5, 5)
     np.testing.assert_array_equal(mobility_counts[0], [50, 45, 8, 18, 8])
     np.testing.assert_array_equal(mobility_counts[4], [3, 42, 72, 320, 411])
+
+
+def test_table_copies_its_input():
+    # a table is frozen, and the arrays it was built from stay writable
+    counts = np.array([[3.0, 5.0], [7.0, 2.0]])
+    table = ContingencyTable.from_counts(counts)
+    assert counts.flags.writeable
+    assert not table.counts.flags.writeable and not table.probs.flags.writeable
+    counts[0, 0] = 4.0
+    assert table.counts[0, 0] == 3.0
