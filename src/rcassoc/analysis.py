@@ -56,6 +56,7 @@ for k_j holds no root, and an LL target when no positive table meets those
 conditions; both happen only for lam > 0.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -143,12 +144,6 @@ class ScoreDecomposition:
     @property
     def rank(self):
         return self.psi.shape[0]
-
-    def gamma_values(self):
-        """Interaction matrix implied by the decomposition."""
-        dmu = np.diff(self.mu, axis=1)
-        dnu = np.diff(self.nu, axis=1)
-        return np.einsum("k,ki,kj->ij", self.psi, dmu, dnu)
 
 
 def _weights_of(table_or_pi):
@@ -870,11 +865,11 @@ class DependenceReport:
     continuation-continuation interactions actually guarantee.
     """
 
-    pairs: tuple
     simple_stochastic_order: bool
     quadrant_dependence: bool
     collapsed_survival_order: bool
     violations: tuple
+    pairs: tuple
     conditional_cumulative: np.ndarray
 
 
@@ -885,104 +880,77 @@ def row_conditional_cumulative(pi):
     return np.cumsum(cond, axis=1)[:, :-1]
 
 
-def _order_flags(pi):
-    cum = row_conditional_cumulative(pi)
-    surv = 1.0 - cum  # s[i, j] = P(col > j | row = i)
-    sso = bool(np.all(np.diff(surv, axis=0) >= -_SIGN_TOL))
-    collapsed = True
-    for i in range(pi.shape[0] - 1):
-        upper = pi[i + 1 :].sum(axis=0)
-        s_up = 1.0 - np.cumsum(upper / upper.sum())[:-1]
-        if np.any(surv[i] - s_up > _SIGN_TOL):
-            collapsed = False
-            break
-    # global-logit quadrants: P(col > j | row > i) against P(col > j | row <= i)
-    p, p_row, _ = kernels.quadrant_values(pi, "G", "G")
-    s1 = p[1, :, 1, :] / p_row[1][:, None]
-    s0 = p[0, :, 1, :] / p_row[0][:, None]
-    qd = bool(np.all(s1 - s0 >= -_SIGN_TOL))
-    return sso, qd, collapsed, cum
+def _implied(premise, claim, conclusions):
+    return tuple(
+        (("gamma", premise), ("eta", c), f"{claim}: eta({c}) violates") for c in conclusions
+    )
 
 
-_IMPLICATIONS = (
-    # (name, premise pair, conclusion pairs checked on eta)
-    ("gamma(LL) >= 0 implies eta(LG) >= 0 and eta(GL) >= 0", ("L", "L"), (("L", "G"), ("G", "L"))),
-    ("gamma(LC) >= 0 implies eta(LG) >= 0 and eta(GG) >= 0", ("L", "C"), (("L", "G"), ("G", "G"))),
-    ("gamma(CC) >= 0 implies eta(GG) >= 0", ("C", "C"), (("G", "G"),)),
+# (premise, conclusion, message) of each audited implication, in report
+# order.  A term is a (measure, pair) whose least entry must be >= 0, or a
+# survival-order flag of the report.
+_AUDIT = (
+    *(
+        (("gamma", p), ("eta", p), f"gamma({p}) >= 0 but eta({p}) has a negative entry")
+        for p in ("LG", "GL", "GG", "GC", "GR", "CG", "RG")
+    ),
+    *_implied("LL", "gamma(LL) >= 0 implies eta(LG) >= 0 and eta(GL) >= 0", ("LG", "GL")),
+    *_implied("LC", "gamma(LC) >= 0 implies eta(LG) >= 0 and eta(GG) >= 0", ("LG", "GG")),
+    *_implied("CC", "gamma(CC) >= 0 implies eta(GG) >= 0", ("GG",)),
+    (
+        ("eta", "LG"),
+        "simple_stochastic_order",
+        "eta(LG) >= 0 but row-conditional survival order fails",
+    ),
+    (
+        ("gamma", "CC"),
+        "collapsed_survival_order",
+        "gamma(CC) >= 0 but pooled-upper-row survival comparison fails",
+    ),
 )
-
-
-def _pairs_with_global():
-    out = []
-    for a in "LGCR":
-        for b in "LGCR":
-            if "G" in (a, b):
-                out.append((a, b))
-    return tuple(out)
 
 
 def dependence_report(pi, fam=None, pairs=(("G", "G"),)):
     """Dependence summary: per-pair minima, order relations, implication audit.
 
-    The audit always covers the implications relating nonnegative scaled
-    interactions to nonnegative log-odds ratios (any pair containing a
-    global logit; LL to LG/GL; LC to LG/GG; CC to GG), the equivalence of
-    nonnegative LG log-odds ratios with the simple stochastic order, and
-    the pooled-upper-row survival comparison guaranteed by nonnegative CC
-    interactions, regardless of ``pairs``.  The per-row survival order
-    itself is reported as a flag but is not a consequence of nonnegative
-    CC interactions: tables exist with every CC interaction positive whose
+    Quadrant dependence, P(Y > j | X > i) >= P(Y > j | X <= i) at every cut,
+    is the sign of the GG log-odds ratios.  The audit checks every rule of
+    ``_AUDIT``, whatever ``pairs`` holds.  The per-row survival order is
+    reported as a flag but is not a consequence of nonnegative CC
+    interactions: tables exist with every CC interaction positive whose
     row-wise survivals are not monotone.
     """
     fam = fam or kl()
     table = pi if isinstance(pi, ContingencyTable) else ContingencyTable.from_probabilities(pi)
 
-    def cached_min(matrix):
-        # each (measure, pair) is computed at most once per report
-        mins = {}
+    @functools.cache
+    def least(measure, pair):
+        # the smallest entry of gamma or eta for a pair such as "GG"
+        matrix = gamma_matrix(table, *pair, fam) if measure == "gamma" else lor_matrix(table, *pair)
+        return float(matrix.values.min())
 
-        def get(l1, l2):
-            pair = (LogitType.parse(l1), LogitType.parse(l2))
-            if pair not in mins:
-                mins[pair] = float(matrix(table, *pair).values.min())
-            return mins[pair]
-
-        return get
-
-    gamma_min = cached_min(lambda t, l1, l2: gamma_matrix(t, l1, l2, fam))
-    eta_min = cached_min(lor_matrix)
     entries = []
     for l1, l2 in pairs:
-        g, e = gamma_min(l1, l2), eta_min(l1, l2)
-        entries.append(
-            PairDependence(
-                pair=(LogitType.parse(l1), LogitType.parse(l2)),
-                min_gamma=g,
-                min_eta=e,
-                gamma_nonneg=g >= -_SIGN_TOL,
-                eta_nonneg=e >= -_SIGN_TOL,
-            )
-        )
-    sso, qd, collapsed, cum = _order_flags(table.probs)
-    violations = []
-    for l1, l2 in _pairs_with_global():
-        if gamma_min(l1, l2) >= -_SIGN_TOL and eta_min(l1, l2) < -_SIGN_TOL:
-            violations.append(f"gamma({l1}{l2}) >= 0 but eta({l1}{l2}) has a negative entry")
-    for name, premise, conclusions in _IMPLICATIONS:
-        if gamma_min(*premise) >= -_SIGN_TOL:
-            for concl in conclusions:
-                if eta_min(*concl) < -_SIGN_TOL:
-                    violations.append(f"{name}: eta({concl[0]}{concl[1]}) violates")
-    if eta_min("L", "G") >= -_SIGN_TOL and not sso:
-        violations.append("eta(LG) >= 0 but row-conditional survival order fails")
-    if gamma_min("C", "C") >= -_SIGN_TOL and not collapsed:
-        violations.append("gamma(CC) >= 0 but pooled-upper-row survival comparison fails")
+        pair = (LogitType.parse(l1), LogitType.parse(l2))
+        g, e = least("gamma", pair[0] + pair[1]), least("eta", pair[0] + pair[1])
+        entries.append(PairDependence(pair, g, e, g >= -_SIGN_TOL, e >= -_SIGN_TOL))
+    cum = row_conditional_cumulative(table)
+    surv = 1.0 - cum  # surv[i, j] = P(col > j | row = i)
+    # row i against the rows after it pooled, from a reverse cumulative sum
+    pooled = 1.0 - row_conditional_cumulative(np.cumsum(table.probs[::-1], axis=0)[-2::-1])
+    flags = {
+        "simple_stochastic_order": bool(np.all(np.diff(surv, axis=0) >= -_SIGN_TOL)),
+        "collapsed_survival_order": not np.any(surv[:-1] - pooled > _SIGN_TOL),
+    }
+
+    def holds(term):
+        return flags[term] if isinstance(term, str) else least(*term) >= -_SIGN_TOL
+
     return DependenceReport(
+        **flags,
+        quadrant_dependence=holds(("eta", "GG")),
+        violations=tuple(msg for cause, effect, msg in _AUDIT if holds(cause) and not holds(effect)),
         pairs=tuple(entries),
-        simple_stochastic_order=sso,
-        quadrant_dependence=qd,
-        collapsed_survival_order=collapsed,
-        violations=tuple(violations),
         conditional_cumulative=cum,
     )
 

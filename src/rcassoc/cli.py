@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -193,6 +194,19 @@ def _jsonable(obj):
     return obj
 
 
+def _record_fields(items):
+    return {
+        ("lambda" if key == "lam" else key): ("".join(value) if key == "pair" else value)
+        for key, value in items
+    }
+
+
+def _record(obj):
+    """A report record's fields as printed: a logit pair as its two letters,
+    ``lam`` as ``lambda``, and nested records as dicts."""
+    return dataclasses.asdict(obj, dict_factory=_record_fields)
+
+
 def _flatten(obj, prefix="", out=None):
     if out is None:
         out = []
@@ -234,26 +248,6 @@ def _model_spec(pair, lam, rank, names):
     )
 
 
-def _dependence_payload(report):
-    return {
-        "simple_stochastic_order": report.simple_stochastic_order,
-        "quadrant_dependence": report.quadrant_dependence,
-        "collapsed_survival_order": report.collapsed_survival_order,
-        "violations": list(report.violations),
-        "pairs": [
-            {
-                "pair": p.pair[0].value + p.pair[1].value,
-                "min_gamma": p.min_gamma,
-                "min_eta": p.min_eta,
-                "gamma_nonneg": p.gamma_nonneg,
-                "eta_nonneg": p.eta_nonneg,
-            }
-            for p in report.pairs
-        ],
-        "conditional_cumulative": report.conditional_cumulative,
-    }
-
-
 def _fit_payload(ns, spec, result):
     fitted = ContingencyTable.from_probabilities(result.pi_hat, ns.rows_logit, ns.cols_logit)
     rows, cols, gamma = extract_invariants(fitted, fam=spec.family)
@@ -262,7 +256,7 @@ def _fit_payload(ns, spec, result):
     if spec.rank > 0:
         try:
             dec = svd_scores(gamma, fitted, min(spec.rank, min(gamma.values.shape)))
-            scores = {"psi": dec.psi, "mu": dec.mu, "nu": dec.nu}
+            scores = _record(dec)
             if dec.rank >= 1:
                 correlation = float(score_correlation(fitted.probs, dec))
         except DegenerateScoreError:
@@ -288,7 +282,7 @@ def _fit_payload(ns, spec, result):
         "eta": {"rows": rows.values, "cols": cols.values},
         "scores": scores,
         "correlation": correlation,
-        "dependence": _dependence_payload(report),
+        "dependence": _record(report),
     }
 
 
@@ -430,7 +424,7 @@ def cmd_check(ns):
     pairs = tuple((p[0], p[1]) for p in ns.pair or ("GG",))
     report = dependence_report(table.probs, fam=cressie_read(ns.lam), pairs=pairs)
     _emit(
-        {"spec": _spec_payload(ns), "dependence": _dependence_payload(report)},
+        {"spec": _spec_payload(ns), "dependence": _record(report)},
         ns.fmt or "json",
     )
     return EXIT_CLAIM_FAILED if report.violations else EXIT_OK
@@ -462,22 +456,7 @@ def cmd_counterexamples(ns):
     records = [counterexample_verify(name) for name in names]
     if ns.fmt:
         payload = {
-            "records": [
-                {
-                    "name": r.name,
-                    "pair": r.pair[0].value + r.pair[1].value,
-                    "lambda": r.lam,
-                    "pi": r.pi,
-                    "gamma": r.gamma,
-                    "eta": r.eta,
-                    "reference_gamma": r.reference_gamma,
-                    "reference_eta": r.reference_eta,
-                    "gamma_claim_ok": r.gamma_claim_ok,
-                    "eta_claim_ok": r.eta_claim_ok,
-                    "passed": r.passed,
-                }
-                for r in records
-            ],
+            "records": [{**_record(r), "passed": r.passed} for r in records],
             "passed": all(r.passed for r in records),
         }
         _emit(payload, ns.fmt)

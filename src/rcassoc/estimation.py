@@ -208,10 +208,7 @@ class Custom(LinearConstraint):
 
 
 _CONSTRAINT_NAMES = {
-    "marginal-homogeneity": MarginalHomogeneity,
-    "marginal-shift": MarginalShift,
-    "equal-row-spacing": EqualRowSpacing,
-    "equal-column-spacing": EqualColumnSpacing,
+    c.name: c for c in (MarginalHomogeneity, MarginalShift, EqualRowSpacing, EqualColumnSpacing)
 }
 
 
@@ -502,7 +499,6 @@ class FitResult:
     iterations: int
     converged: bool
     loglik: float
-    spec: ModelSpec
     message: str = ""
     # merit evaluations across all of the fit's line searches
     evaluations: int = 0
@@ -639,7 +635,6 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         iterations=iterations,
         converged=converged,
         loglik=ws.loglik(yv),
-        spec=spec,
         message=message,
         evaluations=evaluations,
     )

@@ -34,6 +34,11 @@ from rcassoc.interactions import lor_matrix, marginal_logits
 from rcassoc.table import LogitType
 
 
+def _implied_gamma(dec):
+    # gamma[i, j] = sum_k psi_k (mu[k, i+1] - mu[k, i]) (nu[k, j+1] - nu[k, j])
+    return np.einsum("k,ki,kj->ij", dec.psi, np.diff(dec.mu, axis=1), np.diff(dec.nu, axis=1))
+
+
 def test_svd_scores_recover_known_decomposition():
     # gamma = psi * diff(mu) diff(nu)' with mu = nu = (-1, 0, 1), psi = 2;
     # under uniform weights the standardized scores are +-sqrt(3/2) and the
@@ -46,7 +51,7 @@ def test_svd_scores_recover_known_decomposition():
     root = np.sqrt(1.5)
     np.testing.assert_allclose(dec.mu[0], [-root, 0.0, root], atol=1e-12)
     np.testing.assert_allclose(dec.nu[0], [-root, 0.0, root], atol=1e-12)
-    np.testing.assert_allclose(dec.gamma_values(), gamma, atol=1e-12)
+    np.testing.assert_allclose(_implied_gamma(dec), gamma, atol=1e-12)
 
 
 def test_svd_scores_standardization_and_signs(random_table):
@@ -67,7 +72,7 @@ def test_svd_scores_standardization_and_signs(random_table):
         assert np.all(np.diff(dec.psi) <= 1e-12)
         left, sing, right_t = np.linalg.svd(g, full_matrices=False)
         truncated = left[:, : dec.rank] @ np.diag(sing[: dec.rank]) @ right_t[: dec.rank]
-        np.testing.assert_allclose(dec.gamma_values(), truncated, atol=1e-10)
+        np.testing.assert_allclose(_implied_gamma(dec), truncated, atol=1e-10)
 
 
 def test_svd_scores_zero_matrix_warns():
@@ -380,6 +385,103 @@ def test_dependence_report_computes_each_measure_once(monkeypatch, mobility, pai
     for entry in report.pairs:
         assert entry.min_gamma == gamma_matrix(mobility, *entry.pair, fam).values.min()
         assert entry.min_eta == lor_matrix(mobility, *entry.pair).values.min()
+
+
+GLOBAL_PAIR_RULES = tuple(
+    f"gamma({p}) >= 0 but eta({p}) has a negative entry"
+    for p in ("LG", "GL", "GG", "GC", "GR", "CG", "RG")
+)
+LL_RULE = "gamma(LL) >= 0 implies eta(LG) >= 0 and eta(GL) >= 0"
+LC_RULE = "gamma(LC) >= 0 implies eta(LG) >= 0 and eta(GG) >= 0"
+CC_RULE = "gamma(CC) >= 0 implies eta(GG) >= 0"
+ORDER_RULE = "eta(LG) >= 0 but row-conditional survival order fails"
+POOLED_RULE = "gamma(CC) >= 0 but pooled-upper-row survival comparison fails"
+
+
+@pytest.mark.parametrize(
+    "gamma_sign, eta_sign, expected",
+    [
+        (
+            1.0,
+            -1.0,
+            GLOBAL_PAIR_RULES
+            + (f"{LL_RULE}: eta(LG) violates", f"{LL_RULE}: eta(GL) violates")
+            + (f"{LC_RULE}: eta(LG) violates", f"{LC_RULE}: eta(GG) violates")
+            + (f"{CC_RULE}: eta(GG) violates", POOLED_RULE),
+        ),
+        (1.0, 1.0, (ORDER_RULE, POOLED_RULE)),
+        (-1.0, 1.0, (ORDER_RULE,)),
+        (-1.0, -1.0, ()),
+    ],
+)
+def test_every_audit_rule_fires_with_its_message(monkeypatch, gamma_sign, eta_sign, expected):
+    # each row's conditional survival falls below the next one's, and below
+    # the rows above it pooled, so both ordering rules fail whenever their
+    # premises hold; the premises and conclusions on gamma and eta get their
+    # signs from the patched measures, which keep every entry away from 0
+    pi = np.array([[0.05, 0.1, 0.2], [0.1, 0.1, 0.1], [0.2, 0.1, 0.05]])
+
+    def signed(real, sign):
+        def wrapper(table, l1, l2, *args):
+            m = real(table, l1, l2, *args)
+            return type(m)(sign * (np.abs(m.values) + 1.0), m.pair)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "gamma_matrix", signed(gamma_matrix, gamma_sign))
+    monkeypatch.setattr(analysis, "lor_matrix", signed(lor_matrix, eta_sign))
+    report = dependence_report(pi / pi.sum(), pairs=(("C", "C"),))
+    assert not report.simple_stochastic_order
+    assert not report.collapsed_survival_order
+    assert report.violations == expected
+
+
+def _quadrant_dependent(pi):
+    # P(Y > j | X > i) >= P(Y > j | X <= i) at every cut (i, j)
+    def survival(rows):
+        return 1.0 - np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)[:, :-1]
+
+    above = np.cumsum(pi[::-1], axis=0)[::-1][1:]
+    below = np.cumsum(pi, axis=0)[:-1]
+    return bool(np.all(survival(above) - survival(below) >= -1e-10))
+
+
+def _pooled_survival_order(pi):
+    # row by row: no row's conditional survival above that of the rows
+    # after it pooled
+    surv = 1.0 - row_conditional_cumulative(pi)
+    for i in range(pi.shape[0] - 1):
+        pooled = pi[i + 1 :].sum(axis=0)
+        if np.any(surv[i] - (1.0 - np.cumsum(pooled / pooled.sum())[:-1]) > 1e-10):
+            return False
+    return True
+
+
+def _audit_tables(random_table):
+    # random tables, draws near the positive-dependence boundary, and an
+    # exact independence table last
+    rng = np.random.default_rng(83)
+    tables = [random_table(rng, (int(a), int(b))) for a, b in rng.integers(2, 6, size=(100, 2))]
+    for shape in [(3, 3), (4, 5), (5, 3)]:
+        tables.extend(analysis._association_proposal(rng, shape, 100))
+    tables.append(np.outer([0.2, 0.3, 0.5], [0.25, 0.4, 0.35]))
+    return tables
+
+
+@pytest.mark.parametrize(
+    "flag, direct",
+    [
+        ("quadrant_dependence", _quadrant_dependent),
+        ("collapsed_survival_order", _pooled_survival_order),
+    ],
+)
+def test_dependence_flags_match_their_direct_definitions(random_table, flag, direct):
+    tables = _audit_tables(random_table)
+    expected = [direct(pi) for pi in tables]
+    assert any(expected) and not all(expected)
+    assert expected[-1]
+    for pi, want in zip(tables, expected):
+        assert getattr(dependence_report(pi), flag) == want
 
 
 def test_positive_cc_does_not_force_row_survival_order():

@@ -504,14 +504,15 @@ def test_fit_stops_before_a_cell_underflows(counts, pair, lam, cell):
     # finite; the fit stops at the previous iterate, where it still is
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = fit(counts, _spec(1, lam=lam, pair=pair))
+        spec = _spec(1, lam=lam, pair=pair)
+        result = fit(counts, spec)
     assert not result.converged
     assert result.message.startswith(f"cell {cell} probability ")
     assert result.message.endswith("finite step; stopped at the previous iterate")
     assert result.dof == (counts.shape[0] - 2) * (counts.shape[1] - 2)
     assert np.isfinite(result.deviance) and np.isfinite(result.loglik)
     assert result.pi_hat.min() >= np.finfo(np.float64).tiny
-    ws = _Workspace(result.theta_hat, result.spec, counts.shape, None)
+    ws = _Workspace(result.theta_hat, spec, counts.shape, None)
     h, plan = ws.constraints()
     assert np.isfinite(ws.constraint_jacobian(plan)).all()
     assert result.constraint_norm == np.abs(h).max()
