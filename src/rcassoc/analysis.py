@@ -1047,33 +1047,48 @@ def counterexample_verify(which):
 # ---------------------------------------------------------------------------
 
 
-def _association_proposal(rng, shape, batch):
-    """Random tables biased toward (but not confined to) positive dependence.
+def _proposal_draws(rng, shape, batch):
+    """Every generator draw for ``batch`` proposals, in a fixed order.
 
-    Independent Dirichlet margins are tilted by exp(a * s_i t_j) with
-    increasing latent scores and a random strength a >= 0, then roughened
-    with multiplicative log-normal noise.  Plain Dirichlet rejection is
-    hopeless for the larger shapes (the all-nonnegative-gamma region has
-    vanishing mass), while this proposal keeps a workable acceptance rate
-    and, thanks to the noise, still lands near the gamma = 0 boundary.
+    Random tables biased toward (but not confined to) positive dependence:
+    independent Dirichlet margins, tilted by exp(a * s_i t_j) with
+    increasing latent scores s, t and a random strength a >= 0, then
+    roughened with multiplicative log-normal noise of scale sigma.  Plain
+    Dirichlet rejection is hopeless for the larger shapes (the
+    all-nonnegative-gamma region has vanishing mass), while this proposal
+    keeps a workable acceptance rate and, thanks to the noise, still lands
+    near the gamma = 0 boundary.  ``_proposal_tables`` builds the tables.
     """
     i1, i2 = shape
     rows = rng.dirichlet(np.ones(i1), size=batch)
     cols = rng.dirichlet(np.ones(i2), size=batch)
     s = np.cumsum(rng.uniform(0.2, 1.0, size=(batch, i1)), axis=1)
     t = np.cumsum(rng.uniform(0.2, 1.0, size=(batch, i2)), axis=1)
-    s -= s.mean(axis=1, keepdims=True)
-    t -= t.mean(axis=1, keepdims=True)
     a = rng.uniform(0.0, 3.0, size=batch)[:, None, None]
     sigma = rng.uniform(0.0, 0.25, size=batch)[:, None, None]
-    noise = np.exp(sigma * rng.standard_normal(size=(batch, i1, i2)))
+    z = rng.standard_normal(size=(batch, i1, i2))
+    return rows, cols, s, t, a, sigma, z
+
+
+def _proposal_tables(draws):
+    """The (batch, I1, I2) proposal tables of ``_proposal_draws`` output.
+
+    Every operation acts on one table at a time, so any leading-axis slice
+    of the draws gives bit for bit the tables of the whole stack.
+    """
+    rows, cols, s, t, a, sigma, z = draws
+    s = s - s.mean(axis=1, keepdims=True)
+    t = t - t.mean(axis=1, keepdims=True)
+    noise = np.exp(sigma * z)
     pis = rows[:, :, None] * cols[:, None, :] * np.exp(a * s[:, :, None] * t[:, None, :])
     pis *= noise
     return pis / pis.sum(axis=(1, 2), keepdims=True)
 
 
-# the collector proposes tables in stacks of _BATCH and gives up after _MAX_BATCHES
+# the collector draws proposals in stacks of _BATCH, builds and tests them in
+# chunks of _CHUNK, and gives up after _MAX_BATCHES stacks
 _BATCH = 4096
+_CHUNK = 512
 _MAX_BATCHES = 2000
 
 
@@ -1082,21 +1097,32 @@ def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
 
     Returns an array (count, I1, I2).  Every returned table passes the
     exact filter min gamma >= 0; the proposal distribution only affects
-    the acceptance rate.  Raises RuntimeError when ``count`` tables cannot
-    be collected within ``_MAX_BATCHES`` batches of ``_BATCH`` proposals.
+    the acceptance rate.  Each stack of ``_BATCH`` proposals is drawn
+    whole, then built and filtered ``_CHUNK`` at a time up to the chunk
+    that completes ``count`` tables, so the output and the final state of
+    ``rng`` are those of filtering whole stacks.  Raises ValueError, before
+    any draw, unless ``count`` is an integer >= 1 and both dimensions are
+    >= 2, and RuntimeError when ``count`` tables cannot be collected within
+    ``_MAX_BATCHES`` stacks.
     """
     i1, i2 = shape
+    if not (isinstance(count, (int, np.integer)) and count >= 1 and min(i1, i2) >= 2):
+        raise ValueError(
+            "need an integer count >= 1 and both dimensions >= 2, "
+            f"got count={count!r}, shape={shape!r}"
+        )
     keep = []
     have = 0
     for _ in range(_MAX_BATCHES):
-        draws = _association_proposal(rng, shape, _BATCH)
-        gammas = gamma_matrix_batch(draws, pair[0], pair[1], fam)
-        ok = np.all(gammas >= 0.0, axis=(1, 2))
-        if np.any(ok):
-            keep.append(draws[ok])
+        draws = _proposal_draws(rng, shape, _BATCH)
+        for lo in range(0, _BATCH, _CHUNK):
+            tables = _proposal_tables([d[lo : lo + _CHUNK] for d in draws])
+            gammas = gamma_matrix_batch(tables, pair[0], pair[1], fam)
+            ok = np.all(gammas >= 0.0, axis=(1, 2))
+            keep.append(tables[ok])
             have += int(ok.sum())
-        if have >= count:
-            return np.concatenate(keep)[:count]
+            if have >= count:
+                return np.concatenate(keep)[:count]
     raise RuntimeError(
         f"could not collect {count} gamma-nonnegative {i1}x{i2} tables for pair {pair}"
     )

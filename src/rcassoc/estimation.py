@@ -20,7 +20,7 @@ Evans & Forcina (2013) use:
 
 On the first d = cells - 1 cells, F = n (diag(p) - p p') and
 F^-1 w = (w / p + sum(w) / pi_last) / n in closed form, so F is never
-formed or factorized.  The one factorization per iteration is an R-only
+formed or factorized.  The one factorization per iteration is a Q-free
 pivoted QR of the (d + 1) x k matrix C H, where C'C = F^-1: it gives
 G = R'R, the rank (dependent constraint rows are dropped), and the
 triangular solves for lambda.  The direction solves H' direction = -h.
@@ -439,7 +439,7 @@ def _multiplier_step(s, h, jac, n, pi, warn):
     """Aitchison-Silvey step in multiplier form: (direction, lambda, residual, rank).
 
     ``jac`` is H' (rows are constraint gradients).  The rank is the number
-    of |diag R| of the R-only pivoted QR of C H above a ``matrix_rank``-style
+    of |diag R| of the Q-free pivoted QR of C H above a ``matrix_rank``-style
     tolerance; the leading ``rank`` pivoted rows H1, h1 are independent and
     the rest are dropped, with a warning when ``warn`` is set.  With
     lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0, the multipliers
@@ -451,7 +451,7 @@ def _multiplier_step(s, h, jac, n, pi, warn):
         return _info_solve(n, pi, s), np.zeros(0), s, 0
     # C H with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n), so C'C = F^-1
     ch = (np.hstack([jac, jac.sum(axis=1, keepdims=True)]) / np.sqrt(n * pi)).T
-    r, piv = scipy.linalg.qr(ch, overwrite_a=True, mode="r", pivoting=True)
+    _, r, piv = scipy.linalg.qr(ch, overwrite_a=True, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
     if rank < k and warn:

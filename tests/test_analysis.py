@@ -463,7 +463,7 @@ def _audit_tables(random_table):
     rng = np.random.default_rng(83)
     tables = [random_table(rng, (int(a), int(b))) for a, b in rng.integers(2, 6, size=(100, 2))]
     for shape in [(3, 3), (4, 5), (5, 3)]:
-        tables.extend(analysis._association_proposal(rng, shape, 100))
+        tables.extend(analysis._proposal_tables(analysis._proposal_draws(rng, shape, 100)))
     tables.append(np.outer([0.2, 0.3, 0.5], [0.25, 0.4, 0.35]))
     return tables
 
@@ -535,3 +535,76 @@ def test_collect_nonnegative_gamma_tables():
         np.testing.assert_allclose(draws.sum(axis=(1, 2)), 1.0, atol=1e-12)
         gammas = gamma_matrix_batch(draws, pair[0], pair[1], fam)
         assert gammas.min() >= 0.0
+
+
+def _whole_stack_collect(rng, shape, pair, fam, count):
+    # the collector's stream, restated: draw a stack of proposals, build
+    # all of them, keep the gamma-nonnegative ones in order, and draw the
+    # next stack until ``count`` are held
+    i1, i2 = shape
+    batch = analysis._BATCH
+    keep, have = [], 0
+    while have < count:
+        rows = rng.dirichlet(np.ones(i1), size=batch)
+        cols = rng.dirichlet(np.ones(i2), size=batch)
+        s = np.cumsum(rng.uniform(0.2, 1.0, size=(batch, i1)), axis=1)
+        t = np.cumsum(rng.uniform(0.2, 1.0, size=(batch, i2)), axis=1)
+        s -= s.mean(axis=1, keepdims=True)
+        t -= t.mean(axis=1, keepdims=True)
+        a = rng.uniform(0.0, 3.0, size=batch)[:, None, None]
+        sigma = rng.uniform(0.0, 0.25, size=batch)[:, None, None]
+        noise = np.exp(sigma * rng.standard_normal(size=(batch, i1, i2)))
+        pis = rows[:, :, None] * cols[:, None, :] * np.exp(a * s[:, :, None] * t[:, None, :])
+        pis *= noise
+        pis /= pis.sum(axis=(1, 2), keepdims=True)
+        ok = np.all(gamma_matrix_batch(pis, pair[0], pair[1], fam) >= 0.0, axis=(1, 2))
+        keep.append(pis[ok])
+        have += int(ok.sum())
+    return np.concatenate(keep)[:count]
+
+
+def test_collect_keeps_the_whole_stack_stream():
+    calls = [
+        ((5, 5), ("L", "L"), cressie_read(2.0), 256),  # about 11 stacks
+        ((4, 4), ("L", "L"), cressie_read(0.5), 850),  # several chunks
+        ((3, 3), ("G", "C"), kl(), 300),
+        ((5, 5), ("R", "G"), cressie_read(-0.5), 40),
+    ]
+    rng, ref = np.random.default_rng(605), np.random.default_rng(605)
+    for shape, pair, fam, count in calls:
+        got = collect_nonnegative_gamma_tables(rng, shape, pair, fam, count)
+        assert np.array_equal(got, _whole_stack_collect(ref, shape, pair, fam, count))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_collect_scores_only_the_chunks_it_needs(monkeypatch):
+    scored = []
+
+    def counting(draws, *args):
+        scored.append(draws.shape[0])
+        return gamma_matrix_batch(draws, *args)
+
+    monkeypatch.setattr(analysis, "gamma_matrix_batch", counting)
+    # GG on 4x4 accepts about 94% of proposals
+    draws = collect_nonnegative_gamma_tables(np.random.default_rng(1), (4, 4), ("G", "G"), kl(), 256)
+    assert draws.shape == (256, 4, 4)
+    assert sum(scored) <= analysis._CHUNK
+
+
+def test_collect_gives_up_after_max_batches(monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_BATCHES", 1)
+    with pytest.raises(
+        RuntimeError, match=r"could not collect 4097 gamma-nonnegative 3x3 tables for pair"
+    ):
+        collect_nonnegative_gamma_tables(np.random.default_rng(1), (3, 3), ("G", "G"), kl(), 4097)
+
+
+@pytest.mark.parametrize(
+    "shape, count", [((3, 3), -5), ((3, 3), 0), ((3, 3), 2.0), ((1, 3), 10), ((4, 1), 10)]
+)
+def test_collect_rejects_bad_input_before_drawing(shape, count):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="integer count >= 1 and both dimensions >= 2"):
+        collect_nonnegative_gamma_tables(rng, shape, ("G", "G"), kl(), count)
+    assert rng.bit_generator.state == state

@@ -452,7 +452,7 @@ def test_fit_stops_at_max_iter(mobility_counts, monkeypatch):
         assert not result.converged
         assert result.message == "maximum iterations reached"
         assert result.iterations == max_iter
-        assert qr_calls == ["r"] * max_iter
+        assert qr_calls == ["raw"] * max_iter
         h, _ = constraint_eval(CanonicalParam(result.theta_hat, (5, 5)), spec)
         assert result.constraint_norm == np.abs(h).max()
         assert result.dof == 12
@@ -751,7 +751,7 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
     assert result.converged
     assert calls["jacobian"] == result.iterations
-    assert qr_modes == ["r"] * result.iterations
+    assert qr_modes == ["raw"] * result.iterations
     assert calls["coefficients"] == 1
     assert calls["workspace"] == 1 + result.evaluations, (calls, result.evaluations)
 
