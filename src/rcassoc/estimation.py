@@ -31,8 +31,9 @@ F^-1 s and no factorization runs.
 
 Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
 without its last column, so a pi-jacobian J maps to column c
-(J[:, c] - J pi) pi_c.  The deflation residual carries d vec(gamma) / dtheta
-through its stages in tangent form (``rank``).
+(J[:, c] - J pi) pi_c.  The rank residual is the Schur complement S of a
+pivot block of gamma, so its jacobian is P' (d vec(gamma) / dtheta) Q, with
+P and Q built by the elimination that gives S (``rank``).
 
 A line search on the exact l1 penalty merit
 f(t) = y' log pi(t) / n - mu ||h(t)||_1 picks the step length (Han 1977;
@@ -78,7 +79,6 @@ __all__ = [
     "MarginalShift",
     "EqualRowSpacing",
     "EqualColumnSpacing",
-    "Custom",
     "RedundantConstraintWarning",
     "constraint_from_name",
     "canonical_to_prob",
@@ -172,39 +172,6 @@ class EqualColumnSpacing(LinearConstraint):
         m1, m2 = shape[0] - 1, shape[1] - 1
         a = np.kron(np.eye(m1), _first_difference(m2))
         return np.hstack([np.zeros((len(a), m1 + m2)), a]), np.zeros(len(a))
-
-
-@dataclass(frozen=True)
-class Custom(LinearConstraint):
-    """A @ [eta_row; eta_col; vec gamma] = offset for a user matrix A."""
-
-    matrix: np.ndarray
-    offset: np.ndarray | None = None
-
-    name = "custom"
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
-        off = (
-            np.zeros(a.shape[0])
-            if self.offset is None
-            else np.asarray(self.offset, dtype=np.float64).reshape(-1)
-        )
-        if off.shape[0] != a.shape[0]:
-            raise ValueError("offset length must match the number of rows of A")
-        a.setflags(write=False)
-        off.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "offset", off)
-
-    def coefficients(self, shape, pair):
-        width = (shape[0] - 1) + (shape[1] - 1) + (shape[0] - 1) * (shape[1] - 1)
-        if self.matrix.shape[1] != width:
-            raise ValueError(
-                f"custom constraint matrix has {self.matrix.shape[1]} columns, "
-                f"expected {width} for a {shape[0]}x{shape[1]} table"
-            )
-        return self.matrix, self.offset
 
 
 _CONSTRAINT_NAMES = {

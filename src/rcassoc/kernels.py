@@ -114,11 +114,6 @@ def _as_batch(pis):
     return pis
 
 
-def quadrant_values(pi, l1, l2):
-    """Event probabilities ``(p, p1, p2)`` of one table; see ``_quadrants``."""
-    return _quadrants(_as_table(pi), l1, l2)
-
-
 def gamma_values(pi, l1, l2, lam):
     """Scaled interaction matrix of one table; shape (I1-1, I2-1)."""
     return _gamma(_as_table(pi), l1, l2, float(lam))

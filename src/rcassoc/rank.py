@@ -1,20 +1,24 @@
-"""Rank constraints on interaction matrices via Wedderburn deflation.
+"""Rank constraints on interaction matrices as Schur complements.
 
-A matrix has rank at most K exactly when K successive rank-one deflations
+Take K pivot rows I and columns J of a matrix G with G[I, J] nonsingular,
+and the other rows I' and columns J'.  Then rank(G) <= K exactly when the
+Schur complement of the pivot block
 
-    U = M - M[:, j] M[i, :] / M[i, j]   (then drop row i and column j)
+    S = G[I', J'] - G[I', J] G[I, J]^-1 G[I, J']
 
-annihilate it.  The residual entries of the K-times deflated matrix are
-therefore a smooth local defining system for the rank-K variety near any
-point where the chosen pivots stay away from zero.  ``rank_residual``
-selects pivots greedily (largest magnitude, first in row-major order on
-ties) and returns the residual together with the pivot plan, so the same
-plan can be replayed at nearby points and differentiated.
+vanishes, so near any point where the block stays nonsingular the entries
+of S are a smooth local defining system for the rank-K variety.  K steps of
+Gaussian elimination leave S on I' x J': a step at pivot q = w[i, j]
+subtracts w[:, j] w[i, :] / q and clears row i and column j (Crabtree &
+Haynsworth 1969; Golub & Van Loan, sec. 3.4).  ``rank_residual`` pivots on
+the largest remaining entry, first in row-major order on ties, and returns
+vec S with the pivots in G's own indices, so the same block can be
+replayed at nearby points and differentiated.
 
-The jacobian is taken in tangent form: ``rank_residual_jacobian`` carries
-dM = d vec(M) / dtheta through each stage with M.  At pivot q = M[i, j]
-with pivot column c and row r, dU = dM - (dc r' + c dr') / q + c r' dq / q^2
-on the kept rows and columns: slices plus two rank-one corrections.
+With E(I) the columns I of the identity, S = P' G Q for
+P' = E(I')' - G[I', J] G[I, J]^-1 E(I)' and Q = E(J') - E(J) G[I, J]^-1 G[I, J'],
+so dS = P' dG Q.  The elimination's row operations applied to an identity
+give P', and its column operations applied to another give Q.
 """
 
 from dataclasses import dataclass
@@ -24,8 +28,6 @@ import numpy as np
 __all__ = [
     "PivotError",
     "DeflationPlan",
-    "deflate",
-    "pivot_select",
     "rank_residual",
     "apply_plan",
     "rank_residual_jacobian",
@@ -40,7 +42,7 @@ class PivotError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeflationPlan:
-    """Pivot positions per deflation stage, in stage-local coordinates."""
+    """Pivot positions (row, column) in elimination order, in the matrix's own indices."""
 
     shape: tuple[int, int]
     pivots: tuple[tuple[int, int], ...]
@@ -61,91 +63,78 @@ def _check_matrix(m, rank):
     return m
 
 
-def pivot_select(m, tol=None):
-    """0-based position of the largest-magnitude entry; row-major first on ties.
+def _eliminate(m, rank, pivots=None):
+    """``rank`` elimination steps on a copy of ``m``, in its own indices.
 
-    ``tol`` defaults to 1e-10 times the largest magnitude of ``m`` itself,
-    so it only rejects an (effectively) all-zero matrix.  Raises PivotError
-    when nothing exceeds the tolerance.
+    Each step pivots on the largest remaining entry, or on the next of
+    ``pivots`` when given.  Returns vec S, the rows and columns S keeps,
+    and the steps (i, j, q, w[:, j], w[i, :]), read before each update.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if tol is None:
-        tol = _REL_TOL * max(np.abs(m).max() if m.size else 0.0, 1e-300)
-    flat = int(np.argmax(np.abs(m)))
-    i, j = divmod(flat, m.shape[1])
-    if abs(m[i, j]) <= tol:
-        raise PivotError(
-            f"no pivot above {tol:g}: max |entry| is {abs(m[i, j]):.3e}; "
-            "the matrix is numerically of lower rank than requested"
-        )
-    return i, j
+    w = m.copy()
+    if pivots is None:
+        tol = _REL_TOL * max(np.abs(m).max(), 1e-300)
+    rows, cols = list(range(m.shape[0])), list(range(m.shape[1]))
+    steps = []
+    for k in range(rank):
+        if pivots is None:
+            i, j = divmod(int(np.argmax(np.abs(w))), m.shape[1])
+            if abs(w[i, j]) <= tol:
+                raise PivotError(
+                    f"no pivot above {tol:g}: max |entry| is {abs(w[i, j]):.3e}; "
+                    "the matrix is numerically of lower rank than requested"
+                )
+        else:
+            i, j = pivots[k]
+            if w[i, j] == 0.0:
+                raise PivotError(f"zero pivot at {(i, j)}")
+        q, c, r = w[i, j], w[:, j].copy(), w[i].copy()
+        w -= c[:, None] * r / q
+        w[i] = 0.0
+        w[:, j] = 0.0
+        rows.remove(i)
+        cols.remove(j)
+        steps.append((i, j, q, c, r))
+    return w.take(rows, 0).take(cols, 1).ravel(), rows, cols, steps
 
 
-def deflate(m, pivot):
-    """One Wedderburn rank-one deflation step at ``pivot`` = (i, j)."""
-    m = np.asarray(m, dtype=np.float64)
-    i, j = pivot
-    piv = m[i, j]
-    if piv == 0.0:
-        raise PivotError(f"zero pivot at {pivot}")
-    u = m - np.outer(m[:, j], m[i, :]) / piv
-    # drop row i and column j; a negative pivot counts from the end, as in m[i, j]
-    i, j = i % m.shape[0], j % m.shape[1]
-    u = np.concatenate((u[:i], u[i + 1 :]), axis=0)
-    return np.concatenate((u[:, :j], u[:, j + 1 :]), axis=1)
+def _replay(m, plan):
+    m = _check_matrix(m, plan.rank)
+    if m.shape != plan.shape:
+        raise ValueError(f"plan is for shape {plan.shape}, got {m.shape}")
+    return _eliminate(m, plan.rank, plan.pivots)
 
 
 def rank_residual(m, rank):
-    """K-stage deflation residual and the pivot plan that produced it.
+    """vec S in C order, length ``(m - K) * (n - K)``, and its pivot plan.
 
-    The residual is the C-order vec of the deflated matrix, length
-    ``(m - K) * (n - K)``; it vanishes exactly when rank(m) <= K.
+    The residual vanishes exactly when rank(m) <= K; PivotError when no
+    remaining entry exceeds 1e-10 times the largest of ``m``.
     """
     m = _check_matrix(m, rank)
-    tol = _REL_TOL * max(np.abs(m).max(), 1e-300)
-    pivots = []
-    cur = m
-    for _ in range(rank):
-        piv = pivot_select(cur, tol)
-        pivots.append(piv)
-        cur = deflate(cur, piv)
-    plan = DeflationPlan(shape=m.shape, pivots=tuple(pivots))
-    return cur.ravel(), plan
+    resid, _, _, steps = _eliminate(m, rank)
+    return resid, DeflationPlan(shape=m.shape, pivots=tuple((i, j) for i, j, *_ in steps))
 
 
 def apply_plan(m, plan):
     """Replay a frozen pivot plan; returns the residual vector."""
-    m = _check_matrix(m, plan.rank)
-    if m.shape != plan.shape:
-        raise ValueError(f"plan is for shape {plan.shape}, got {m.shape}")
-    cur = m
-    for piv in plan.pivots:
-        cur = deflate(cur, piv)
-    return cur.ravel()
+    return _replay(m, plan)[0]
 
 
 def rank_residual_jacobian(m, plan, dm):
-    """d residual / dtheta for a frozen plan, given dm = d vec(m) / dtheta.
+    """d residual / dtheta = P' dG Q for a frozen plan, given dm = d vec(m) / dtheta.
 
     ``dm`` has shape ``(m.size, p)``; the result has shape
     ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
     """
-    m = _check_matrix(m, plan.rank)
-    if m.shape != plan.shape:
-        raise ValueError(f"plan is for shape {plan.shape}, got {m.shape}")
+    _, rows, cols, steps = _replay(m, plan)
+    shape = plan.shape
     dm = np.asarray(dm, dtype=np.float64)
-    if dm.ndim != 2 or dm.shape[0] != m.size:
-        raise ValueError(f"tangent must have {m.size} rows, got shape {dm.shape}")
-    cur, dcur = m, dm.reshape(m.shape + (-1,))
-    for i, j in plan.pivots:
-        rows = np.arange(cur.shape[0]) != i % cur.shape[0]
-        cols = np.arange(cur.shape[1]) != j % cur.shape[1]
-        q = cur[i, j]
-        rho, kappa = cur[i, cols] / q, cur[rows, j] / q
-        slope = dcur[i, cols] - np.outer(rho, dcur[i, j])  # dr - (r / q) dq
-        dc = dcur[rows, j]
-        dcur = dcur[np.ix_(rows, cols)]
-        dcur -= dc[:, None] * rho[:, None]
-        dcur -= kappa[:, None, None] * slope
-        cur = deflate(cur, (i, j))
-    return dcur.reshape(-1, dm.shape[1])
+    if dm.ndim != 2 or dm.shape[0] != shape[0] * shape[1]:
+        raise ValueError(f"tangent must have {shape[0] * shape[1]} rows, got shape {dm.shape}")
+    p, q = np.eye(shape[0]), np.eye(shape[1])
+    for i, j, piv, c, r in steps:
+        p -= (c / piv)[:, None] * p[i]
+        q -= q[:, j, None] * (r / piv)
+    left = p.take(rows, 0) @ dm.reshape(shape[0], -1)
+    right = q.take(cols, 1).T @ left.reshape(len(rows), shape[1], -1)
+    return right.reshape(-1, dm.shape[1])

@@ -30,7 +30,6 @@ from rcassoc import (
 )
 from rcassoc.estimation import (
     _GAIN_ULPS,
-    Custom,
     _info_solve,
     _multiplier_step,
     _objective,
@@ -754,23 +753,6 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     assert qr_modes == ["raw"] * result.iterations
     assert calls["coefficients"] == 1
     assert calls["workspace"] == 1 + result.evaluations, (calls, result.evaluations)
-
-
-def test_custom_matches_named_constraint(mobility_counts):
-    named = MarginalHomogeneity()
-    custom = Custom(*named.coefficients((5, 5), ("G", "G")))
-    a = fit(mobility_counts, _spec(1, (named,)))
-    b = fit(mobility_counts, _spec(1, (custom,)))
-    assert b.deviance == pytest.approx(a.deviance, abs=1e-8)
-    assert b.dof == a.dof
-
-
-def test_custom_validates():
-    with pytest.raises(ValueError):
-        Custom(np.ones((2, 3)), np.zeros(3))
-    spec = _spec(1, (Custom(np.ones((1, 7))),))
-    with pytest.raises(ValueError):
-        spec.linear_system((5, 5))
 
 
 def test_fit_accepts_table_and_array(mobility, mobility_counts):

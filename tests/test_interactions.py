@@ -18,7 +18,7 @@ from rcassoc.interactions import (
     marginal_logits,
     table_logits,
 )
-from rcassoc.kernels import gamma_jacobian_values, quadrant_values
+from rcassoc.kernels import _quadrants, gamma_jacobian_values
 from rcassoc.table import LogitType
 
 PAIRS = [(a, b) for a in "LGCR" for b in "LGCR"]
@@ -29,7 +29,7 @@ APPENDIX_CC = [[0.1695, 0.0847, 0.0847], [0.1525, 0.0678, 0.0847], [0.1695, 0.08
 
 def _rho(table, l1=None, l2=None):
     """Dependence ratios p / (p1 p2), indexed [u, i-1, v, j-1] like the quadrants."""
-    p, p1, p2 = quadrant_values(table.probs, l1 or table.row_logit, l2 or table.col_logit)
+    p, p1, p2 = _quadrants(table.probs, l1 or table.row_logit, l2 or table.col_logit)
     return p / (p1[:, :, None, None] * p2[None, None, :, :])
 
 

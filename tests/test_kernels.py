@@ -206,7 +206,7 @@ def test_quadrant_prob_value_matches_sum():
     rng = np.random.default_rng(26)
     pi = _tables(rng, (4, 5), 1)[0]
     for c1, c2 in PAIRS:
-        p, p1, p2 = kernels.quadrant_values(pi, c1, c2)
+        p, p1, p2 = kernels._quadrants(pi, c1, c2)
         for i in range(1, 4):
             for j in range(1, 5):
                 for u in (0, 1):

@@ -1,4 +1,4 @@
-"""Wedderburn deflation: pivots, residuals, plans, and derivatives."""
+"""Rank residuals as Schur complements: pivots, residuals, plans, and derivatives."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from rcassoc.rank import (
     DeflationPlan,
     PivotError,
     apply_plan,
-    deflate,
-    pivot_select,
     rank_residual,
     rank_residual_jacobian,
 )
@@ -27,37 +25,37 @@ def test_deflate_rank_one_vanishes():
     rng = np.random.default_rng(41)
     for _ in range(50):
         m = _low_rank(rng, (3, 4), 1)
-        piv = pivot_select(m)
-        out = deflate(m, piv)
-        assert out.shape == (2, 3)
+        out, _ = rank_residual(m, 1)
+        assert out.shape == (6,)
         assert np.abs(out).max() <= 1e-12 * np.abs(m).max()
 
 
 def test_deflate_identity_by_hand():
-    out = deflate(np.eye(3), (0, 0))
-    np.testing.assert_array_equal(out, np.eye(2))
+    out = apply_plan(np.eye(3), DeflationPlan((3, 3), ((0, 0),)))
+    np.testing.assert_array_equal(out, np.eye(2).ravel())
 
 
 def test_deflate_drops_one_singular_value():
     rng = np.random.default_rng(42)
     m = _low_rank(rng, (4, 4), 2)
-    out = deflate(m, pivot_select(m))
-    sv = np.linalg.svd(out, compute_uv=False)
+    out, _ = rank_residual(m, 1)
+    sv = np.linalg.svd(out.reshape(3, 3), compute_uv=False)
     assert np.sum(sv > 1e-8) == 1
 
 
 def test_deflate_zero_pivot_rejected():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(PivotError):
-        deflate(m, (0, 0))
+    with pytest.raises(PivotError, match="zero pivot at"):
+        apply_plan(m, DeflationPlan((2, 2), ((0, 0),)))
 
 
 def test_pivot_select():
-    assert pivot_select(np.array([[0.0, 2.0], [1.0, 0.0]])) == (0, 1)
-    assert pivot_select(np.array([[3.0, 3.0], [3.0, 3.0]])) == (0, 0)
-    assert pivot_select(np.array([[1.0, -5.0], [2.0, 4.0]])) == (0, 1)
-    with pytest.raises(PivotError):
-        pivot_select(np.zeros((3, 3)))
+    # the largest magnitude, first in row-major order on ties
+    assert rank_residual(np.array([[0.0, 2.0], [1.0, 0.0]]), 1)[1].pivots == ((0, 1),)
+    assert rank_residual(np.array([[3.0, 3.0], [3.0, 3.0]]), 1)[1].pivots == ((0, 0),)
+    assert rank_residual(np.array([[1.0, -5.0], [2.0, 4.0]]), 1)[1].pivots == ((0, 1),)
+    with pytest.raises(PivotError, match="no pivot above"):
+        rank_residual(np.zeros((3, 3)), 1)
 
 
 def test_rank_residual_shapes_and_plan():
@@ -108,10 +106,10 @@ def test_residual_zero_set_is_pivot_independent():
         high = low + _low_rank(rng, (4, 4), 1, scale=0.2)
         for m, expect_zero in [(low, True), (high, False)]:
             nz = np.argwhere(np.abs(m) > 0.1 * np.abs(m).max())
-            first = tuple(nz[0])
-            last = tuple(nz[-1])
+            first = tuple(int(v) for v in nz[0])
+            last = tuple(int(v) for v in nz[-1])
             for piv in {first, last}:
-                res = deflate(m, piv).ravel()
+                res = apply_plan(m, DeflationPlan(m.shape, (piv,)))
                 if expect_zero:
                     assert np.abs(res).max() <= 1e-9 * np.abs(m).max()
                 else:
@@ -146,12 +144,12 @@ def test_jacobian_finite_difference():
 
 
 def test_jacobian_finite_difference_two_stages():
-    # two chained stages on non-square matrices, along random tangents
+    # two or three chained stages on non-square matrices, along random tangents
     rng = np.random.default_rng(52)
     eps = 1e-6
-    for shape in [(4, 5), (5, 4), (5, 5)]:
+    for shape, k in [((4, 5), 2), ((5, 4), 2), ((5, 5), 2), ((6, 5), 3)]:
         m = _low_rank(rng, shape, 3) + 0.01 * rng.standard_normal(shape)
-        res, plan = rank_residual(m, 2)
+        res, plan = rank_residual(m, k)
         dm = rng.standard_normal((m.size, 6))
         jac = rank_residual_jacobian(m, plan, dm)
         fd = np.column_stack([
@@ -186,6 +184,8 @@ def test_plan_shape_mismatch():
         apply_plan(np.eye(3), plan)
     with pytest.raises(ValueError):
         rank_residual_jacobian(np.eye(3), plan, np.eye(9))
+    with pytest.raises(ValueError, match="tangent must have 16 rows"):
+        rank_residual_jacobian(m, plan, np.eye(9))
     with pytest.raises(ValueError):
         rank_residual(m, 5)
 
@@ -197,18 +197,47 @@ def _deflate_ref(m, pivot):
 
 
 def test_deflation_matches_delete_reference():
-    # dropping the pivot row and column by slicing is bit-identical to np.delete
+    # eliminating in place and keeping the other rows and columns is
+    # bit-identical to deflating and dropping them with np.delete, stage by
+    # stage; the reference's stage-local pivots map back to original indices
     rng = np.random.default_rng(61)
     for _ in range(200):
         rows, cols = (int(v) for v in rng.integers(2, 10, size=2))
         m = rng.standard_normal((rows, cols))
-        pivot = (int(rng.integers(-rows, rows)), int(rng.integers(-cols, cols)))
-        assert np.array_equal(deflate(m, pivot), _deflate_ref(m, pivot))
+        pivot = (int(rng.integers(rows)), int(rng.integers(cols)))
+        one_step = apply_plan(m, DeflationPlan(m.shape, (pivot,)))
+        assert np.array_equal(one_step, _deflate_ref(m, pivot).ravel())
         resid, plan = rank_residual(m, int(rng.integers(0, min(rows, cols) + 1)))
-        cur = m
+        cur, left, right = m, list(range(rows)), list(range(cols))
         for piv in plan.pivots:
-            flat = int(np.argmax(np.abs(cur)))
-            assert piv == divmod(flat, cur.shape[1])
-            cur = _deflate_ref(cur, piv)
+            i, j = divmod(int(np.argmax(np.abs(cur))), cur.shape[1])
+            assert piv == (left.pop(i), right.pop(j))
+            cur = _deflate_ref(cur, (i, j))
         assert np.array_equal(resid, cur.ravel())
         assert np.array_equal(apply_plan(m, plan), cur.ravel())
+
+
+def test_schur_complement_matches_solve_reference():
+    # S = G[I', J'] - G[I', J] G[I, J]^-1 G[I, J'] and dS = P' dG Q with
+    # P' = E(I')' - Y E(I)', Q = E(J') - E(J) X, built by solves on G[I, J]
+    rng = np.random.default_rng(62)
+    for shape in [(5, 5), (4, 6), (7, 5)]:
+        for k in (1, 2, 3):
+            g = rng.standard_normal(shape)
+            dm = rng.standard_normal((g.size, 7))
+            res, plan = rank_residual(g, k)
+            rows, cols = (list(v) for v in zip(*plan.pivots))
+            rest_rows = [a for a in range(shape[0]) if a not in rows]
+            rest_cols = [b for b in range(shape[1]) if b not in cols]
+            block = g[np.ix_(rows, cols)]
+            x = np.linalg.solve(block, g[np.ix_(rows, rest_cols)])
+            y = np.linalg.solve(block.T, g[np.ix_(rest_rows, cols)].T).T
+            schur = g[np.ix_(rest_rows, rest_cols)] - g[np.ix_(rest_rows, cols)] @ x
+            p_t = np.eye(shape[0])[rest_rows] - y @ np.eye(shape[0])[rows]
+            q = np.eye(shape[1])[:, rest_cols] - np.eye(shape[1])[:, cols] @ x
+            want = np.einsum("ar,rct,cb->abt", p_t, dm.reshape(shape + (7,)), q).reshape(-1, 7)
+            scale = np.abs(schur).max()
+            np.testing.assert_allclose(res, schur.ravel(), rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(apply_plan(g, plan), schur.ravel(), rtol=0, atol=1e-12 * scale)
+            jac = rank_residual_jacobian(g, plan, dm)
+            np.testing.assert_allclose(jac, want, rtol=0, atol=1e-12 * np.abs(want).max())

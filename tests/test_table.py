@@ -27,7 +27,7 @@ def _event(size, logit, x, b):
 
 def _quadrants(pi, row_logit, col_logit):
     """Event probabilities (p, p1, p2) of every cut, indexed [u, i-1, v, j-1]."""
-    return kernels.quadrant_values(pi, row_logit, col_logit)
+    return kernels._quadrants(pi, row_logit, col_logit)
 
 
 def test_logit_type_parse():
