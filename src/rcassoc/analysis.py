@@ -1071,11 +1071,7 @@ def _proposal_draws(rng, shape, batch):
 
 
 def _proposal_tables(draws):
-    """The (batch, I1, I2) proposal tables of ``_proposal_draws`` output.
-
-    Every operation acts on one table at a time, so any leading-axis slice
-    of the draws gives bit for bit the tables of the whole stack.
-    """
+    """The (batch, I1, I2) proposal tables of ``_proposal_draws`` output."""
     rows, cols, s, t, a, sigma, z = draws
     s = s - s.mean(axis=1, keepdims=True)
     t = t - t.mean(axis=1, keepdims=True)
@@ -1085,11 +1081,11 @@ def _proposal_tables(draws):
     return pis / pis.sum(axis=(1, 2), keepdims=True)
 
 
-# the collector draws proposals in stacks of _BATCH, builds and tests them in
-# chunks of _CHUNK, and gives up after _MAX_BATCHES stacks
-_BATCH = 4096
-_CHUNK = 512
-_MAX_BATCHES = 2000
+# the collector draws, builds and scores proposals in stacks of _BATCH (stacks
+# of 1,024 made the typical call slower), and gives up after _MAX_BATCHES
+# stacks (8,192,000 proposals)
+_BATCH = 512
+_MAX_BATCHES = 16_000
 
 
 def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
@@ -1097,13 +1093,12 @@ def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
 
     Returns an array (count, I1, I2).  Every returned table passes the
     exact filter min gamma >= 0; the proposal distribution only affects
-    the acceptance rate.  Each stack of ``_BATCH`` proposals is drawn
-    whole, then built and filtered ``_CHUNK`` at a time up to the chunk
-    that completes ``count`` tables, so the output and the final state of
-    ``rng`` are those of filtering whole stacks.  Raises ValueError, before
-    any draw, unless ``count`` is an integer >= 1 and both dimensions are
-    >= 2, and RuntimeError when ``count`` tables cannot be collected within
-    ``_MAX_BATCHES`` stacks.
+    the acceptance rate.  Proposals are drawn, built and filtered in stacks
+    of ``_BATCH``, and the accepted ones are kept in order until ``count``
+    are held, so ``rng`` ends after the last stack that was drawn.  Raises
+    ValueError, before any draw, unless ``count`` is an integer >= 1 and
+    both dimensions are >= 2, and RuntimeError when ``count`` tables cannot
+    be collected within ``_MAX_BATCHES`` stacks.
     """
     i1, i2 = shape
     if not (isinstance(count, (int, np.integer)) and count >= 1 and min(i1, i2) >= 2):
@@ -1114,15 +1109,13 @@ def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
     keep = []
     have = 0
     for _ in range(_MAX_BATCHES):
-        draws = _proposal_draws(rng, shape, _BATCH)
-        for lo in range(0, _BATCH, _CHUNK):
-            tables = _proposal_tables([d[lo : lo + _CHUNK] for d in draws])
-            gammas = gamma_matrix_batch(tables, pair[0], pair[1], fam)
-            ok = np.all(gammas >= 0.0, axis=(1, 2))
-            keep.append(tables[ok])
-            have += int(ok.sum())
-            if have >= count:
-                return np.concatenate(keep)[:count]
+        tables = _proposal_tables(_proposal_draws(rng, shape, _BATCH))
+        ok = np.all(gamma_matrix_batch(tables, pair[0], pair[1], fam) >= 0.0, axis=(1, 2))
+        keep.append(tables[ok])
+        have += int(ok.sum())
+        if have >= count:
+            return np.concatenate(keep)[:count]
     raise RuntimeError(
-        f"could not collect {count} gamma-nonnegative {i1}x{i2} tables for pair {pair}"
+        f"could not collect {count} gamma-nonnegative {i1}x{i2} tables for pair {pair}: "
+        f"kept {have} of {_MAX_BATCHES * _BATCH} proposals drawn"
     )

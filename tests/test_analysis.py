@@ -565,8 +565,8 @@ def _whole_stack_collect(rng, shape, pair, fam, count):
 
 def test_collect_keeps_the_whole_stack_stream():
     calls = [
-        ((5, 5), ("L", "L"), cressie_read(2.0), 256),  # about 11 stacks
-        ((4, 4), ("L", "L"), cressie_read(0.5), 850),  # several chunks
+        ((5, 5), ("L", "L"), cressie_read(2.0), 256),  # about 90 stacks
+        ((4, 4), ("L", "L"), cressie_read(0.5), 850),  # several stacks
         ((3, 3), ("G", "C"), kl(), 300),
         ((5, 5), ("R", "G"), cressie_read(-0.5), 40),
     ]
@@ -577,7 +577,7 @@ def test_collect_keeps_the_whole_stack_stream():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_collect_scores_only_the_chunks_it_needs(monkeypatch):
+def test_collect_draws_only_the_stack_it_needs(monkeypatch):
     scored = []
 
     def counting(draws, *args):
@@ -585,18 +585,39 @@ def test_collect_scores_only_the_chunks_it_needs(monkeypatch):
         return gamma_matrix_batch(draws, *args)
 
     monkeypatch.setattr(analysis, "gamma_matrix_batch", counting)
-    # GG on 4x4 accepts about 94% of proposals
-    draws = collect_nonnegative_gamma_tables(np.random.default_rng(1), (4, 4), ("G", "G"), kl(), 256)
+    # GG on 4x4 accepts about 94% of proposals, so one stack holds 256 tables
+    rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+    draws = collect_nonnegative_gamma_tables(rng, (4, 4), ("G", "G"), kl(), 256)
     assert draws.shape == (256, 4, 4)
-    assert sum(scored) <= analysis._CHUNK
+    assert sum(scored) == analysis._BATCH
+    analysis._proposal_draws(twin, (4, 4), analysis._BATCH)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "shape, pair, fam",
+    [
+        ((4, 4), ("G", "G"), kl()),  # one stack
+        ((5, 5), ("L", "L"), cressie_read(2.0)),  # many stacks
+    ],
+)
+def test_collect_prefix_does_not_depend_on_count(shape, pair, fam):
+    few = collect_nonnegative_gamma_tables(np.random.default_rng(29), shape, pair, fam, 100)
+    many = collect_nonnegative_gamma_tables(np.random.default_rng(29), shape, pair, fam, 300)
+    assert np.array_equal(few, many[:100])
 
 
 def test_collect_gives_up_after_max_batches(monkeypatch):
     monkeypatch.setattr(analysis, "_MAX_BATCHES", 1)
+    batch = analysis._BATCH
     with pytest.raises(
-        RuntimeError, match=r"could not collect 4097 gamma-nonnegative 3x3 tables for pair"
+        RuntimeError,
+        match=rf"could not collect {batch + 1} gamma-nonnegative 3x3 tables for pair "
+        rf".*: kept \d+ of {batch} proposals drawn$",
     ):
-        collect_nonnegative_gamma_tables(np.random.default_rng(1), (3, 3), ("G", "G"), kl(), 4097)
+        collect_nonnegative_gamma_tables(
+            np.random.default_rng(1), (3, 3), ("G", "G"), kl(), batch + 1
+        )
 
 
 @pytest.mark.parametrize(
