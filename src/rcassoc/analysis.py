@@ -146,12 +146,11 @@ class ScoreDecomposition:
         return self.psi.shape[0]
 
 
-def _weights_of(table_or_pi):
+def _probs(table_or_pi):
+    """The probabilities of a table, or an array of them as float64."""
     if isinstance(table_or_pi, ContingencyTable):
-        pi = table_or_pi.probs
-    else:
-        pi = np.asarray(table_or_pi, dtype=np.float64)
-    return pi.sum(axis=1), pi.sum(axis=0)
+        return table_or_pi.probs
+    return np.asarray(table_or_pi, dtype=np.float64)
 
 
 def svd_scores(gamma, table, rank):
@@ -165,7 +164,8 @@ def svd_scores(gamma, table, rank):
     g = gamma.values if isinstance(gamma, InteractionMatrix) else np.asarray(gamma, dtype=np.float64)
     if rank < 0 or rank > min(g.shape):
         raise ValueError(f"rank {rank} invalid for a {g.shape} interaction matrix")
-    rowm, colm = _weights_of(table)
+    pi = _probs(table)
+    rowm, colm = pi.sum(axis=1), pi.sum(axis=0)
     left, sing, right_t = np.linalg.svd(g, full_matrices=False)
     tol = 1e-8 * max(sing[0] if sing.size else 0.0, 1e-300)
     effective = min(rank, int(np.sum(sing > tol)))
@@ -202,7 +202,7 @@ def _standardize(score, weights):
 
 def score_correlation(pi, decomposition):
     """Pearson correlation of the first-component scores under joint ``pi``."""
-    pi = pi.probs if isinstance(pi, ContingencyTable) else np.asarray(pi, dtype=np.float64)
+    pi = _probs(pi)
     if decomposition.rank < 1:
         raise ValueError("correlation needs at least one score component")
     mu, nu = decomposition.mu[0], decomposition.nu[0]
@@ -529,6 +529,25 @@ def _out_of_reach(name, solved, gap):
     )
 
 
+def _as_g_or_c(margin, gamma, logit, axis):
+    """(margin, gamma, reversed, continuation) for a G, C or R margin on
+    ``axis`` of gamma: an R margin is a C margin on the reversed axis, with
+    gamma negated."""
+    cont = logit is not LogitType.GLOBAL
+    if logit is LogitType.REVERSE:
+        return margin[::-1], -np.flip(gamma, axis), True, cont
+    return margin, gamma, False, cont
+
+
+def _cut_events(margin, cont):
+    """(lower, upper) event probabilities at each cut x = 1..I-1 of a G or C
+    margin given as a list; ``cont`` is True for C."""
+    return [
+        (margin[x - 1] if cont else math.fsum(margin[:x]), math.fsum(margin[x:]))
+        for x in range(1, len(margin))
+    ]
+
+
 def _column_sweep(rows, cols, gamma, pair, lam):
     """Table with margins ``rows``, ``cols`` and interactions ``gamma`` for a
     pair with one L margin, column cut by column cut.
@@ -547,19 +566,14 @@ def _column_sweep(rows, cols, gamma, pair, lam):
     gamma = np.asarray(gamma, dtype=np.float64)
     if transpose:
         rows, cols, gamma = cols, rows, gamma.T
-    flip = other is LogitType.REVERSE
-    if flip:
-        cols, gamma = cols[::-1], -gamma[:, ::-1]
-    cont = other is not LogitType.GLOBAL
+    cols, gamma, flip, cont = _as_g_or_c(cols, gamma, other, 1)
     i1, i2 = rows.size, cols.size
     gcols = gamma.T.tolist()
-    rows, cols = rows.tolist(), cols.tolist()
+    rows = rows.tolist()
     log_mass = [0.0] * i1
     cells = [[0.0] * i2 for _ in range(i1)]
     zs = []
-    for j in range(1, i2):
-        c0 = cols[j - 1] if cont else math.fsum(cols[:j])
-        c1 = math.fsum(cols[j:])
+    for j, (c0, c1) in enumerate(_cut_events(cols.tolist(), cont), start=1):
         col = i2 - 1 - j if flip else j - 1
         name = f"gamma[{col}, :]" if transpose else f"gamma[:, {col}]"
         z = _column_root(log_mass, rows, gcols[j - 1], c0, c1, lam, name)
@@ -685,35 +699,23 @@ def _survival_scan(rows, cols, gamma, pair, lam):
     ``math.fsum``, so each quadrant and cell keeps its relative precision
     however small it is next to the S values around it.
     """
-    flip = [lt is LogitType.REVERSE for lt in pair]
-    cont = [lt is not LogitType.GLOBAL for lt in pair]
     gamma = np.asarray(gamma, dtype=np.float64)
-    if flip[0]:
-        rows, gamma = rows[::-1], -gamma[::-1]
-    if flip[1]:
-        cols, gamma = cols[::-1], -gamma[:, ::-1]
+    rows, gamma, flip_rows, cont_rows = _as_g_or_c(rows, gamma, pair[0], 0)
+    cols, gamma, flip_cols, cont_cols = _as_g_or_c(cols, gamma, pair[1], 1)
     i1, i2 = rows.size, cols.size
     rows, cols, gamma = rows.tolist(), cols.tolist(), gamma.tolist()
-
-    def events(margin, continuation):
-        # (lower, upper) event probabilities at each cut x = 1..I-1
-        return [
-            (margin[x - 1] if continuation else math.fsum(margin[:x]), math.fsum(margin[x:]))
-            for x in range(1, len(margin))
-        ]
-
-    row_events, col_events = events(rows, cont[0]), events(cols, cont[1])
+    row_events, col_events = _cut_events(rows, cont_rows), _cut_events(cols, cont_cols)
     # s[x][y] for x < I1, y < I2; row 0 and column 0 are the marginal survivals
     s = [[_pair_sum(*rows[x:])] + [None] * (i2 - 1) for x in range(i1)]
     s[0][1:] = [_pair_sum(*cols[y:]) for y in range(1, i2)]
     for x in range(1, i1):
-        a = x - 1 if cont[0] else 0
+        a = x - 1 if cont_rows else 0
         r0, r1 = row_events[x - 1]
         for y in range(1, i2):
-            b = y - 1 if cont[1] else 0
+            b = y - 1 if cont_cols else 0
             c0, c1 = col_events[y - 1]
             # the cut's gamma entry in the caller's orientation, for errors
-            name = f"gamma[{i1 - 1 - x if flip[0] else x - 1}, {i2 - 1 - y if flip[1] else y - 1}]"
+            name = f"gamma[{i1 - 1 - x if flip_rows else x - 1}, {i2 - 1 - y if flip_cols else y - 1}]"
             weights = (r0 * c0, r0 * c1, r1 * c0, r1 * c1)
             s[x][y] = _cut_root(s[a][b], s[a][y], s[x][b], weights, gamma[x - 1][y - 1], lam, name)
     # cells are second differences of S, with S = 0 past the last row and column
@@ -724,7 +726,7 @@ def _survival_scan(rows, cols, gamma, pair, lam):
          for c in range(i2)]
         for r in range(i1)
     ])
-    return pi[:: -1 if flip[0] else 1, :: -1 if flip[1] else 1]
+    return pi[:: -1 if flip_rows else 1, :: -1 if flip_cols else 1]
 
 
 def _plackett(psi, row, col, diff):
@@ -875,7 +877,7 @@ class DependenceReport:
 
 def row_conditional_cumulative(pi):
     """Cumulative conditional distributions by row, columns 1..I2-1."""
-    pi = pi.probs if isinstance(pi, ContingencyTable) else np.asarray(pi, dtype=np.float64)
+    pi = _probs(pi)
     cond = pi / pi.sum(axis=1, keepdims=True)
     return np.cumsum(cond, axis=1)[:, :-1]
 
@@ -1047,37 +1049,29 @@ def counterexample_verify(which):
 # ---------------------------------------------------------------------------
 
 
-def _proposal_draws(rng, shape, batch):
-    """Every generator draw for ``batch`` proposals, in a fixed order.
+def _proposals(rng, shape, batch):
+    """A (batch, I1, I2) stack of random tables biased toward (but not
+    confined to) positive dependence.
 
-    Random tables biased toward (but not confined to) positive dependence:
-    independent Dirichlet margins, tilted by exp(a * s_i t_j) with
+    Independent Dirichlet margins, tilted by exp(a * s_i t_j) with
     increasing latent scores s, t and a random strength a >= 0, then
     roughened with multiplicative log-normal noise of scale sigma.  Plain
     Dirichlet rejection is hopeless for the larger shapes (the
     all-nonnegative-gamma region has vanishing mass), while this proposal
     keeps a workable acceptance rate and, thanks to the noise, still lands
-    near the gamma = 0 boundary.  ``_proposal_tables`` builds the tables.
+    near the gamma = 0 boundary.
     """
     i1, i2 = shape
     rows = rng.dirichlet(np.ones(i1), size=batch)
     cols = rng.dirichlet(np.ones(i2), size=batch)
     s = np.cumsum(rng.uniform(0.2, 1.0, size=(batch, i1)), axis=1)
     t = np.cumsum(rng.uniform(0.2, 1.0, size=(batch, i2)), axis=1)
+    s -= s.mean(axis=1, keepdims=True)
+    t -= t.mean(axis=1, keepdims=True)
     a = rng.uniform(0.0, 3.0, size=batch)[:, None, None]
     sigma = rng.uniform(0.0, 0.25, size=batch)[:, None, None]
-    z = rng.standard_normal(size=(batch, i1, i2))
-    return rows, cols, s, t, a, sigma, z
-
-
-def _proposal_tables(draws):
-    """The (batch, I1, I2) proposal tables of ``_proposal_draws`` output."""
-    rows, cols, s, t, a, sigma, z = draws
-    s = s - s.mean(axis=1, keepdims=True)
-    t = t - t.mean(axis=1, keepdims=True)
-    noise = np.exp(sigma * z)
     pis = rows[:, :, None] * cols[:, None, :] * np.exp(a * s[:, :, None] * t[:, None, :])
-    pis *= noise
+    pis *= np.exp(sigma * rng.standard_normal(size=(batch, i1, i2)))
     return pis / pis.sum(axis=(1, 2), keepdims=True)
 
 
@@ -1109,7 +1103,7 @@ def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
     keep = []
     have = 0
     for _ in range(_MAX_BATCHES):
-        tables = _proposal_tables(_proposal_draws(rng, shape, _BATCH))
+        tables = _proposals(rng, shape, _BATCH)
         ok = np.all(gamma_matrix_batch(tables, pair[0], pair[1], fam) >= 0.0, axis=(1, 2))
         keep.append(tables[ok])
         have += int(ok.sum())

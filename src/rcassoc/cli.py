@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from .analysis import (
     DegenerateScoreError,
+    RankDeficiencyWarning,
     ReconstructionError,
     counterexample_names,
     counterexample_verify,
@@ -47,7 +49,13 @@ from .analysis import (
 )
 from .datasets import dataset_names, dataset_path
 from .divergence import cressie_read
-from .estimation import ModelSpec, constraint_from_name, constraint_names, fit
+from .estimation import (
+    ModelSpec,
+    RedundantConstraintWarning,
+    constraint_from_name,
+    constraint_names,
+    fit,
+)
 from .interactions import MarginalLogits
 from .table import ContingencyTable, LogitType, TableParseError, read_counts, read_numbers
 
@@ -248,6 +256,13 @@ def _model_spec(pair, lam, rank, names):
     )
 
 
+# the FitResult fields of the fit payload, in payload order
+_FIT_FIELDS = (
+    "deviance", "dof", "p_value", "iterations", "evaluations", "converged", "constraint_norm",
+    "loglik", "message",
+)
+
+
 def _fit_payload(ns, spec, result):
     fitted = ContingencyTable.from_probabilities(result.pi_hat, ns.rows_logit, ns.cols_logit)
     rows, cols, gamma = extract_invariants(fitted, fam=spec.family)
@@ -266,17 +281,7 @@ def _fit_payload(ns, spec, result):
     report = dependence_report(fitted.probs, fam=spec.family, pairs=pairs)
     return {
         "spec": _spec_payload(ns),
-        "fit": {
-            "deviance": result.deviance,
-            "dof": result.dof,
-            "p_value": result.p_value,
-            "iterations": result.iterations,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-            "constraint_norm": result.constraint_norm,
-            "loglik": result.loglik,
-            "message": result.message,
-        },
+        "fit": {key: getattr(result, key) for key in _FIT_FIELDS},
         "pi_hat": result.pi_hat,
         "gamma": gamma.values,
         "eta": {"rows": rows.values, "cols": cols.values},
@@ -286,12 +291,27 @@ def _fit_payload(ns, spec, result):
     }
 
 
+# warnings that the fit payload records under "warnings"; any other passes through
+_FIT_WARNINGS = (RankDeficiencyWarning, RedundantConstraintWarning)
+
+
 def cmd_fit(ns):
-    """Fit one model and emit the full report; exit 3 if not converged."""
+    """Fit one model and emit the full report, which lists each rank-deficiency
+    and redundant-constraint warning under ``warnings``; exit 3 if not converged."""
     table = _load_table(ns)
     spec = _model_spec((ns.rows_logit, ns.cols_logit), ns.lam, ns.rank, ns.constraint)
-    result = fit(table, spec)
-    _emit(_fit_payload(ns, spec, result), ns.fmt or "json")
+    with warnings.catch_warnings(record=True) as caught:
+        for category in _FIT_WARNINGS:
+            warnings.simplefilter("always", category)
+        result = fit(table, spec)
+        payload = _fit_payload(ns, spec, result)
+    payload["warnings"] = []
+    for w in caught:
+        if issubclass(w.category, _FIT_WARNINGS):
+            payload["warnings"].append({"category": w.category.__name__, "message": str(w.message)})
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    _emit(payload, ns.fmt or "json")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -300,17 +320,17 @@ def cmd_fit(ns):
 # ---------------------------------------------------------------------------
 
 
+# the FitResult fields of a sweep row, in row order
+_SWEEP_FIELDS = ("deviance", "dof", "converged", "iterations", "evaluations", "message")
+
+
 def _sweep_cell(args):
     counts, pair, lam, rank, names = args
     row = {
         "pair": pair,
         "lambda": float(lam),
-        "deviance": None,
-        "dof": None,
+        **dict.fromkeys(_SWEEP_FIELDS),
         "converged": False,
-        "iterations": None,
-        "evaluations": None,
-        "message": None,
         "error": None,
     }
     try:
@@ -318,12 +338,7 @@ def _sweep_cell(args):
     except ValueError as exc:  # invalid specs; fit itself stops on a pivot failure
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-    row["deviance"] = result.deviance
-    row["dof"] = result.dof
-    row["converged"] = bool(result.converged)
-    row["iterations"] = result.iterations
-    row["evaluations"] = result.evaluations
-    row["message"] = result.message
+    row.update((key, getattr(result, key)) for key in _SWEEP_FIELDS)
     return row
 
 
@@ -359,16 +374,11 @@ def cmd_sweep(ns):
         _emit({"spec": spec, "cells": rows}, "json")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["pair", "lambda", "deviance", "dof", "converged"])
+        columns = ("lambda", "deviance", "dof", "converged")
+        writer.writerow(["pair", *columns])
         for r in rows:
             writer.writerow(
-                [
-                    r["pair"],
-                    json.dumps(_jsonable(r["lambda"])),
-                    "" if r["deviance"] is None else json.dumps(_jsonable(r["deviance"])),
-                    "" if r["dof"] is None else json.dumps(r["dof"]),
-                    json.dumps(r["converged"]),
-                ]
+                [r["pair"], *("" if r[k] is None else json.dumps(_jsonable(r[k])) for k in columns)]
             )
     return EXIT_OK
 

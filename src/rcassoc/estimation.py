@@ -68,7 +68,7 @@ from scipy.special import chdtrc
 from . import kernels
 from .divergence import DivergenceFamily
 from .rank import PivotError, apply_plan, rank_residual, rank_residual_jacobian
-from .table import ContingencyTable, LogitType
+from .table import ContingencyTable, LogitType, _freeze
 
 __all__ = [
     "ModelSpec",
@@ -103,8 +103,6 @@ def _first_difference(m):
 
 class LinearConstraint:
     """Linear restriction A [eta_row; eta_col; vec gamma] = offset."""
-
-    name = "custom"
 
     def coefficients(self, shape, pair):
         """(A, offset) over the invariant vector of a table of ``shape`` with
@@ -261,14 +259,13 @@ class CanonicalParam:
     shape: tuple[int, int]
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
+        theta = _freeze(self.theta).reshape(-1)
         shape = tuple(self.shape)
         if theta.shape[0] != shape[0] * shape[1] - 1:
             raise ValueError(
                 f"theta length {theta.shape[0]} does not match shape {shape}, "
                 f"which needs {shape[0] * shape[1] - 1} contrasts"
             )
-        theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "shape", shape)
 

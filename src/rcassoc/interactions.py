@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .divergence import kl
-from .table import LogitType
+from .table import LogitType, _freeze
 
 __all__ = [
     "InteractionMatrix",
@@ -45,9 +45,7 @@ class InteractionMatrix:
     pair: tuple[LogitType, LogitType]
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(self.values))
         object.__setattr__(
             self, "pair", (LogitType.parse(self.pair[0]), LogitType.parse(self.pair[1]))
         )
@@ -61,9 +59,7 @@ class MarginalLogits:
     logit_type: LogitType
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(self.values))
         object.__setattr__(self, "logit_type", LogitType.parse(self.logit_type))
 
     def __len__(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rcassoc import (
     ContingencyTable,
+    DegenerateScoreError,
     MarginalShift,
     ModelSpec,
     RankDeficiencyWarning,
@@ -86,6 +87,16 @@ def test_svd_scores_zero_matrix_warns():
         svd_scores(np.zeros((2, 2)), table, 3)
 
 
+def test_constant_scores_are_degenerate():
+    # all of the row mass on the first category leaves the row scores
+    # without variance under it
+    with pytest.raises(DegenerateScoreError, match="constant under the weighting marginals"):
+        svd_scores(np.ones((1, 1)), np.array([[0.5, 0.5], [0.0, 0.0]]), 1)
+    dec = analysis.ScoreDecomposition(psi=np.ones(1), mu=np.ones((1, 2)), nu=np.array([[0.0, 1.0]]))
+    with pytest.raises(DegenerateScoreError, match="zero-variance scores"):
+        score_correlation(np.full((2, 2), 0.25), dec)
+
+
 def test_score_correlation_independence_and_affine_invariance(random_table):
     rng = np.random.default_rng(71)
     r = np.array([0.2, 0.3, 0.5])
@@ -118,7 +129,7 @@ def test_score_correlation_concentrated_diagonal():
 def test_margin_from_logits_round_trips(random_table):
     rng = np.random.default_rng(72)
     for code in "LGCR":
-        for size in (2, 3, 6):
+        for size in (1, 2, 3, 6):
             m = rng.dirichlet(np.ones(size)) + 0.02
             m = m / m.sum()
             logits = marginal_logits(m, code)
@@ -257,6 +268,41 @@ def test_reconstruct_names_the_unattainable_cut_or_cell(mobility):
     with pytest.raises(ReconstructionError, match=r"cell pi\[1, 2\]") as exc:
         reconstruct(rows, cols, bumped)
     assert exc.value.residual_norm > 0
+
+
+@pytest.mark.parametrize(
+    "pair, lam, rows, cols, shift, name, gap",
+    [
+        # lam > 0 bounds F below, so these brackets end before the target
+        ("LG", 0.5, None, None, 3.0, r"gamma\[:, 0\]", 5.386),
+        ("GC", 1.0, None, None, 1.0, r"gamma\[0, 2\]", 0.2084),
+        # gamma[0, 1], solved first on the reversed column axis, ends at its
+        # bracket's edge, which leaves the next cut no room
+        ("CR", 0.0, [0.2, 0.8], [0.2, 0.5, 0.3], [[0.0, -1000.0]], r"gamma\[0, 0\]", np.inf),
+    ],
+)
+def test_reconstruct_names_a_target_past_its_bracket(mobility, pair, lam, rows, cols, shift, name, gap):
+    fam = cressie_read(lam)
+    if rows is None:
+        rows, cols, g = extract_invariants(ContingencyTable(mobility.probs, *pair), fam=fam)
+        target = g.values + shift
+    else:
+        rows, cols = marginal_logits(rows, pair[0]), marginal_logits(cols, pair[1])
+        target = np.array(shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError, match=rf"target {name} is out of reach") as exc:
+            reconstruct(rows, cols, target, fam=fam)
+    assert exc.value.residual_norm == pytest.approx(gap, rel=1e-3)
+
+
+def test_reconstruct_rejects_a_table_that_misses_its_target():
+    # an odds ratio of e^10000 needs a cell far below the least double, so
+    # the table the scan returns has another gamma
+    even = marginal_logits([0.5, 0.5], "G")
+    with pytest.raises(ReconstructionError, match="misses the target invariants") as exc:
+        reconstruct(even, even, [[1e4]])
+    assert exc.value.residual_norm > 1e3
 
 
 def test_reconstruct_rejects_gamma_of_another_pair(mobility):
@@ -463,7 +509,7 @@ def _audit_tables(random_table):
     rng = np.random.default_rng(83)
     tables = [random_table(rng, (int(a), int(b))) for a, b in rng.integers(2, 6, size=(100, 2))]
     for shape in [(3, 3), (4, 5), (5, 3)]:
-        tables.extend(analysis._proposal_tables(analysis._proposal_draws(rng, shape, 100)))
+        tables.extend(analysis._proposals(rng, shape, 100))
     tables.append(np.outer([0.2, 0.3, 0.5], [0.25, 0.4, 0.35]))
     return tables
 
@@ -590,7 +636,7 @@ def test_collect_draws_only_the_stack_it_needs(monkeypatch):
     draws = collect_nonnegative_gamma_tables(rng, (4, 4), ("G", "G"), kl(), 256)
     assert draws.shape == (256, 4, 4)
     assert sum(scored) == analysis._BATCH
-    analysis._proposal_draws(twin, (4, 4), analysis._BATCH)
+    analysis._proposals(twin, (4, 4), analysis._BATCH)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 

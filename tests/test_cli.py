@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from rcassoc import (
     MarginalShift,
     ModelSpec,
     RankDeficiencyWarning,
+    RedundantConstraintWarning,
     cressie_read,
     extract_invariants,
     fit,
     load_mobility,
 )
-from rcassoc.analysis import DependenceReport, VerificationRecord
+from rcassoc.analysis import DegenerateScoreError, DependenceReport, VerificationRecord
 from rcassoc.cli import main
 from rcassoc.table import LogitType
 
@@ -56,6 +58,7 @@ def test_fit_mobility_marginal_shift(capsys):
     assert dep["simple_stochastic_order"] is True
     assert dep["quadrant_dependence"] is True
     assert dep["violations"] == []
+    assert payload["warnings"] == []
     assert np.asarray(payload["pi_hat"]).shape == (5, 5)
     assert np.asarray(payload["gamma"]).shape == (4, 4)
     assert len(payload["eta"]["rows"]) == 4
@@ -146,15 +149,71 @@ def test_fit_stalled_away_from_feasibility_exits_3(capsys, tmp_path):
 
 def test_fit_pivot_failure_at_the_start_exits_3(capsys, tmp_path):
     # gamma = 0 at the start of a uniform table: no step is computed, so the
-    # start's constraint norm is unknown; the scores of gamma = 0 have rank 0
+    # start's constraint norm is unknown; the scores of gamma = 0 have rank 0,
+    # which the payload records and stderr does not show
     path = tmp_path / "uniform.txt"
     path.write_text("10 10 10 10\n" * 4)
-    with pytest.warns(RankDeficiencyWarning):
-        code, payload, _ = run_json(capsys, "fit", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run_json(capsys, "fit", str(path))
     assert code == 3
+    assert err == ""
     assert payload["fit"]["message"].startswith("deflation pivot failure")
     assert payload["fit"]["constraint_norm"] is None
     assert payload["fit"]["dof"] == 0
+    assert payload["warnings"] == [
+        {
+            "category": RankDeficiencyWarning.__name__,
+            "message": "requested 1 components but the interaction matrix has numerical rank 0",
+        }
+    ]
+
+
+def test_fit_passes_other_warnings_through(capsys, monkeypatch):
+    report = cli.dependence_report
+
+    def noisy(*args, **kwargs):
+        warnings.warn("an unrelated warning", UserWarning)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dependence_report", noisy)
+    with pytest.warns(UserWarning, match="an unrelated warning"):
+        code, payload, _ = run_json(capsys, "fit", "mobility")
+    assert code == 0
+    assert payload["warnings"] == []
+
+
+def test_fit_reports_null_scores_when_they_are_degenerate(capsys, monkeypatch):
+    # a fitted table is strictly positive, so its scores are never constant;
+    # a stand-in raises the error the payload turns into null scores
+    def degenerate(*args):
+        raise DegenerateScoreError("score vector is constant under the weighting marginals")
+
+    monkeypatch.setattr(cli, "svd_scores", degenerate)
+    code, payload, _ = run_json(capsys, "fit", "mobility")
+    assert code == 0
+    assert payload["scores"] is None
+    assert payload["correlation"] is None
+
+
+def test_fit_records_redundant_constraints(capsys):
+    # a repeated constraint adds 4 equations that depend on the first 4
+    args = ("fit", "mobility", "--constraint", "marginal-homogeneity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run_json(capsys, *args, "--constraint", "marginal-homogeneity")
+    assert code == 0
+    assert err == ""
+    assert payload["warnings"] == [
+        {
+            "category": RedundantConstraintWarning.__name__,
+            "message": "4 of 17 constraint equations are redundant; dropping dependent rows",
+        }
+    ]
+    _, once, _ = run_json(capsys, *args)
+    assert once["warnings"] == []
+    assert payload["fit"]["dof"] == once["fit"]["dof"]
+    assert payload["fit"]["deviance"] == pytest.approx(once["fit"]["deviance"], abs=1e-6)
 
 
 def test_sweep_csv(capsys):
@@ -589,6 +648,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     flagged = [
         ("--jobs", ("sweep", "mobility", "--jobs", "0")),
         ("--rank", ("fit", "mobility", "--rank", "-1")),
+        ("--rank", ("fit", "mobility", "--rank", "x")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1:0")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:inf:1")),

@@ -35,7 +35,9 @@ from rcassoc.estimation import (
     _objective,
     _search,
     _Workspace,
+    constraint_from_name,
 )
+from rcassoc.rank import DeflationPlan
 
 PAPER_LAMBDA = -0.04
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -778,6 +780,33 @@ def test_fit_rejects_bad_counts():
     prob_only = ContingencyTable.from_probabilities(np.full((5, 5), 0.04), "G", "G")
     with pytest.raises(ValueError):
         fit(prob_only, spec)
+
+
+@pytest.mark.parametrize(
+    "constraint, shape, pair, message",
+    [
+        (MarginalHomogeneity(), (3, 3), ("L", "G"), "requires identical row and column logit types"),
+        (MarginalShift(), (2, 2), ("G", "G"), "needs at least 3 categories"),
+        (EqualRowSpacing(), (2, 4), ("G", "G"), "needs at least 3 row categories"),
+        (EqualColumnSpacing(), (4, 2), ("G", "G"), "needs at least 3 column categories"),
+    ],
+)
+def test_constraint_rejects_a_table_it_does_not_fit(constraint, shape, pair, message):
+    with pytest.raises(ValueError, match=f"^{constraint.name} {message}$"):
+        _spec(1, (constraint,), pair=pair).linear_system(shape)
+
+
+def test_constraint_from_name():
+    assert isinstance(constraint_from_name(" Marginal-Shift "), MarginalShift)
+    with pytest.raises(ValueError, match="unknown constraint 'bogus'; expected one of"):
+        constraint_from_name("bogus")
+
+
+def test_objective_is_minus_inf_where_a_plan_has_no_pivot():
+    # a uniform table has gamma = 0 exactly, so replaying any pivot fails
+    ws = _Workspace(np.zeros(15), _spec(1), (4, 4), None)
+    plan = DeflationPlan((3, 3), ((0, 0),))
+    assert _objective(ws, np.full(16, 10.0), plan, 1.0) == -np.inf
 
 
 def test_model_spec_interface():

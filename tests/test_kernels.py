@@ -215,3 +215,10 @@ def test_quadrant_prob_value_matches_sum():
                         assert p[u, i - 1, v, j - 1] == pytest.approx(want[0], abs=1e-15)
                         assert p1[u, i - 1] == pytest.approx(want[1], abs=1e-15)
                         assert p2[v, j - 1] == pytest.approx(want[2], abs=1e-15)
+
+
+def test_kernels_reject_the_wrong_number_of_axes():
+    with pytest.raises(ValueError, match="expected a 2-d probability table"):
+        kernels.gamma_values(np.full((1, 2, 2), 0.25), "G", "G", 0.0)
+    with pytest.raises(ValueError, match="expected a stack of tables"):
+        kernels.gamma_values_batch(np.full((2, 2), 0.25), "G", "G", 0.0)

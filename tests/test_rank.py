@@ -188,6 +188,10 @@ def test_plan_shape_mismatch():
         rank_residual_jacobian(m, plan, np.eye(9))
     with pytest.raises(ValueError):
         rank_residual(m, 5)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        rank_residual(m.ravel(), 1)
+    with pytest.raises(ValueError, match="rank must be non-negative"):
+        rank_residual(m, -1)
 
 
 def _deflate_ref(m, pivot):

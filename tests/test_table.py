@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcassoc import ContingencyTable, ModelSpec, TableParseError, fit, kernels, kl
+from rcassoc import CanonicalParam, ContingencyTable, ModelSpec, TableParseError, fit, kernels, kl
 from rcassoc.datasets import dataset_names, dataset_path
+from rcassoc.interactions import InteractionMatrix, MarginalLogits
 from rcassoc.table import LogitType, read_counts
 
 # probability table used in several worked examples below
@@ -135,6 +136,8 @@ def test_constructor_validation():
         ContingencyTable.from_probabilities(np.full((1, 4), 0.25))
     t = ContingencyTable.from_probabilities([[2.0, 2.0], [4.0, 2.0]], normalize=True)
     assert t.probs.sum() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="positive total"):
+        ContingencyTable.from_probabilities(np.zeros((2, 2)), normalize=True)
 
 
 def test_probs_are_frozen(mobility):
@@ -244,3 +247,23 @@ def test_table_copies_its_input():
     assert not table.counts.flags.writeable and not table.probs.flags.writeable
     counts[0, 0] = 4.0
     assert table.counts[0, 0] == 3.0
+
+
+@pytest.mark.parametrize(
+    "build, shape, field",
+    [
+        (lambda a: MarginalLogits(a, "G"), (3,), "values"),
+        (lambda a: InteractionMatrix(a, ("G", "G")), (2, 2), "values"),
+        (lambda a: CanonicalParam(a, (2, 2)), (3,), "theta"),
+        (ContingencyTable, (2, 2), "probs"),
+    ],
+    ids=["MarginalLogits", "InteractionMatrix", "CanonicalParam", "ContingencyTable"],
+)
+def test_records_hold_a_frozen_copy(build, shape, field):
+    # each record freezes its own copy and leaves the caller's array writable
+    given = np.full(shape, 0.25)
+    held = getattr(build(given), field)
+    assert given.flags.writeable
+    assert not held.flags.writeable
+    given[...] = 0.5
+    assert np.all(held == 0.25)
