@@ -109,8 +109,12 @@ class ReconstructionError(RuntimeError):
     the reconstructed table, or, when the target is ruled out, the gap
     between a cut's target and the range its bracket reaches, a column's
     log-odds gap at the end of its bracket (or the width by which that
-    bracket is empty), the amount by which a cell falls below 0, or, for
-    LL, the largest error left in its margin and optimality equations.
+    bracket is empty), the log-odds gap by which a G column's root falls
+    below the previous column's where the cell between them would overflow,
+    the amount by which a cell falls below 0 (for a cell that is exactly 0,
+    the least positive float, 5e-324, which it falls short of being
+    positive), or, for LL, the largest error left in its margin and
+    optimality equations (infinite once they are no longer finite).
     """
 
     def __init__(self, message, residual_norm):
@@ -318,7 +322,9 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
     if bad.size:
         r, c = bad[0]
         cell = float(pi[r, c])
-        raise ReconstructionError(f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", -cell)
+        raise ReconstructionError(
+            f"target implies cell pi[{r}, {c}] = {cell:.3e} <= 0", max(-cell, math.ulp(0.0))
+        )
     pi = pi / pi.sum()
     got = np.concatenate([
         kernels.marginal_logit_values(pi.sum(axis=1), pair[0]),
@@ -572,10 +578,11 @@ def _column_sweep(rows, cols, gamma, pair, lam):
     rows = rows.tolist()
     log_mass = [0.0] * i1
     cells = [[0.0] * i2 for _ in range(i1)]
-    zs = []
+    zs, names = [], []
     for j, (c0, c1) in enumerate(_cut_events(cols.tolist(), cont), start=1):
         col = i2 - 1 - j if flip else j - 1
         name = f"gamma[{col}, :]" if transpose else f"gamma[:, {col}]"
+        names.append(name)
         z = _column_root(log_mass, rows, gcols[j - 1], c0, c1, lam, name)
         if cont:
             for i in range(i1):
@@ -592,7 +599,11 @@ def _column_sweep(rows, cols, gamma, pair, lam):
         zi = [z[i] for z in zs]
         cells[i][0] = rows[i] * _expit(zi[0])
         for j in range(1, i2 - 1):
-            cells[i][j] = rows[i] * _expit(zi[j]) * _expit(-zi[j - 1]) * -math.expm1(zi[j - 1] - zi[j])
+            try:
+                factor = -math.expm1(zi[j - 1] - zi[j])
+            except OverflowError:  # the cell would be far below 0
+                raise _out_of_reach(names[j], "columns", zi[j - 1] - zi[j]) from None
+            cells[i][j] = rows[i] * _expit(zi[j]) * _expit(-zi[j - 1]) * factor
         cells[i][-1] = rows[i] * _expit(-zi[-1])
     pi = np.array(cells)
     if flip:
@@ -673,7 +684,8 @@ def _ll_solve(rows, cols, gamma, lam):
     if not err <= _RECONSTRUCT_TOL:
         r, c = np.unravel_index(np.argmin(a if lam <= 0.0 else lam * y), a.shape)
         raise ReconstructionError(
-            f"target drives cell pi[{r}, {c}] to 0 before the margins are met", err
+            f"target drives cell pi[{r}, {c}] to 0 before the margins are met",
+            math.inf if math.isnan(err) else err,
         )
     return weight * a
 
@@ -734,10 +746,11 @@ def _plackett(psi, row, col, diff):
 
     ``row`` and ``col`` are the totals of q's row and column and ``diff``
     is the opposite cell minus q; the feasible root, taken without
-    cancellation.
+    cancellation.  A discriminant that rounds below 0 at a double root
+    counts as 0.
     """
     b = diff + psi * (row + col)
-    root = math.sqrt(b * b + 4.0 * (1.0 - psi) * psi * row * col)
+    root = math.sqrt(max(0.0, b * b + 4.0 * (1.0 - psi) * psi * row * col))
     if b > 0.0:
         return 2.0 * psi * row * col / (b + root)
     return (root - b) / (2.0 * (1.0 - psi))

@@ -21,9 +21,12 @@ Evans & Forcina (2013) use:
 On the first d = cells - 1 cells, F = n (diag(p) - p p') and
 F^-1 w = (w / p + sum(w) / pi_last) / n in closed form, so F is never
 formed or factorized.  The one factorization per iteration is a Q-free
-pivoted QR of the (d + 1) x k matrix C H, where C'C = F^-1: it gives
-G = R'R, the rank (dependent constraint rows are dropped), and the
-triangular solves for lambda.  The direction solves H' direction = -h.
+pivoted QR of the (d + 1) x k matrix C H, where C'C = F^-1, built in one
+buffer: it gives G = R'R, the rank (dependent constraint rows are
+dropped), and the two triangular solves with R' and R for both right-hand
+sides of lambda, by the LAPACK routine that ``cho_solve`` wraps; scipy
+scans C H for non-finite entries before the QR, and R is computed from
+it, so the solves scan nothing.  The direction solves H' direction = -h.
 The stationarity test is on the multiplier residual s - H lambda0, with
 lambda0 = G^-1 H' F^-1 s: the score that the constraint gradients leave
 unexplained.  With no constraint rows (the saturated model) the step is
@@ -33,7 +36,9 @@ Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
 without its last column, so a pi-jacobian J maps to column c
 (J[:, c] - J pi) pi_c.  The rank residual is the Schur complement S of a
 pivot block of gamma, so its jacobian is P' (d vec(gamma) / dtheta) Q, with
-P and Q built by the elimination that gives S (``rank``).
+P and Q built from the steps of the elimination that gives S (``rank``):
+the pivot search at each iterate, whose steps the jacobian there reuses, as
+a workspace's gamma is read-only.
 
 A line search on the exact l1 penalty merit
 f(t) = y' log pi(t) / n - mu ||h(t)||_1 picks the step length (Han 1977;
@@ -53,8 +58,9 @@ ends.  Deflation pivots are frozen for one outer iteration so h stays
 smooth along the search path.  A workspace computes the marginal logits
 and the jacobians only when they are first read, so line-search trial
 points, which need only h and the log-likelihood, never build them; the
-accepted trial point's workspace is the next iteration's, so an iteration
-whose unit step is taken builds one workspace.
+accepted trial point's workspace, with the log-likelihood its merit
+evaluation computed, is the next iteration's, so an iteration whose unit
+step is taken builds one workspace.
 """
 
 import warnings
@@ -314,6 +320,9 @@ class _Workspace:
         self.pi2d = self.pi.reshape(shape)
         self._gamma_args = (*spec.pair, spec.family.lam)
         self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
+        # read-only, so the jacobian may reuse the pivot search made on it
+        self.gamma.flags.writeable = False
+        self._loglik = None, None
 
     def _margins(self):
         """(row margin, its logit type) and (column margin, its logit type)."""
@@ -374,7 +383,10 @@ class _Workspace:
         return (y - y.sum() * self.pi)[:-1]
 
     def loglik(self, y):
-        return float(y @ np.log(self.pi))
+        """y' log pi, computed once for the counts last passed."""
+        if self._loglik[0] is not y:
+            self._loglik = y, float(y @ np.log(self.pi))
+        return self._loglik[1]
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +425,15 @@ def _multiplier_step(s, h, jac, n, pi, warn):
     k, d = jac.shape
     if k == 0:
         return _info_solve(n, pi, s), np.zeros(0), s, 0
-    # C H with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n), so C'C = F^-1
-    ch = (np.hstack([jac, jac.sum(axis=1, keepdims=True)]) / np.sqrt(n * pi)).T
-    _, r, piv = scipy.linalg.qr(ch, overwrite_a=True, mode="raw", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
+    # (C H)' in one buffer, with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n),
+    # so C'C = F^-1; its transpose is Fortran-ordered, so the QR overwrites it
+    hc = np.empty((k, d + 1))
+    hc[:, :d] = jac
+    hc[:, d] = jac.sum(axis=1)
+    hc /= np.sqrt(n * pi)
+    _, r, piv = scipy.linalg.qr(hc.T, overwrite_a=True, mode="raw", pivoting=True)
+    diag = np.abs(r.diagonal())
+    rank = int(np.count_nonzero(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
     if rank < k and warn:
         warnings.warn(
             f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows",
@@ -426,7 +442,8 @@ def _multiplier_step(s, h, jac, n, pi, warn):
         )
     kept = jac[piv[:rank]]
     rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[piv[:rank]]])
-    lam0, lam_h = scipy.linalg.cho_solve((r[:rank, :rank], False), rhs).T
+    # G = R'R: the two triangular solves of cho_solve, without its input scans
+    lam0, lam_h = (scipy.linalg.lapack.dpotrs(r[:rank, :rank], rhs)[0] if rank else rhs).T
     resid = s - lam0 @ kept
     lam = np.zeros(k)
     lam[piv[:rank]] = lam0 + lam_h

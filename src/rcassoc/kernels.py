@@ -134,10 +134,14 @@ def lor_values_batch(pis, l1, l2):
     return _lor(_as_batch(pis), l1, l2)
 
 
+@lru_cache(maxsize=64)
 def _slabs(size, logit):
-    """E as (3, size-1, size): the b = 0 and b = 1 indicators and all ones."""
+    """E as (3, size-1, size): the b = 0 and b = 1 indicators and all ones;
+    cached read-only like ``_operator``."""
     ops = _operator(size, logit)
-    return np.concatenate([ops[:-1].reshape(2, size - 1, size), np.ones((1, size - 1, size))])
+    slabs = np.concatenate([ops[:-1].reshape(2, size - 1, size), np.ones((1, size - 1, size))])
+    slabs.flags.writeable = False
+    return slabs
 
 
 def gamma_jacobian_values(pi, l1, l2, lam):

@@ -13,15 +13,17 @@ subtracts w[:, j] w[i, :] / q and clears row i and column j (Crabtree &
 Haynsworth 1969; Golub & Van Loan, sec. 3.4).  ``rank_residual`` pivots on
 the largest remaining entry, first in row-major order on ties, and returns
 vec S with the pivots in G's own indices, so the same block can be
-replayed at nearby points and differentiated.
+replayed at nearby points.
 
 With E(I) the columns I of the identity, S = P' G Q for
 P' = E(I')' - G[I', J] G[I, J]^-1 E(I)' and Q = E(J') - E(J) G[I, J]^-1 G[I, J'],
 so dS = P' dG Q.  The elimination's row operations applied to an identity
-give P', and its column operations applied to another give Q.
+give P', and its column operations applied to another give Q.  The jacobian
+at the read-only matrix whose pivot search made a plan reuses that search's
+steps; at any other matrix it replays the plan first.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +48,10 @@ class DeflationPlan:
 
     shape: tuple[int, int]
     pivots: tuple[tuple[int, int], ...]
+    # the read-only matrix whose pivot search made this plan, and that
+    # search's kept rows, columns and steps, which its jacobian reuses
+    _matrix: np.ndarray = field(default=None, compare=False, repr=False)
+    _elimination: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def rank(self):
@@ -108,11 +114,16 @@ def rank_residual(m, rank):
     """vec S in C order, length ``(m - K) * (n - K)``, and its pivot plan.
 
     The residual vanishes exactly when rank(m) <= K; PivotError when no
-    remaining entry exceeds 1e-10 times the largest of ``m``.
+    remaining entry exceeds 1e-10 times the largest of ``m``.  For a
+    read-only ``m`` the plan also keeps the search's steps, which
+    ``rank_residual_jacobian`` at ``m`` reuses.
     """
     m = _check_matrix(m, rank)
-    resid, _, _, steps = _eliminate(m, rank)
-    return resid, DeflationPlan(shape=m.shape, pivots=tuple((i, j) for i, j, *_ in steps))
+    resid, rows, cols, steps = _eliminate(m, rank)
+    pivots = tuple((i, j) for i, j, *_ in steps)
+    if m.flags.writeable:
+        return resid, DeflationPlan(m.shape, pivots)
+    return resid, DeflationPlan(m.shape, pivots, m, (rows, cols, steps))
 
 
 def apply_plan(m, plan):
@@ -125,8 +136,14 @@ def rank_residual_jacobian(m, plan, dm):
 
     ``dm`` has shape ``(m.size, p)``; the result has shape
     ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
+    At the matrix whose pivot search made ``plan``, while it stays
+    read-only, the search's steps are reused; anywhere else the plan is
+    replayed.
     """
-    _, rows, cols, steps = _replay(m, plan)
+    if plan._matrix is not None and m is plan._matrix and not m.flags.writeable:
+        rows, cols, steps = plan._elimination
+    else:
+        _, rows, cols, steps = _replay(m, plan)
     shape = plan.shape
     dm = np.asarray(dm, dtype=np.float64)
     if dm.ndim != 2 or dm.shape[0] != shape[0] * shape[1]:

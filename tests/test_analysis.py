@@ -675,3 +675,53 @@ def test_collect_rejects_bad_input_before_drawing(shape, count):
     with pytest.raises(ValueError, match="integer count >= 1 and both dimensions >= 2"):
         collect_nonnegative_gamma_tables(rng, shape, ("G", "G"), kl(), count)
     assert rng.bit_generator.state == state
+
+
+# targets that raised something other than ReconstructionError, or carried a
+# residual of -0.0: (pair, margin sizes, gamma, what the error names)
+UNATTAINABLE_EDGES = [
+    # two neighbouring G columns' roots more than 709 apart in the wrong
+    # order: the cell between them would overflow far below 0
+    ("LG", (3, 3), [[800.0, 0.0], [0.0, 0.0]], r"target gamma\[:, 1\] is out of reach"),
+    # the Plackett start of cut (1, 1) is a double root whose discriminant
+    # rounds below 0; the cut has its root, and the target fails at a cell
+    ("GG", (3, 3), [[50.0, 0.0], [0.0, 0.0]], r"cell pi\[0, 1\] = -1.111e-01"),
+    # a cell that comes out exactly 0
+    ("LG", (2, 3), [[-800.0, 0.0]], r"cell pi\[0, 0\] = 0.000e\+00"),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, sizes, gamma, named", UNATTAINABLE_EDGES,
+    ids=["g-column-overflow", "plackett-double-root", "zero-cell"],
+)
+def test_reconstruct_edge_targets_raise_a_positive_residual(pair, sizes, gamma, named):
+    rows = marginal_logits(np.full(sizes[0], 1.0 / sizes[0]), pair[0])
+    cols = marginal_logits(np.full(sizes[1], 1.0 / sizes[1]), pair[1])
+    with pytest.raises(ReconstructionError, match=named) as exc:
+        reconstruct(rows, cols, np.array(gamma))
+    assert exc.value.residual_norm > 0
+
+
+def test_reconstruct_perturbed_targets_give_a_table_or_a_positive_residual():
+    # a target is attainable or raises ReconstructionError with a positive
+    # residual; gamma is perturbed on scales from 0.1 to 1000
+    rng = np.random.default_rng(2601)
+    pairs = [a + b for a in "LGCR" for b in "LGCR"]
+    outcomes = {"table": 0, "error": 0}
+    for k in range(400):
+        pair = pairs[k % 16]
+        shape = tuple(int(v) for v in rng.integers(2, 6, size=2))
+        fam = cressie_read(float(rng.choice([-0.5, 0.0, 0.5, 1.0])))
+        pi = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        rows, cols, g = extract_invariants(ContingencyTable.from_probabilities(pi, *pair), fam=fam)
+        target = g.values + rng.normal(size=g.values.shape) * 10 ** rng.uniform(-1, 3)
+        try:
+            with np.errstate(all="ignore"):
+                reconstruct(rows, cols, target, fam=fam)
+        except ReconstructionError as exc:
+            assert exc.residual_norm > 0, (k, pair, shape, fam.lam, str(exc))
+            outcomes["error"] += 1
+        else:
+            outcomes["table"] += 1
+    assert min(outcomes.values()) > 100, outcomes

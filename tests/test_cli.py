@@ -22,6 +22,7 @@ from rcassoc import (
 )
 from rcassoc.analysis import DegenerateScoreError, DependenceReport, VerificationRecord
 from rcassoc.cli import main
+from rcassoc.interactions import marginal_logits
 from rcassoc.table import LogitType
 
 
@@ -419,6 +420,40 @@ def test_reconstruct_unattainable_l_target_exits_3(capsys, tmp_path, pair, named
     assert code == 3
     assert named in payload["error"]
     assert payload["residual_norm"] > 0
+
+
+@pytest.mark.parametrize(
+    "pair, sizes, gamma, named",
+    [
+        ("LG", (3, 3), "800 0\n0 0\n", "gamma[:, 1]"),
+        ("GG", (3, 3), "50 0\n0 0\n", "cell pi[0, 1]"),
+        ("LG", (2, 3), "-800 0\n", "cell pi[0, 0]"),
+    ],
+    ids=["g-column-overflow", "plackett-double-root", "zero-cell"],
+)
+def test_reconstruct_edge_targets_exit_3(capsys, tmp_path, pair, sizes, gamma, named):
+    # an overflowing G-column cell, a Plackett start whose discriminant
+    # rounds below 0, and a cell that comes out exactly 0: each target is
+    # unattainable, exits 3 and names what rules it out
+    rfile, cfile, gfile = tmp_path / "r.txt", tmp_path / "c.txt", tmp_path / "g.txt"
+    for f, size, logit in ((rfile, sizes[0], pair[0]), (cfile, sizes[1], pair[1])):
+        values = marginal_logits(np.full(size, 1.0 / size), logit).values
+        f.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    gfile.write_text(gamma)
+    code, payload, err = run_json(
+        capsys,
+        "reconstruct",
+        "--rows-logit", pair[0],
+        "--cols-logit", pair[1],
+        "--lambda", "0",
+        "--row-logits", str(rfile),
+        "--col-logits", str(cfile),
+        "--gamma", str(gfile),
+    )
+    assert code == 3
+    assert named in payload["error"]
+    assert payload["residual_norm"] > 0
+    assert err == ""
 
 
 def test_reconstruct_zero_gamma_gives_independence(capsys, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import rcassoc.kernels
+import rcassoc.rank
 from rcassoc import (
     CanonicalParam,
     ContingencyTable,
@@ -755,6 +756,46 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     assert qr_modes == ["raw"] * result.iterations
     assert calls["coefficients"] == 1
     assert calls["workspace"] == 1 + result.evaluations, (calls, result.evaluations)
+
+
+@pytest.mark.parametrize("pair", ["LL", "GG", "CC"])
+def test_fit_eliminates_once_per_pivot_search_and_merit(pair, mobility_counts, monkeypatch):
+    # gamma goes through the rank elimination once for each iteration's
+    # pivot search, whose steps the jacobian at that point reuses, and once
+    # for the frozen-plan replay of each merit evaluation
+    calls = []
+    eliminate = rcassoc.rank._eliminate
+
+    def counting(m, rank, pivots=None):
+        calls.append(pivots is None)
+        return eliminate(m, rank, pivots)
+
+    monkeypatch.setattr(rcassoc.rank, "_eliminate", counting)
+    for lam in (-0.5, 0.0, 1.0):
+        calls.clear()
+        result = fit(mobility_counts, _spec(1, lam=lam, pair=tuple(pair)))
+        assert result.converged
+        assert calls.count(True) == result.iterations
+        assert calls.count(False) == result.evaluations
+
+
+def test_multiplier_step_with_no_independent_row_is_the_saturated_step():
+    # constraint gradients that all vanish leave rank 0: no multiplier, and
+    # the step is the unconstrained F^-1 s
+    rng = np.random.default_rng(5)
+    n, pi, s = _random_point(rng, 8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        direction, lam, resid, rank = _multiplier_step(
+            s, np.ones(2), np.zeros((2, 8)), n, pi, warn=True
+        )
+    assert [str(w.message) for w in caught] == [
+        "2 of 2 constraint equations are redundant; dropping dependent rows"
+    ]
+    assert rank == 0
+    np.testing.assert_array_equal(lam, np.zeros(2))
+    np.testing.assert_array_equal(resid, s)
+    np.testing.assert_array_equal(direction, _info_solve(n, pi, s))
 
 
 def test_fit_accepts_table_and_array(mobility, mobility_counts):

@@ -222,3 +222,15 @@ def test_kernels_reject_the_wrong_number_of_axes():
         kernels.gamma_values(np.full((1, 2, 2), 0.25), "G", "G", 0.0)
     with pytest.raises(ValueError, match="expected a stack of tables"):
         kernels.gamma_values_batch(np.full((2, 2), 0.25), "G", "G", 0.0)
+
+
+def test_slabs_are_cached_read_only():
+    # the gamma jacobian reads the event slabs of each margin once per call;
+    # they are built once per (size, logit), like the event operator
+    for size, code in [(5, "G"), (4, "L"), (3, "R")]:
+        slabs = kernels._slabs(size, code)
+        assert kernels._slabs(size, code) is slabs
+        assert not slabs.flags.writeable
+        ops = kernels._operator(size, code)
+        np.testing.assert_array_equal(slabs[:2].reshape(-1, size), ops[:-1])
+        np.testing.assert_array_equal(slabs[2], np.ones((size - 1, size)))

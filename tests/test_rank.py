@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rcassoc.rank
 from rcassoc.rank import (
     DeflationPlan,
     PivotError,
@@ -245,3 +246,49 @@ def test_schur_complement_matches_solve_reference():
             np.testing.assert_allclose(apply_plan(g, plan), schur.ravel(), rtol=0, atol=1e-12 * scale)
             jac = rank_residual_jacobian(g, plan, dm)
             np.testing.assert_allclose(jac, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_jacobian_reuses_the_search_only_at_its_matrix(monkeypatch):
+    # the jacobian at the read-only matrix whose pivot search made the plan
+    # takes that search's steps; at any other matrix, even an equal copy or
+    # a nearby trial point that the plan travels to, it replays the plan
+    calls = []
+    eliminate = rcassoc.rank._eliminate
+
+    def counting(m, rank, pivots=None):
+        calls.append(pivots)
+        return eliminate(m, rank, pivots)
+
+    monkeypatch.setattr(rcassoc.rank, "_eliminate", counting)
+    rng = np.random.default_rng(53)
+    for shape, k in [((4, 4), 1), ((5, 4), 2), ((4, 6), 3)]:
+        m = rng.standard_normal(shape)
+        m.flags.writeable = False
+        dm = rng.standard_normal((m.size, 7))
+        _, plan = rank_residual(m, k)
+        calls.clear()
+        reused = rank_residual_jacobian(m, plan, dm)
+        assert calls == []
+        replayed = rank_residual_jacobian(m.copy(), plan, dm)
+        assert calls == [plan.pivots]
+        np.testing.assert_array_equal(reused, replayed)
+        trial = m + 1e-3 * rng.standard_normal(shape)
+        trial.flags.writeable = False
+        calls.clear()
+        want = rank_residual_jacobian(trial.copy(), plan, dm)
+        np.testing.assert_array_equal(rank_residual_jacobian(trial, plan, dm), want)
+        assert calls == [plan.pivots, plan.pivots]
+    # a matrix made writable again may have changed since its search
+    m.flags.writeable = True
+    calls.clear()
+    rank_residual_jacobian(m, plan, dm)
+    assert calls == [plan.pivots]
+    # a writable matrix may change after its search, so its plan keeps no steps
+    w = rng.standard_normal((4, 4))
+    _, plan = rank_residual(w, 1)
+    assert plan._matrix is None
+    calls.clear()
+    rank_residual_jacobian(w, plan, np.eye(16))
+    assert calls == [plan.pivots]
+    # the search's steps never enter a plan's equality
+    assert plan == DeflationPlan(plan.shape, plan.pivots)
