@@ -340,6 +340,10 @@ def reconstruct(row_logits, col_logits, gamma_target, fam=None):
 # largest max-norm miss of the invariants and of the LL equations reconstruct accepts
 _RECONSTRUCT_TOL = 1e-9
 _ROOT_STEPS = 100
+# the LL solver keeps its cells at or above the smallest normal float, so
+# that log(a) and 1 / F'(a) stay finite
+_TINY = np.finfo(np.float64).tiny
+_LOG_HUGE = math.log(np.finfo(np.float64).max)
 
 
 def _expit(z):
@@ -631,6 +635,10 @@ def _ll_solve(rows, cols, gamma, lam):
     1e-10.  A target is out of reach when the equations cannot be met with
     every cell positive (possible only for lam > 0): a multiplier stays
     past F's edge and squeezes its cell toward 0, and the error names it.
+    At lam <= 0 the cells stay at or above the smallest normal float, so a
+    target whose table needs smaller cells leaves finite residuals, and the
+    error names the cell whose equation F(a) = y is furthest from met, or
+    the smallest cell when the margins are what fail.
     """
     i1, i2 = rows.size, cols.size
     weight = np.outer(rows, cols)
@@ -640,7 +648,11 @@ def _ll_solve(rows, cols, gamma, lam):
     # with a = F^-1(y)
     y += (rows @ y @ cols - rows @ y) - (y @ cols)[:, None]
     if lam == 0.0:
-        a = np.exp(y)
+        if y.max() > _LOG_HUGE:
+            # exp(y) would overflow: shifting each row to a maximum of 0
+            # moves only the alphas
+            y -= y.max(axis=1, keepdims=True)
+        a = np.maximum(np.exp(y), _TINY)
     else:
         y += np.maximum(0.0, 0.5 - (lam * y + 1.0).min(axis=1, keepdims=True)) / lam
         a = (lam * y + 1.0) ** (1.0 / lam)
@@ -675,14 +687,20 @@ def _ll_solve(rows, cols, gamma, lam):
             cur = residual(a, y)
             break
         t = min(1.0, float((np.maximum(1.0, np.abs(y)) / np.maximum(np.abs(dy), 1e-300)).min()))
-        a, y = np.maximum(a + t * da, 0.1 * a), y + t * dy
+        a, y = np.maximum(a + t * da, np.maximum(0.1 * a, _TINY)), y + t * dy
         cur = residual(a, y)
         if lam > 0.0 and a.min() < 1e-15 and (lam * y + 1.0).min() < 0.0:
             break  # a cell squeezed to 0 by a multiplier past F's edge
     e1, er, ec = cur[:3]
     err = max(np.abs(er).max(), np.abs(ec).max(), np.abs(e1).max())
     if not err <= _RECONSTRUCT_TOL:
-        r, c = np.unravel_index(np.argmin(a if lam <= 0.0 else lam * y), a.shape)
+        if lam > 0.0:
+            worst = np.argmin(lam * y)
+        elif np.abs(e1).max() >= err:  # an equation F(a) = y fails most
+            worst = np.argmax(np.abs(e1))
+        else:
+            worst = np.argmin(a)
+        r, c = np.unravel_index(worst, a.shape)
         raise ReconstructionError(
             f"target drives cell pi[{r}, {c}] to 0 before the margins are met",
             math.inf if math.isnan(err) else err,

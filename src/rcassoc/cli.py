@@ -258,8 +258,8 @@ def _model_spec(pair, lam, rank, names):
 
 # the FitResult fields of the fit payload, in payload order
 _FIT_FIELDS = (
-    "deviance", "dof", "p_value", "iterations", "evaluations", "converged", "constraint_norm",
-    "loglik", "message",
+    "deviance", "dof", "p_value", "iterations", "evaluations", "products", "converged",
+    "constraint_norm", "loglik", "message",
 )
 
 
@@ -321,7 +321,9 @@ def cmd_fit(ns):
 
 
 # the FitResult fields of a sweep row, in row order
-_SWEEP_FIELDS = ("deviance", "dof", "converged", "iterations", "evaluations", "message")
+_SWEEP_FIELDS = (
+    "deviance", "dof", "converged", "iterations", "evaluations", "products", "message",
+)
 
 
 def _sweep_cell(args):
@@ -348,9 +350,9 @@ def cmd_sweep(ns):
     The lambdas are the ``--lambda-grid`` points, or else the one
     ``--lambda``; the parser rejects both together.  CSV rows hold pair,
     lambda, deviance, dof and converged; JSON rows add the fit's
-    iterations, line-search merit evaluations and stop message, and
-    ``error`` (exception type and text) for a cell whose fit raised, which
-    is null otherwise.
+    iterations, line-search merit evaluations, curvature products and stop
+    message, and ``error`` (exception type and text) for a cell whose fit
+    raised, which is null otherwise.
     """
     table = _load_table(ns)
     counts = np.asarray(table.counts, dtype=np.float64)
@@ -403,7 +405,8 @@ def cmd_reconstruct(ns):
             {
                 "spec": _spec_payload(ns),
                 "error": str(exc),
-                "residual_norm": exc.residual_norm,
+                # JSON has no infinity: an infinite residual is written "inf"
+                "residual_norm": exc.residual_norm if math.isfinite(exc.residual_norm) else "inf",
             },
             ns.fmt or "json",
         )

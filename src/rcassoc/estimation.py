@@ -61,6 +61,25 @@ points, which need only h and the log-likelihood, never build them; the
 accepted trial point's workspace, with the log-likelihood its merit
 evaluation computed, is the next iteration's, so an iteration whose unit
 step is taken builds one workspace.
+
+The step leaves out the curvature M = sum_k lambda_k d2h_k of the
+constraints, so F stands in for the Lagrangian hessian F + M and the
+iteration converges only linearly.  When every count is positive and the
+plain step shrank by less than a factor 0.3 since the previous iteration,
+at most two steps of projected preconditioned CG (Nocedal & Wright 2006,
+Alg. 16.2) correct it toward the Newton step of the Lagrangian: CG runs on
+s'e - e'(F + M)e / 2 over {H1' e = -h1} from the plain step, with the
+F-metric projection F^-1 - F^-1 H1 G^-1 H1' F^-1 as preconditioner, applied
+with the R of the iteration's one QR.  A product M v is the forward
+difference of the gradient of lambda' h along v with the pivots frozen.
+That gradient needs no jacobian: it is sum_ij W_ij d gamma_ij / dtheta with
+W = P lambda_S Q' (``rank``), two small GEMMs with the event slabs, plus the
+linear block's term; a product point computes gamma and replays the plan
+once, and builds no workspace.  The line search tries the corrected
+direction first and falls back to the plain step when f'(0) <= 0 along it
+or the search finds no step.  A table with a zero count keeps the plain
+steps: its maximum may lie on the boundary of the model, where the
+curvature grows without bound.
 """
 
 import warnings
@@ -73,7 +92,13 @@ from scipy.special import chdtrc
 
 from . import kernels
 from .divergence import DivergenceFamily
-from .rank import PivotError, apply_plan, rank_residual, rank_residual_jacobian
+from .rank import (
+    PivotError,
+    apply_plan,
+    rank_residual,
+    rank_residual_gradient,
+    rank_residual_jacobian,
+)
 from .table import ContingencyTable, LogitType, _freeze
 
 __all__ = [
@@ -304,6 +329,12 @@ def theta_from_prob(pi):
 # ---------------------------------------------------------------------------
 
 
+def _in_theta(jac_pi, pi):
+    """jac_pi @ dpi/dtheta, for a jacobian or a gradient in pi: column c of
+    dpi/dtheta is pi_c (e_c - pi)."""
+    return (jac_pi[..., :-1] - (jac_pi @ pi)[..., None]) * pi[:-1]
+
+
 class _Workspace:
     """All quantities needed at one theta: pi and gamma, plus the invariant
     vector [eta_row; eta_col; vec gamma] and its jacobians in theta, which
@@ -334,21 +365,17 @@ class _Workspace:
         rows, cols = (kernels.marginal_logit_values(*mc) for mc in self._margins())
         return np.concatenate([rows, cols, self.gamma.ravel()])
 
-    def _in_theta(self, jac_pi):
-        """jac_pi @ dpi/dtheta: column c of dpi/dtheta is pi_c (e_c - pi)."""
-        return (jac_pi[:, :-1] - (jac_pi @ self.pi)[:, None]) * self.pi[:-1]
-
     @cached_property
     def gamma_jac(self):
         """d vec(gamma) / dtheta."""
-        return self._in_theta(kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args))
+        return _in_theta(kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args), self.pi)
 
     @cached_property
     def _eta_jac(self):
         """d [eta_row; eta_col] / dtheta."""
         jr, jc = (kernels.marginal_logit_jacobian(*mc) for mc in self._margins())
         i1, i2 = self.shape
-        return self._in_theta(np.vstack([np.repeat(jr, i2, axis=1), np.tile(jc, (1, i1))]))
+        return _in_theta(np.vstack([np.repeat(jr, i2, axis=1), np.tile(jc, (1, i1))]), self.pi)
 
     def constraints(self, plan=None):
         """(h, plan); selects deflation pivots when plan is None."""
@@ -411,20 +438,25 @@ def _info_solve(n, pi, w):
     return (w / pi[:-1] + w.sum() / pi[-1]) / n
 
 
-def _multiplier_step(s, h, jac, n, pi, warn):
-    """Aitchison-Silvey step in multiplier form: (direction, lambda, residual, rank).
+def _info_product(n, pi, v):
+    """F v for the information F = n (diag(p) - p p') in theta, p being pi
+    without its last cell."""
+    p = pi[:-1]
+    return n * p * (v - p @ v)
 
-    ``jac`` is H' (rows are constraint gradients).  The rank is the number
-    of |diag R| of the Q-free pivoted QR of C H above a ``matrix_rank``-style
-    tolerance; the leading ``rank`` pivoted rows H1, h1 are independent and
-    the rest are dropped, with a warning when ``warn`` is set.  With
-    lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0, the multipliers
-    are lambda = lambda0 + G^-1 h1 and the direction is F^-1 (s - H1 lambda).
-    ``lambda`` is indexed like the rows of ``jac``, zero on dropped rows.
+
+def _factor(jac, n, pi, warn):
+    """The one factorization of a step: a Q-free pivoted QR of C H.
+
+    ``jac`` is H' (rows are constraint gradients).  Returns the indices of
+    the leading ``rank`` pivoted rows H1', which are independent, and the
+    R factor of G = H1' F^-1 H1 = R'R.  The rank is the number of |diag R|
+    above a ``matrix_rank``-style tolerance; the other rows are dropped,
+    with a warning when ``warn`` is set.  With no rows no QR runs.
     """
     k, d = jac.shape
     if k == 0:
-        return _info_solve(n, pi, s), np.zeros(0), s, 0
+        return np.zeros(0, dtype=int), np.zeros((0, 0))
     # (C H)' in one buffer, with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n),
     # so C'C = F^-1; its transpose is Fortran-ordered, so the QR overwrites it
     hc = np.empty((k, d + 1))
@@ -440,14 +472,123 @@ def _multiplier_step(s, h, jac, n, pi, warn):
             RedundantConstraintWarning,
             stacklevel=3,
         )
-    kept = jac[piv[:rank]]
-    rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[piv[:rank]]])
+    return piv[:rank], r[:rank, :rank]
+
+
+def _multiplier_step(s, h, jac, n, pi, warn=False, factor=None):
+    """Aitchison-Silvey step in multiplier form: (direction, lambda, residual, rank).
+
+    ``jac`` is H' (rows are constraint gradients) and ``factor`` is
+    ``_factor(jac, n, pi, warn)``, computed here when not given.  With the
+    kept rows H1, h1, lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0,
+    the multipliers are lambda = lambda0 + G^-1 h1 and the direction is
+    F^-1 (s - H1 lambda).  ``lambda`` is indexed like the rows of ``jac``,
+    zero on dropped rows.  With h = 0 the direction is P s, the F-metric
+    projection of F^-1 s onto the tangent space {H1' e = 0}.
+    """
+    rows, r = _factor(jac, n, pi, warn) if factor is None else factor
+    kept = jac[rows]
+    rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[rows]])
     # G = R'R: the two triangular solves of cho_solve, without its input scans
-    lam0, lam_h = (scipy.linalg.lapack.dpotrs(r[:rank, :rank], rhs)[0] if rank else rhs).T
+    lam0, lam_h = (scipy.linalg.lapack.dpotrs(r, rhs)[0] if len(rows) else rhs).T
     resid = s - lam0 @ kept
-    lam = np.zeros(k)
-    lam[piv[:rank]] = lam0 + lam_h
-    return _info_solve(n, pi, resid - lam_h @ kept), lam, resid, rank
+    lam = np.zeros(len(jac))
+    lam[rows] = lam0 + lam_h
+    return _info_solve(n, pi, resid - lam_h @ kept), lam, resid, len(rows)
+
+
+def _multiplier_gradient(pi, shape, spec, linear, plan, lam):
+    """d (lam' h) / dtheta at the cell probabilities ``pi`` (a vector), with
+    the pivots of ``plan`` and ``linear`` the fit's (A, offset) or None.
+
+    It is sum_ij W_ij d gamma_ij / dtheta plus the linear block's
+    marginal-logit term, with W = P lam_S Q' from the rank block and the
+    gamma coefficients of A' lam from the linear block: gamma is computed
+    and the plan replayed only for the rank block, and no jacobian is
+    formed.
+    """
+    pi2d = pi.reshape(shape)
+    args = (*spec.pair, spec.family.lam)
+    weights = np.zeros((shape[0] - 1, shape[1] - 1))
+    grad = np.zeros(shape)
+    rows = 0
+    if spec.rank_block_active(shape):
+        rows = (shape[0] - 1 - spec.rank) * (shape[1] - 1 - spec.rank)
+        gamma = kernels.gamma_values(pi2d, *args)
+        weights += rank_residual_gradient(gamma, plan, lam[:rows])
+    if linear is not None:
+        coef = linear[0].T @ lam[rows:]
+        e = shape[0] + shape[1] - 2
+        weights += coef[e:].reshape(weights.shape)
+        margins = zip((pi2d.sum(axis=1), pi2d.sum(axis=0)), spec.pair)
+        jr, jc = (kernels.marginal_logit_jacobian(*mc) for mc in margins)
+        grad += (coef[: shape[0] - 1] @ jr)[:, None] + coef[shape[0] - 1 : e] @ jc
+    grad += kernels.gamma_gradient_values(pi2d, *args, weights)
+    return _in_theta(grad.ravel(), pi)
+
+
+def _curvature(ws, jac, linear, plan, lam):
+    """v -> M v for M = sum_k lam_k d2h_k at ``ws``: the forward difference
+    of the gradient of lam' h along v, from its value lam' jac at ``ws``,
+    with the pivots of ``plan`` frozen.  A product point builds no
+    workspace and no jacobian; where the plan finds no pivot the product is
+    NaN."""
+    base = lam @ jac
+    scale = np.sqrt(np.finfo(np.float64).eps) * max(1.0, float(np.abs(ws.theta).max()))
+
+    def product(v):
+        eps = scale / float(np.abs(v).max())
+        pi = _softmax(ws.theta + eps * v)
+        try:
+            grad = _multiplier_gradient(pi, ws.shape, ws.spec, linear, plan, lam)
+        except PivotError:
+            return np.full(base.shape, np.nan)
+        return (grad - base) / eps
+
+    return product
+
+
+# projected CG steps of the curvature correction per iteration
+_CG_STEPS = 2
+# the correction runs once the plain step shrinks by less than this factor
+_LINEAR_RATE = 0.3
+
+
+def _newton_cg(direction, project, info, curvature):
+    """Curvature-corrected step: (direction or None, curvature products made).
+
+    A truncated Newton step on the model s'e - e'(F + M)e / 2 over the plain
+    step plus the tangent space {H1' e = 0}: at most ``_CG_STEPS`` steps of
+    projected preconditioned CG (Nocedal & Wright 2006, Alg. 16.2), with
+    ``project`` the F-metric projection P onto that space.  CG starts at the
+    plain step, the model's maximum for M = 0, whose residual (F + M) e - s
+    is M e up to the range of H1, which P removes.  ``info`` is v -> F v and
+    ``curvature`` v -> M v.  CG stops at non-positive curvature; None when
+    it took no step.
+    """
+    e = direction
+    r = curvature(e)
+    made = 1
+    g = project(r)
+    rg = float(r @ g)
+    p = -g
+    for k in range(_CG_STEPS):
+        if not rg > 0.0:
+            break
+        hp = info(p) + curvature(p)
+        made += 1
+        php = float(p @ hp)
+        if not php > 0.0:
+            break
+        alpha = rg / php
+        e = e + alpha * p
+        if k + 1 == _CG_STEPS:
+            break
+        r = r + alpha * hp
+        g = project(r)
+        rg, previous = float(r @ g), rg
+        p = (rg / previous) * p - g
+    return (None if e is direction else e), made
 
 
 def _objective(ws, y, plan, mu):
@@ -483,6 +624,8 @@ class FitResult:
     message: str = ""
     # merit evaluations across all of the fit's line searches
     evaluations: int = 0
+    # constraint-curvature (Hessian-vector) products of the Newton-CG steps
+    products: int = 0
 
 
 def _deviance(y2d, pi2d):
@@ -519,6 +662,12 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     point's workspace is kept, and the accepted one becomes the next
     iterate's, so no workspace is built twice at one theta.
     ``FitResult.evaluations`` counts the merit evaluations of all searches.
+    When every count is positive and the plain step shrank by less than a
+    factor 0.3 since the previous iteration, at most two projected CG steps
+    on the constraint curvature first correct it (see the module
+    docstring): the search tries the corrected direction, and the plain one
+    when the merit does not rise along it or no step is found.
+    ``FitResult.products`` counts the curvature products of the correction.
     When the search finds no step, the fit stops as "converged
     (stationary)" if the constraints hold to ``tol_h`` and as "line search
     stalled away from feasibility" otherwise.  A cell driven so close to 0
@@ -540,12 +689,16 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     n = yv.sum()
     smoothed = (y2d + 0.5) / (n + y2d.size / 2.0)
 
+    # the curvature correction runs only when every count is positive
+    positive = bool(yv.min() > 0)
     prev_ll = None
+    prev_size = None
     mu = 0.0
     converged = False
     message = "maximum iterations reached"
     iterations = 0
     evaluations = 0
+    products = 0
     ws = _Workspace(theta_from_prob(smoothed), spec, shape, linear)
     # (workspace, h, rank) of the latest iterate whose step was computed, which
     # every stop reports; h is None at the start, before any step
@@ -569,9 +722,8 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max(initial=0.0))
         s0 = ws.score(yv)
-        direction, lam, resid, rank = _multiplier_step(
-            s0, h, jac, n, ws.pi, warn=(iterations == 1)
-        )
+        factor = _factor(jac, n, ws.pi, warn=(iterations == 1))
+        direction, lam, resid, rank = _multiplier_step(s0, h, jac, n, ws.pi, factor=factor)
         last = ws, h, rank
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
             if float(np.abs(resid).max()) <= tol_score * n:
@@ -582,17 +734,39 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         # ||lambda||_inf ||h||_1 / n as lambda moves between iterations
         mu = max(mu, 2.0 * float(np.abs(lam).max(initial=0.0)) / n)
         f0 = ll / n - mu * float(np.abs(h).sum())
-        fp0 = float(s0 @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
-        # trial workspaces by step length; the accepted one is the next iterate's
-        trials = {}
 
-        def feval(t):
-            with np.errstate(all="ignore"):
-                trials[t] = _Workspace(ws.theta + t * direction, spec, shape, linear)
-            return _objective(trials[t], yv, plan, mu)
+        def slope(d):
+            return float(s0 @ d) / n - mu * float(np.sign(h) @ (jac @ d))
 
-        t = _search(f0, fp0, feval)
-        evaluations += len(trials)
+        directions = [direction]
+        size = float(np.abs(direction).max())
+        # a plain step that shrank by less than _LINEAR_RATE: linear convergence
+        if positive and rank and prev_size is not None and size > _LINEAR_RATE * prev_size:
+            zero = np.zeros(len(h))
+            with np.errstate(all="ignore"):  # a non-finite product ends the CG
+                corrected, made = _newton_cg(
+                    direction,
+                    lambda r: _multiplier_step(r, zero, jac, n, ws.pi, factor=factor)[0],
+                    lambda v: _info_product(n, ws.pi, v),
+                    _curvature(ws, jac, linear, plan, lam),
+                )
+            products += made
+            if corrected is not None and slope(corrected) > 0.0:
+                directions.insert(0, corrected)
+        prev_size = size
+        for direction in directions:
+            # trial workspaces by step length; the accepted one is the next iterate's
+            trials = {}
+
+            def feval(t):
+                with np.errstate(all="ignore"):
+                    trials[t] = _Workspace(ws.theta + t * direction, spec, shape, linear)
+                return _objective(trials[t], yv, plan, mu)
+
+            t = _search(f0, slope(direction), feval)
+            evaluations += len(trials)
+            if t is not None:
+                break
         if t is None:
             if hnorm <= tol_h:
                 converged = True
@@ -618,6 +792,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         loglik=ws.loglik(yv),
         message=message,
         evaluations=evaluations,
+        products=products,
     )
 
 

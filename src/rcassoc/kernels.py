@@ -144,6 +144,21 @@ def _slabs(size, logit):
     return slabs
 
 
+def _coefficients(pi, l1, l2, lam):
+    """The 3x3 weight matrices C_ij of ``gamma_jacobian_values``, stacked as
+    (3, I1-1, 3, I2-1): quadrant (u, v) at cut pair (i, j) weighs
+    w_uv = +-F'(rho_uv) rho_uv, and the third row and column hold the
+    margins' terms."""
+    i1, i2 = pi.shape
+    p, p1, p2 = _quadrants(pi, l1, l2)
+    w = _SIGNS * _rho(p, p1, p2) ** float(lam)
+    coef = np.zeros((3, i1 - 1, 3, i2 - 1))
+    coef[:2, :, :2, :] = w / p
+    coef[:2, :, 2, :] = -w.sum(axis=2) / p1[:, :, None]
+    coef[2, :, :2, :] = -w.sum(axis=0) / p2
+    return coef
+
+
 def gamma_jacobian_values(pi, l1, l2, lam):
     """d vec(gamma) / d vec(pi) in C order; shape ((I1-1)(I2-1), I1*I2).
 
@@ -157,15 +172,25 @@ def gamma_jacobian_values(pi, l1, l2, lam):
     """
     pi = _as_table(pi)
     i1, i2 = pi.shape
-    p, p1, p2 = _quadrants(pi, l1, l2)
-    w = _SIGNS * _rho(p, p1, p2) ** float(lam)
-    coef = np.zeros((3, i1 - 1, 3, i2 - 1))
-    coef[:2, :, :2, :] = w / p
-    coef[:2, :, 2, :] = -w.sum(axis=2) / p1[:, :, None]
-    coef[2, :, :2, :] = -w.sum(axis=0) / p2
-    half = np.einsum("aih,aibj->ijhb", _slabs(i1, l1), coef)
+    half = np.einsum("aih,aibj->ijhb", _slabs(i1, l1), _coefficients(pi, l1, l2, lam))
     jac = half @ _slabs(i2, l2).transpose(1, 0, 2)
     return jac.reshape((i1 - 1) * (i2 - 1), i1 * i2)
+
+
+def gamma_gradient_values(pi, l1, l2, lam, weights):
+    """d <weights, gamma> / d pi, the jacobian's rows summed with the
+    (I1-1, I2-1) ``weights``; shape (I1, I2).
+
+    sum_ij W_ij A_i' C_ij B_j is E1' X E2 with the slabs stacked as
+    (3(I1-1), I1) and (3(I2-1), I2) and X the weighted C_ij, so two small
+    GEMMs replace the jacobian.
+    """
+    pi = _as_table(pi)
+    i1, i2 = pi.shape
+    x = _coefficients(pi, l1, l2, lam) * np.asarray(weights, dtype=np.float64)[:, None, :]
+    e1 = _slabs(i1, l1).reshape(3 * (i1 - 1), i1)
+    e2 = _slabs(i2, l2).reshape(3 * (i2 - 1), i2)
+    return e1.T @ (x.reshape(3 * (i1 - 1), 3 * (i2 - 1)) @ e2)
 
 
 def _margin_events(margin, logit):

@@ -17,10 +17,11 @@ replayed at nearby points.
 
 With E(I) the columns I of the identity, S = P' G Q for
 P' = E(I')' - G[I', J] G[I, J]^-1 E(I)' and Q = E(J') - E(J) G[I, J]^-1 G[I, J'],
-so dS = P' dG Q.  The elimination's row operations applied to an identity
-give P', and its column operations applied to another give Q.  The jacobian
-at the read-only matrix whose pivot search made a plan reuses that search's
-steps; at any other matrix it replays the plan first.
+so dS = P' dG Q, and the gradient of w' vec S is P W Q' with W the matrix
+of w.  The elimination's row operations applied to an identity give P',
+and its column operations applied to another give Q.  The jacobian and the
+gradient at the read-only matrix whose pivot search made a plan reuse that
+search's steps; at any other matrix they replay the plan first.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ __all__ = [
     "rank_residual",
     "apply_plan",
     "rank_residual_jacobian",
+    "rank_residual_gradient",
 ]
 
 _REL_TOL = 1e-10
@@ -131,11 +133,9 @@ def apply_plan(m, plan):
     return _replay(m, plan)[0]
 
 
-def rank_residual_jacobian(m, plan, dm):
-    """d residual / dtheta = P' dG Q for a frozen plan, given dm = d vec(m) / dtheta.
+def _projectors(m, plan):
+    """P' and Q of the plan at ``m``, so that the residual is P' m Q.
 
-    ``dm`` has shape ``(m.size, p)``; the result has shape
-    ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
     At the matrix whose pivot search made ``plan``, while it stays
     read-only, the search's steps are reused; anywhere else the plan is
     replayed.
@@ -144,14 +144,31 @@ def rank_residual_jacobian(m, plan, dm):
         rows, cols, steps = plan._elimination
     else:
         _, rows, cols, steps = _replay(m, plan)
+    p, q = np.eye(plan.shape[0]), np.eye(plan.shape[1])
+    for i, j, piv, c, r in steps:
+        p -= (c / piv)[:, None] * p[i]
+        q -= q[:, j, None] * (r / piv)
+    return p.take(rows, 0), q.take(cols, 1)
+
+
+def rank_residual_jacobian(m, plan, dm):
+    """d residual / dtheta = P' dG Q for a frozen plan, given dm = d vec(m) / dtheta.
+
+    ``dm`` has shape ``(m.size, p)``; the result has shape
+    ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
+    """
     shape = plan.shape
     dm = np.asarray(dm, dtype=np.float64)
     if dm.ndim != 2 or dm.shape[0] != shape[0] * shape[1]:
         raise ValueError(f"tangent must have {shape[0] * shape[1]} rows, got shape {dm.shape}")
-    p, q = np.eye(shape[0]), np.eye(shape[1])
-    for i, j, piv, c, r in steps:
-        p -= (c / piv)[:, None] * p[i]
-        q -= q[:, j, None] * (r / piv)
-    left = p.take(rows, 0) @ dm.reshape(shape[0], -1)
-    right = q.take(cols, 1).T @ left.reshape(len(rows), shape[1], -1)
+    p, q = _projectors(m, plan)
+    left = p @ dm.reshape(shape[0], -1)
+    right = q.T @ left.reshape(len(p), shape[1], -1)
     return right.reshape(-1, dm.shape[1])
+
+
+def rank_residual_gradient(m, plan, weights):
+    """d (weights' residual) / d m = P weights Q' for a frozen plan, shaped
+    like ``m``; ``weights`` is indexed like the residual."""
+    p, q = _projectors(m, plan)
+    return p.T @ np.asarray(weights, dtype=np.float64).reshape(len(p), -1) @ q.T

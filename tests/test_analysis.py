@@ -703,6 +703,31 @@ def test_reconstruct_edge_targets_raise_a_positive_residual(pair, sizes, gamma, 
     assert exc.value.residual_norm > 0
 
 
+@pytest.mark.parametrize("index", [1968, 4576, 6352, 7120])
+def test_ll_targets_far_past_the_float_range_fail_without_warnings(index):
+    # the recipe below with generator seed 7: LL targets at lambda 0 whose
+    # gamma is perturbed by about 1e3 imply cells far below the smallest
+    # float; exp(y) of the first-order start used to overflow, and the NaN
+    # residuals named cell pi[0, 0] by argmin
+    rng = np.random.default_rng(7)
+    pairs = [a + b for a in "LGCR" for b in "LGCR"]
+    for k in range(index + 1):
+        pair = pairs[k % 16]
+        shape = tuple(int(v) for v in rng.integers(2, 6, size=2))
+        lam = float(rng.choice([-0.5, 0.0, 0.5, 1.0]))
+        pi = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        noise = rng.normal(size=(shape[0] - 1, shape[1] - 1)) * 10 ** rng.uniform(-1, 3)
+    assert (pair, lam) == ("LL", 0.0)
+    fam = cressie_read(lam)
+    rows, cols, g = extract_invariants(ContingencyTable.from_probabilities(pi, *pair), fam=fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError, match=r"drives cell pi\[\d, \d\]") as info:
+            reconstruct(rows, cols, g.values + noise, fam=fam)
+    assert 0.0 < info.value.residual_norm < np.inf
+    assert "pi[0, 0]" not in str(info.value)
+
+
 def test_reconstruct_perturbed_targets_give_a_table_or_a_positive_residual():
     # a target is attainable or raises ReconstructionError with a positive
     # residual; gamma is perturbed on scales from 0.1 to 1000

@@ -313,6 +313,24 @@ def test_sweep_json_format(capsys):
     assert cells[0]["error"] is None
 
 
+def test_fit_and_sweep_json_report_curvature_products(capsys):
+    # the Hessian-vector products of the curvature-corrected steps, as the
+    # library fit counts them, in the fit block and in each sweep row
+    spec = ModelSpec(("L", "L"), cressie_read(0.8), 1)
+    result = fit(load_mobility(), spec)
+    assert result.products > 0
+    code, payload, _ = run_json(
+        capsys, "fit", "mobility", "--rows-logit", "L", "--cols-logit", "L", "--lambda", "0.8"
+    )
+    assert code == 0
+    assert payload["fit"]["products"] == result.products
+    code, payload, _ = run_json(
+        capsys, "sweep", "mobility", "--pair", "LL", "--lambda", "0.8", "--format", "json"
+    )
+    assert code == 0
+    assert payload["cells"][0]["products"] == result.products
+
+
 def test_sweep_json_failed_row_names_its_error(capsys):
     code, payload, _ = run_json(
         capsys, "sweep", "mobility", "--pair", "GG", "--rank", "5", "--format", "json"
@@ -453,6 +471,32 @@ def test_reconstruct_edge_targets_exit_3(capsys, tmp_path, pair, sizes, gamma, n
     assert code == 3
     assert named in payload["error"]
     assert payload["residual_norm"] > 0
+    assert err == ""
+
+
+def test_reconstruct_infinite_residual_is_written_inf(capsys, tmp_path):
+    # CR at lambda 0 with margins [0.2, 0.8] x [0.2, 0.5, 0.3]: gamma[0, 0]
+    # has an empty cut bracket, whose residual is infinite; JSON has no
+    # infinity, and null would not show that the residual is positive
+    rfile, cfile, gfile = tmp_path / "r.txt", tmp_path / "c.txt", tmp_path / "g.txt"
+    for f, margin, logit in ((rfile, [0.2, 0.8], "C"), (cfile, [0.2, 0.5, 0.3], "R")):
+        values = marginal_logits(np.array(margin), logit).values
+        f.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    gfile.write_text("0 -1000\n")
+    code, payload, err = run_json(
+        capsys,
+        "reconstruct",
+        "--rows-logit", "C",
+        "--cols-logit", "R",
+        "--lambda", "0",
+        "--row-logits", str(rfile),
+        "--col-logits", str(cfile),
+        "--gamma", str(gfile),
+    )
+    assert code == 3
+    assert "gamma[0, 0]" in payload["error"]
+    assert payload["residual_norm"] == "inf"
+    assert float(payload["residual_norm"]) > 0
     assert err == ""
 
 

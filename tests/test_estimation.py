@@ -29,10 +29,16 @@ from rcassoc import (
     rank_residual,
     theta_from_prob,
 )
+from rcassoc import estimation
 from rcassoc.estimation import (
     _GAIN_ULPS,
+    _curvature,
+    _factor,
+    _info_product,
     _info_solve,
+    _multiplier_gradient,
     _multiplier_step,
+    _newton_cg,
     _objective,
     _search,
     _Workspace,
@@ -612,6 +618,19 @@ def test_fit_ends_near_polished_optimum(case, mobility_counts, polished):
     assert gap <= 2.0 * tol_rel * (abs(result.loglik) + 1.0), gap
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_large_fit_ends_near_polished_optimum(k, polished, monkeypatch):
+    # the benchmark's 16x16 tables (n = 10^6): the curvature-corrected steps
+    # converge fast enough that the default stop is within 1e-4 in deviance
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    counts = importlib.import_module("workloads").large_table(np.random.default_rng([1, k]))
+    result = fit(counts, _spec(2))
+    assert result.converged, result.message
+    assert result.products > 0
+    gap = abs(result.deviance - polished(counts, _spec(2)).deviance)
+    assert gap <= 1e-4, gap
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_lambda_one_pairs_reach_one_deviance(mobility_counts, rank):
     # with F(u) = u - 1 every pair's gamma is a linear image of pi - r c',
@@ -761,8 +780,9 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
 @pytest.mark.parametrize("pair", ["LL", "GG", "CC"])
 def test_fit_eliminates_once_per_pivot_search_and_merit(pair, mobility_counts, monkeypatch):
     # gamma goes through the rank elimination once for each iteration's
-    # pivot search, whose steps the jacobian at that point reuses, and once
-    # for the frozen-plan replay of each merit evaluation
+    # pivot search, whose steps the jacobian and the curvature gradient at
+    # that point reuse, and once for the frozen-plan replay of each merit
+    # evaluation and of each curvature product point
     calls = []
     eliminate = rcassoc.rank._eliminate
 
@@ -776,7 +796,7 @@ def test_fit_eliminates_once_per_pivot_search_and_merit(pair, mobility_counts, m
         result = fit(mobility_counts, _spec(1, lam=lam, pair=tuple(pair)))
         assert result.converged
         assert calls.count(True) == result.iterations
-        assert calls.count(False) == result.evaluations
+        assert calls.count(False) == result.evaluations + result.products
 
 
 def test_multiplier_step_with_no_independent_row_is_the_saturated_step():
@@ -861,3 +881,118 @@ def test_model_spec_interface():
     assert not _spec(1, (EqualRowSpacing(),)).rank_block_active((5, 5))
     assert _spec(1).rank_block_active((5, 5))
     assert not _spec(4).rank_block_active((5, 5))
+
+
+# a rank block alone, a linear block alone (rank 4 is vacuous on 5x5), both
+CURVATURE_SPECS = {
+    "rank": _spec(1, lam=0.5, pair=("L", "C")),
+    "linear": _spec(4, (MarginalHomogeneity(),)),
+    "both": _spec(1, (MarginalShift(),)),
+}
+
+
+def _multiplier_point(rng, spec, random_table):
+    """A workspace at a random 5x5 table, its plan and jacobian, and random multipliers."""
+    linear = spec.linear_system((5, 5))
+    ws = _Workspace(theta_from_prob(random_table(rng, (5, 5))), spec, (5, 5), linear)
+    h, plan = ws.constraints()
+    return ws, linear, plan, ws.constraint_jacobian(plan), rng.standard_normal(h.size)
+
+
+@pytest.mark.parametrize("case", sorted(CURVATURE_SPECS))
+def test_multiplier_gradient_is_the_weighted_constraint_jacobian(case, random_table):
+    # d (lam' h) / dtheta without the jacobian, at the plan's own point and
+    # at a nearby point the plan is replayed at
+    spec = CURVATURE_SPECS[case]
+    rng = np.random.default_rng(71)
+    ws, linear, plan, jac, lam = _multiplier_point(rng, spec, random_table)
+    for theta in (ws.theta, ws.theta + 1e-3 * rng.standard_normal(ws.theta.size)):
+        other = _Workspace(theta, spec, (5, 5), linear)
+        want = lam @ other.constraint_jacobian(plan)
+        got = _multiplier_gradient(other.pi, (5, 5), spec, linear, plan, lam)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", sorted(CURVATURE_SPECS))
+def test_curvature_product_is_the_lagrangian_hessian(case, random_table):
+    # M v against a central difference of lam' H' along v, and u' M v = v' M u
+    spec = CURVATURE_SPECS[case]
+    rng = np.random.default_rng(73)
+    ws, linear, plan, jac, lam = _multiplier_point(rng, spec, random_table)
+    product = _curvature(ws, jac, linear, plan, lam)
+    u, v = rng.standard_normal((2, ws.theta.size))
+    delta = 1e-5
+
+    def grad(theta):
+        return lam @ _Workspace(theta, spec, (5, 5), linear).constraint_jacobian(plan)
+
+    want = (grad(ws.theta + delta * v) - grad(ws.theta - delta * v)) / (2.0 * delta)
+    got = product(v)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+    assert u @ got == pytest.approx(v @ product(u), rel=1e-6)
+
+
+def _tangent_problem(seed):
+    """A 6-parameter point with 4 independent constraints, so a 2-dimensional
+    tangent space: (n, pi, s, h, jac, the projection, v -> F v)."""
+    rng = np.random.default_rng(seed)
+    n, pi, s = _random_point(rng, 6)
+    jac, h = rng.normal(size=(4, 6)), rng.normal(size=4)
+    factor = _factor(jac, n, pi, warn=False)
+
+    def project(r):
+        return _multiplier_step(r, np.zeros(4), jac, n, pi, factor=factor)[0]
+
+    return n, pi, s, h, jac, factor, project, lambda v: _info_product(n, pi, v)
+
+
+def test_newton_cg_solves_a_two_dimensional_tangent_problem():
+    # two CG steps are exact on a 2-dimensional tangent space: the result is
+    # the maximum of s'e - e'(F + M)e / 2 subject to H'e = -h
+    n, pi, s, h, jac, factor, project, info = _tangent_problem(79)
+    a = np.random.default_rng(80).normal(size=(6, 6))
+    curv = n * (a @ a.T) / 10.0
+    plain = _multiplier_step(s, h, jac, n, pi, factor=factor)[0]
+    corrected, made = _newton_cg(plain, project, info, lambda v: curv @ v)
+    kkt = np.block([[_dense_info(pi, n) + curv, jac.T], [jac, np.zeros((4, 4))]])
+    want = np.linalg.solve(kkt, np.concatenate([s, -h]))[:6]
+    assert made == 3
+    np.testing.assert_allclose(corrected, want, rtol=0, atol=1e-9 * np.abs(want).max())
+    np.testing.assert_allclose(jac @ corrected, -h, rtol=0, atol=1e-9)
+
+
+def test_newton_cg_stops_at_non_positive_curvature():
+    n, pi, s, h, jac, factor, project, info = _tangent_problem(83)
+    plain = _multiplier_step(s, h, jac, n, pi, factor=factor)[0]
+    corrected, made = _newton_cg(plain, project, info, lambda v: -2.0 * info(v))
+    assert corrected is None
+    assert made == 2
+
+
+def test_fit_corrects_steps_only_when_every_count_is_positive(mobility_counts):
+    spec = _spec(1, lam=0.8, pair=("L", "L"))
+    assert fit(mobility_counts, spec).products > 0
+    counts = mobility_counts.copy()
+    counts[0, 4] = 0.0
+    assert fit(counts, spec).products == 0
+
+
+@pytest.mark.parametrize("scale", [-1.0, 1e30], ids=["descent", "rejected"])
+def test_fit_falls_back_to_the_plain_step(scale, mobility_counts, monkeypatch):
+    # a corrected direction along which the merit falls, or whose line
+    # search finds no step, gives way to the plain step: the fit walks the
+    # plain steps' path
+    spec = _spec(1, lam=0.8, pair=("L", "L"))
+    monkeypatch.setattr(estimation, "_LINEAR_RATE", np.inf)
+    plain = fit(mobility_counts, spec)
+    assert plain.products == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(estimation, "_newton_cg", lambda d, *args: (scale * d, 1))
+    result = fit(mobility_counts, spec)
+    assert result.products > 0
+    assert result.iterations == plain.iterations
+    np.testing.assert_array_equal(result.theta_hat, plain.theta_hat)
+    if scale < 0:
+        assert result.evaluations == plain.evaluations
+    else:
+        assert result.evaluations > plain.evaluations

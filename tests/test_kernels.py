@@ -120,6 +120,22 @@ def test_jacobian_twins_agree():
                 np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7 * scale)
 
 
+def test_gamma_gradient_is_the_weighted_jacobian():
+    # d <W, gamma> / d pi is W' (d vec(gamma) / d vec(pi)), reshaped like pi
+    rng = np.random.default_rng(29)
+    for shape in SHAPES:
+        pi = _tables(rng, shape, 1)[0]
+        weights = rng.standard_normal((shape[0] - 1, shape[1] - 1))
+        for c1, c2 in PAIRS:
+            for lam, _ in FAMS:
+                want = weights.ravel() @ kernels.gamma_jacobian_values(pi, c1, c2, lam)
+                got = kernels.gamma_gradient_values(pi, c1, c2, lam, weights)
+                assert got.shape == shape
+                np.testing.assert_allclose(
+                    got.ravel(), want, rtol=0, atol=1e-13 * np.abs(want).max()
+                )
+
+
 def test_lor_precision_near_zero_cell():
     # a 1e-11 cell under large event sums: the LG event {row 4} x {col 1}
     # must keep its own relative precision in both entry points

@@ -9,6 +9,7 @@ from rcassoc.rank import (
     PivotError,
     apply_plan,
     rank_residual,
+    rank_residual_gradient,
     rank_residual_jacobian,
 )
 
@@ -292,3 +293,30 @@ def test_jacobian_reuses_the_search_only_at_its_matrix(monkeypatch):
     assert calls == [plan.pivots]
     # the search's steps never enter a plan's equality
     assert plan == DeflationPlan(plan.shape, plan.pivots)
+
+
+def test_gradient_is_the_weighted_jacobian(monkeypatch):
+    # d (w' residual) / d m = P W Q' is w' (d residual / d vec(m)), shaped
+    # like m; at the searched read-only matrix it reuses the search's steps,
+    # elsewhere it replays the plan once
+    calls = []
+    eliminate = rcassoc.rank._eliminate
+
+    def counting(m, rank, pivots=None):
+        calls.append(pivots)
+        return eliminate(m, rank, pivots)
+
+    monkeypatch.setattr(rcassoc.rank, "_eliminate", counting)
+    rng = np.random.default_rng(59)
+    for shape, k in [((4, 4), 1), ((5, 4), 2), ((4, 6), 3), ((3, 3), 0)]:
+        m = rng.standard_normal(shape)
+        m.flags.writeable = False
+        res, plan = rank_residual(m, k)
+        weights = rng.standard_normal(res.size)
+        for point in (m, m + 1e-3 * rng.standard_normal(shape)):
+            want = weights @ rank_residual_jacobian(point, plan, np.eye(m.size))
+            calls.clear()
+            got = rank_residual_gradient(point, plan, weights)
+            assert calls == ([] if point is m else [plan.pivots])
+            assert got.shape == shape
+            np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13 * np.abs(want).max())
