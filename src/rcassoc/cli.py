@@ -15,7 +15,7 @@ counterexamples' records a ``spec`` of the subcommand and the options it
 read: a sweep given ``--lambda-grid`` records no ``lambda``.
 ``--format``, ``--pair`` and ``--lambda-grid`` default to None, so the spec
 shows whether they were given; each handler then picks its own output
-format, logit pairs and grid.
+format, logit pairs and grid.  ``estimation.sweep`` states a sweep's rows.
 
 Exit codes: 0 success, 2 usage or parse error, 3 non-convergence or an
 unattainable reconstruction, 4 claim-verification failure.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -55,6 +56,7 @@ from .estimation import (
     constraint_from_name,
     constraint_names,
     fit,
+    sweep,
 )
 from .interactions import MarginalLogits
 from .table import ContingencyTable, LogitType, TableParseError, read_counts, read_numbers
@@ -64,7 +66,7 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CLAIM_FAILED = 4
 
-# the sweep builds every lambda, and three times as many cells, up front
+# the sweep fits every grid point for each pair and keeps each cell's row in memory
 GRID_MAX_POINTS = 10_000
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,8 @@ def _grid(text):
         raise argparse.ArgumentTypeError(
             f"grid has more than {GRID_MAX_POINTS} points, got {text!r}"
         )
+    if not np.all(np.diff(_grid_values((lo, hi, step))) > 0):
+        raise argparse.ArgumentTypeError(f"grid points repeat at 12 decimals, got {text!r}")
     return lo, hi, step
 
 
@@ -247,15 +251,6 @@ def _emit(payload, fmt, stream=None):
 # ---------------------------------------------------------------------------
 
 
-def _model_spec(pair, lam, rank, names):
-    return ModelSpec(
-        pair=pair,
-        family=cressie_read(lam),
-        rank=rank,
-        linear_constraints=tuple(constraint_from_name(n) for n in names),
-    )
-
-
 # the FitResult fields of the fit payload, in payload order
 _FIT_FIELDS = (
     "deviance", "dof", "p_value", "iterations", "evaluations", "products", "converged",
@@ -299,7 +294,8 @@ def cmd_fit(ns):
     """Fit one model and emit the full report, which lists each rank-deficiency
     and redundant-constraint warning under ``warnings``; exit 3 if not converged."""
     table = _load_table(ns)
-    spec = _model_spec((ns.rows_logit, ns.cols_logit), ns.lam, ns.rank, ns.constraint)
+    constraints = tuple(constraint_from_name(n) for n in ns.constraint)
+    spec = ModelSpec((ns.rows_logit, ns.cols_logit), cressie_read(ns.lam), ns.rank, constraints)
     with warnings.catch_warnings(record=True) as caught:
         for category in _FIT_WARNINGS:
             warnings.simplefilter("always", category)
@@ -320,55 +316,24 @@ def cmd_fit(ns):
 # ---------------------------------------------------------------------------
 
 
-# the FitResult fields of a sweep row, in row order
-_SWEEP_FIELDS = (
-    "deviance", "dof", "converged", "iterations", "evaluations", "products", "message",
-)
-
-
-def _sweep_cell(args):
-    counts, pair, lam, rank, names = args
-    row = {
-        "pair": pair,
-        "lambda": float(lam),
-        **dict.fromkeys(_SWEEP_FIELDS),
-        "converged": False,
-        "error": None,
-    }
-    try:
-        result = fit(counts, _model_spec(tuple(pair), lam, rank, names))
-    except ValueError as exc:  # invalid specs; fit itself stops on a pivot failure
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    row.update((key, getattr(result, key)) for key in _SWEEP_FIELDS)
-    return row
-
-
 def cmd_sweep(ns):
-    """Fit every (pair, lambda) cell; failures are recorded, exit stays 0.
+    """Fit every (pair, lambda) cell, each ``--jobs`` worker whole pairs;
+    failures are recorded, exit stays 0.
 
     The lambdas are the ``--lambda-grid`` points, or else the one
-    ``--lambda``; the parser rejects both together.  CSV rows hold pair,
-    lambda, deviance, dof and converged; JSON rows add the fit's
-    iterations, line-search merit evaluations, curvature products and stop
-    message, and ``error`` (exception type and text) for a cell whose fit
-    raised, which is null otherwise.
+    ``--lambda``.  JSON rows are those of ``estimation.sweep``; CSV rows
+    hold their pair, lambda, deviance, dof and converged.
     """
     table = _load_table(ns)
-    counts = np.asarray(table.counts, dtype=np.float64)
-    lams = _grid_values(ns.lambda_grid or (ns.lam, ns.lam, 1.0))
-    pairs = ns.pair or ("LL", "GG", "CC")
-    cells = [
-        (counts, pair, float(lam), ns.rank, ns.constraint)
-        for pair in sorted(set(pairs))
-        for lam in lams
-    ]
-    if ns.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(cells))) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=4))
+    lams = _grid_values(ns.lambda_grid or (ns.lam, ns.lam, 1.0)).tolist()
+    pairs = sorted(set(ns.pair or ("LL", "GG", "CC")))
+    constraints = tuple(constraint_from_name(n) for n in ns.constraint)
+    run = functools.partial(sweep, table, lambdas=lams, rank=ns.rank, constraints=constraints)
+    if ns.jobs > 1 and len(pairs) > 1:
+        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(pairs))) as pool:
+            rows = [row for part in pool.map(run, [(p,) for p in pairs]) for row in part]
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
-    rows.sort(key=lambda r: (r["pair"], r["lambda"]))
+        rows = run(pairs)
     if ns.fmt == "json":
         spec = _spec_payload(ns)
         if ns.lambda_grid is not None:

@@ -91,7 +91,7 @@ import scipy.linalg
 from scipy.special import chdtrc
 
 from . import kernels
-from .divergence import DivergenceFamily
+from .divergence import DivergenceFamily, cressie_read
 from .rank import (
     PivotError,
     apply_plan,
@@ -634,13 +634,13 @@ def _deviance(y2d, pi2d):
     return float(2.0 * np.sum(y2d[mask] * np.log(y2d[mask] / (n * pi2d[mask]))))
 
 
-def _as_counts(y):
-    """The counts of a table, or of an array checked as ``from_counts`` checks it."""
+def _counts_table(y):
+    """A table with counts, or an array of them checked as ``from_counts`` checks it."""
     if not isinstance(y, ContingencyTable):
         y = ContingencyTable.from_counts(y)
     if y.counts is None:
         raise ValueError("fit needs observed counts, not a probability table")
-    return y.counts
+    return y
 
 
 def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
@@ -682,7 +682,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     fail.  A stop before the first step reports the start, with dof 0 and
     ``constraint_norm`` NaN, as its constraints were not evaluated.
     """
-    y2d = _as_counts(y)
+    y2d = _counts_table(y).counts
     shape = y2d.shape
     linear = spec.linear_system(shape)
     yv = y2d.reshape(-1)
@@ -827,3 +827,38 @@ def _search(f0, fp0, feval):
             return t
         t *= 0.5
     return None
+
+
+
+# the FitResult fields of a sweep row, in row order
+_SWEEP_FIELDS = ("deviance", "dof", "converged", "iterations", "evaluations", "products", "message")
+
+
+def sweep(y, pairs, lambdas, rank=1, constraints=()):
+    """Fit every (pair, lambda) cell of a grid to counts ``y``, which are
+    checked once, here, as ``fit`` checks them: a bad table raises ValueError.
+
+    The logit ``pairs``, such as "GG", run deduplicated and sorted, each over
+    ``lambdas`` in the order given, with rank bound ``rank`` and the
+    ``LinearConstraint`` objects ``constraints``.  Returns one dict per
+    cell, keyed in this order: ``pair``, ``lambda``, the fit's ``deviance``,
+    ``dof``, ``converged``, ``iterations``, line-search merit
+    ``evaluations``, curvature ``products`` and stop ``message``, and
+    ``error``: None for a fitted cell, and "Type: text" for a cell whose
+    spec or fit raised ValueError (lambda = -1, a rank or constraint that
+    does not fit the table), whose fit fields are None and ``converged``
+    False.  Any other exception propagates.
+    """
+    table = _counts_table(y)
+    rows = []
+    for pair in sorted(set(pairs)):
+        for lam in lambdas:
+            row = {"pair": pair, "lambda": float(lam), **dict.fromkeys((*_SWEEP_FIELDS, "error"))}
+            try:
+                result = fit(table, ModelSpec(tuple(pair), cressie_read(lam), rank, constraints))
+            except ValueError as exc:  # invalid specs; fit itself stops on a pivot failure
+                row.update(converged=False, error=f"{type(exc).__name__}: {exc}")
+            else:
+                row.update((key, getattr(result, key)) for key in _SWEEP_FIELDS)
+            rows.append(row)
+    return rows

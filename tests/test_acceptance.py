@@ -37,6 +37,7 @@ from rcassoc import (
     theta_from_prob,
 )
 from rcassoc.analysis import row_conditional_cumulative
+from rcassoc.estimation import sweep
 
 PAPER_LAMBDA = -0.04
 
@@ -137,16 +138,13 @@ def test_criterion_3_cumulative_conditionals(mobility_counts):
 def test_criterion_4_lambda_sweep_shape(mobility_counts):
     lams = np.round(-1.0 + 0.04 * np.arange(51), 12)
     pairs = ("LL", "GG", "CC")
-    dev = {p: np.full(51, np.nan) for p in pairs}
-    for p in pairs:
-        for i, lam in enumerate(lams):
-            try:
-                spec = ModelSpec(pair=(p[0], p[1]), family=cressie_read(lam), rank=1)
-                r = fit(mobility_counts, spec)
-            except ValueError:
-                continue  # lambda = -1 is outside the family; the cell stays empty
-            if r.converged:
-                dev[p][i] = r.deviance
+    rows = sweep(mobility_counts, pairs, lams)
+    # each pair's rows follow lams; lambda = -1 is outside the family, so
+    # its cells hold an error, and they and unconverged cells stay empty
+    dev = {
+        p: np.array([r["deviance"] if r["converged"] else np.nan for r in rows if r["pair"] == p])
+        for p in pairs
+    }
     gg = dev["GG"]
     argmin = int(np.nanargmin(gg))
     ok = abs(lams[argmin] - PAPER_LAMBDA) <= 0.04 + 1e-12

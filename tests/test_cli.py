@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rcassoc.cli as cli
+import rcassoc.estimation as estimation
 from rcassoc import (
     ContingencyTable,
     MarginalShift,
@@ -241,7 +242,7 @@ def test_sweep_grid_never_exceeds_its_max(capsys, monkeypatch):
     def no_fit(table, spec):
         raise ValueError("not fitted")
 
-    monkeypatch.setattr(cli, "fit", no_fit)
+    monkeypatch.setattr(estimation, "fit", no_fit)
     lambdas = {}
     for grid in ("0:1:0.6", "-1:1:0.04"):
         code, out, _ = run_cli(capsys, "sweep", "mobility", f"--lambda-grid={grid}", "--pair", "GG")
@@ -258,7 +259,7 @@ def test_sweep_takes_one_lambda_or_a_grid(capsys, monkeypatch):
     def no_fit(table, spec):
         raise ValueError("not fitted")
 
-    monkeypatch.setattr(cli, "fit", no_fit)
+    monkeypatch.setattr(estimation, "fit", no_fit)
     argv = ("sweep", "mobility", "--pair", "GG", "--lambda", "0.5", "--format", "json")
     code, out, err = run_cli(capsys, *argv, "--lambda-grid=0:0:1")
     assert code == 2 and out == ""
@@ -275,7 +276,7 @@ def test_sweep_spec_records_lambda_only_without_a_grid(capsys, monkeypatch):
     def no_fit(table, spec):
         raise ValueError("not fitted")
 
-    monkeypatch.setattr(cli, "fit", no_fit)
+    monkeypatch.setattr(estimation, "fit", no_fit)
     argv = ("sweep", "mobility", "--pair", "GG", "--format", "json")
     code, payload, _ = run_json(capsys, *argv, "--lambda-grid=0:0:1")
     assert code == 0
@@ -287,12 +288,39 @@ def test_sweep_spec_records_lambda_only_without_a_grid(capsys, monkeypatch):
     assert payload["spec"]["lambda"] == 0.0 and payload["spec"]["lambda_grid"] is None
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    argv = ["sweep", "mobility", "--lambda-grid=-0.08:0.0:0.04", "--pair", "GG", "--pair", "LL"]
+@pytest.mark.parametrize(
+    "argv, jobs",
+    [
+        pytest.param(
+            ["--lambda-grid=-0.08:0.0:0.04", "--pair", "GG", "--pair", "LL"], 2, id="2pairs-jobs2"
+        ),
+        *(
+            pytest.param(
+                ["--pair", "LL", "--pair", "GG", "--pair", "CC", "--pair", "LG", "--rank", "2",
+                 "--lambda-grid=0:0.5:0.25"],
+                jobs,
+                id=f"4pairs-rank2-jobs{jobs}",
+            )
+            for jobs in (2, 5)
+        ),
+    ],
+)
+def test_sweep_parallel_matches_serial(capsys, monkeypatch, argv, jobs):
+    # each worker takes whole pairs, so there are never more workers than pairs
+    workers = []
+
+    class Pool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    argv = ["sweep", "mobility", *argv]
     _, serial, _ = run_cli(capsys, *argv)
-    code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+    code, parallel, _ = run_cli(capsys, *argv, "--jobs", str(jobs))
     assert code == 0
     assert parallel == serial
+    assert workers == [min(jobs, argv.count("--pair"))]
 
 
 def test_sweep_json_format(capsys):
@@ -362,7 +390,7 @@ def test_sweep_propagates_unexpected_errors(monkeypatch):
     def broken_fit(table, spec):
         raise RuntimeError("fitter bug")
 
-    monkeypatch.setattr(cli, "fit", broken_fit)
+    monkeypatch.setattr(estimation, "fit", broken_fit)
     with pytest.raises(RuntimeError, match="fitter bug"):
         main(["sweep", "mobility", "--pair", "GG"])
 
@@ -733,6 +761,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:inf:1")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1e300:1e-300")),
         ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1:1e-9")),
+        # 11 points that round to 0 six times and to 1e-12 five times
+        ("--lambda-grid", ("sweep", "mobility", "--lambda-grid=0:1e-12:1e-13")),
         ("--rows-logit", ("fit", "mobility", "--rows-logit", "q")),
         ("--pair", ("sweep", "mobility", "--pair", "Q")),
     ]

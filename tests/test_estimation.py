@@ -43,6 +43,7 @@ from rcassoc.estimation import (
     _search,
     _Workspace,
     constraint_from_name,
+    sweep,
 )
 from rcassoc.rank import DeflationPlan
 
@@ -996,3 +997,57 @@ def test_fit_falls_back_to_the_plain_step(scale, mobility_counts, monkeypatch):
         assert result.evaluations == plain.evaluations
     else:
         assert result.evaluations > plain.evaluations
+
+
+def test_sweep_rows_run_sorted_pairs_over_lambdas_as_given(mobility_counts):
+    rows = sweep(mobility_counts, ("LL", "GG", "LL"), (0.5, -0.5, 0.0))
+    assert [(r["pair"], r["lambda"]) for r in rows] == [
+        (p, lam) for p in ("GG", "LL") for lam in (0.5, -0.5, 0.0)
+    ]
+    assert list(rows[0]) == [
+        "pair", "lambda", "deviance", "dof", "converged", "iterations", "evaluations",
+        "products", "message", "error",
+    ]
+    result = fit(mobility_counts, _spec(1, lam=-0.5, pair=("L", "L")))
+    row = rows[4]
+    assert row["error"] is None and row["converged"] is True
+    assert row["deviance"] == result.deviance and row["dof"] == result.dof
+    assert row["iterations"] == result.iterations and row["message"] == result.message
+    assert row["evaluations"] == result.evaluations and row["products"] == result.products
+
+
+@pytest.mark.parametrize(
+    "lam, rank, constraints, error",
+    [
+        (-1.0, 1, (), "ValueError: lam = -1 is outside this family"),
+        (0.0, 5, (), "ValueError: rank 5 exceeds the maximum 4"),
+        (0.0, 1, (MarginalShift(),), "ValueError: marginal-shift requires identical"),
+    ],
+    ids=["lambda", "rank", "constraint"],
+)
+def test_sweep_records_a_cell_that_cannot_be_fitted(mobility_counts, lam, rank, constraints, error):
+    pair = "LG" if constraints else "GG"
+    (row,) = sweep(mobility_counts, [pair], [lam], rank=rank, constraints=constraints)
+    assert row["pair"] == pair and row["lambda"] == lam
+    assert row["error"].startswith(error)
+    assert row["converged"] is False
+    assert all(row[key] is None for key in estimation._SWEEP_FIELDS if key != "converged")
+
+
+def test_sweep_checks_the_table_once(mobility_counts, monkeypatch):
+    calls = []
+    monkeypatch.setattr(estimation, "fit", lambda y, spec: calls.append(spec))
+    counts = mobility_counts.copy()
+    counts[1, 2] = -1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        sweep(counts, ("GG", "LL"), (0.0, 0.5))
+    assert calls == []
+
+
+def test_sweep_propagates_other_errors(mobility_counts, monkeypatch):
+    def broken_fit(y, spec):
+        raise RuntimeError("fitter bug")
+
+    monkeypatch.setattr(estimation, "fit", broken_fit)
+    with pytest.raises(RuntimeError, match="fitter bug"):
+        sweep(mobility_counts, ("GG",), (0.0,))
