@@ -66,7 +66,7 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CLAIM_FAILED = 4
 
-# the sweep fits every grid point for each pair and keeps each cell's row in memory
+# the sweep builds every lambda, and a cell per pair and lambda, up front
 GRID_MAX_POINTS = 10_000
 
 # ---------------------------------------------------------------------------
@@ -317,8 +317,7 @@ def cmd_fit(ns):
 
 
 def cmd_sweep(ns):
-    """Fit every (pair, lambda) cell, each ``--jobs`` worker whole pairs;
-    failures are recorded, exit stays 0.
+    """Fit every (pair, lambda) cell; failures are recorded, exit stays 0.
 
     The lambdas are the ``--lambda-grid`` points, or else the one
     ``--lambda``.  JSON rows are those of ``estimation.sweep``; CSV rows
@@ -328,12 +327,13 @@ def cmd_sweep(ns):
     lams = _grid_values(ns.lambda_grid or (ns.lam, ns.lam, 1.0)).tolist()
     pairs = sorted(set(ns.pair or ("LL", "GG", "CC")))
     constraints = tuple(constraint_from_name(n) for n in ns.constraint)
-    run = functools.partial(sweep, table, lambdas=lams, rank=ns.rank, constraints=constraints)
-    if ns.jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(pairs))) as pool:
-            rows = [row for part in pool.map(run, [(p,) for p in pairs]) for row in part]
+    run = functools.partial(sweep, table, rank=ns.rank, constraints=constraints)
+    cells = [((pair,), (lam,)) for pair in pairs for lam in lams]
+    if ns.jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(cells))) as pool:
+            rows = [row for part in pool.map(run, *zip(*cells), chunksize=4) for row in part]
     else:
-        rows = run(pairs)
+        rows = run(pairs, lams)
     if ns.fmt == "json":
         spec = _spec_payload(ns)
         if ns.lambda_grid is not None:

@@ -829,7 +829,6 @@ def _search(f0, fp0, feval):
     return None
 
 
-
 # the FitResult fields of a sweep row, in row order
 _SWEEP_FIELDS = ("deviance", "dof", "converged", "iterations", "evaluations", "products", "message")
 

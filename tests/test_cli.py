@@ -288,30 +288,27 @@ def test_sweep_spec_records_lambda_only_without_a_grid(capsys, monkeypatch):
     assert payload["spec"]["lambda"] == 0.0 and payload["spec"]["lambda_grid"] is None
 
 
+FOUR_PAIRS_RANK2 = ["--pair", "LL", "--pair", "GG", "--pair", "CC", "--pair", "LG", "--rank", "2"]
+
+
 @pytest.mark.parametrize(
-    "argv, jobs",
+    "argv, jobs, workers",
     [
         pytest.param(
-            ["--lambda-grid=-0.08:0.0:0.04", "--pair", "GG", "--pair", "LL"], 2, id="2pairs-jobs2"
+            ["--lambda-grid=-0.08:0.0:0.04", "--pair", "GG", "--pair", "LL"], 2, 2, id="2pairs-jobs2"
         ),
-        *(
-            pytest.param(
-                ["--pair", "LL", "--pair", "GG", "--pair", "CC", "--pair", "LG", "--rank", "2",
-                 "--lambda-grid=0:0.5:0.25"],
-                jobs,
-                id=f"4pairs-rank2-jobs{jobs}",
-            )
-            for jobs in (2, 5)
-        ),
+        pytest.param([*FOUR_PAIRS_RANK2, "--lambda-grid=0:0.5:0.25"], 2, 2, id="4pairs-rank2-jobs2"),
+        pytest.param([*FOUR_PAIRS_RANK2, "--lambda-grid=0:0.5:0.25"], 5, 5, id="4pairs-rank2-jobs5"),
+        pytest.param(["--lambda-grid=-0.08:0.0:0.04", "--pair", "GG"], 4, 3, id="1pair-jobs4"),
     ],
 )
-def test_sweep_parallel_matches_serial(capsys, monkeypatch, argv, jobs):
-    # each worker takes whole pairs, so there are never more workers than pairs
-    workers = []
+def test_sweep_parallel_matches_serial(capsys, monkeypatch, argv, jobs, workers):
+    # the workers share the (pair, lambda) cells, so there are never more workers than cells
+    started = []
 
     class Pool(cli.ProcessPoolExecutor):
         def __init__(self, max_workers):
-            workers.append(max_workers)
+            started.append(max_workers)
             super().__init__(max_workers)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
@@ -320,7 +317,7 @@ def test_sweep_parallel_matches_serial(capsys, monkeypatch, argv, jobs):
     code, parallel, _ = run_cli(capsys, *argv, "--jobs", str(jobs))
     assert code == 0
     assert parallel == serial
-    assert workers == [min(jobs, argv.count("--pair"))]
+    assert started == [workers]
 
 
 def test_sweep_json_format(capsys):
