@@ -1121,9 +1121,9 @@ def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
     the acceptance rate.  Proposals are drawn, built and filtered in stacks
     of ``_BATCH``, and the accepted ones are kept in order until ``count``
     are held, so ``rng`` ends after the last stack that was drawn.  Raises
-    ValueError, before any draw, unless ``count`` is an integer >= 1 and
-    both dimensions are >= 2, and RuntimeError when ``count`` tables cannot
-    be collected within ``_MAX_BATCHES`` stacks.
+    ValueError, before any draw, unless ``count`` is an integer >= 1, both
+    dimensions are >= 2 and ``pair`` is two logit types, and RuntimeError
+    when ``count`` tables cannot be collected within ``_MAX_BATCHES`` stacks.
     """
     i1, i2 = shape
     if not (isinstance(count, (int, np.integer)) and count >= 1 and min(i1, i2) >= 2):
@@ -1131,11 +1131,12 @@ def collect_nonnegative_gamma_tables(rng, shape, pair, fam, count):
             "need an integer count >= 1 and both dimensions >= 2, "
             f"got count={count!r}, shape={shape!r}"
         )
+    l1, l2 = (LogitType.parse(v) for v in pair)
     keep = []
     have = 0
     for _ in range(_MAX_BATCHES):
         tables = _proposals(rng, shape, _BATCH)
-        ok = np.all(gamma_matrix_batch(tables, pair[0], pair[1], fam) >= 0.0, axis=(1, 2))
+        ok = np.all(gamma_matrix_batch(tables, l1, l2, fam) >= 0.0, axis=(1, 2))
         keep.append(tables[ok])
         have += int(ok.sum())
         if have >= count:

@@ -36,9 +36,9 @@ Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
 without its last column, so a pi-jacobian J maps to column c
 (J[:, c] - J pi) pi_c.  The rank residual is the Schur complement S of a
 pivot block of gamma, so its jacobian is P' (d vec(gamma) / dtheta) Q, with
-P and Q built from the steps of the elimination that gives S (``rank``):
-the pivot search at each iterate, whose steps the jacobian there reuses, as
-a workspace's gamma is read-only.
+P' and Q built in the elimination that gives S (``rank``) and carried by
+its plan: a workspace keeps the plan of its own gamma, searched or
+replayed, and its jacobian reads P' and Q from that plan.
 
 A line search on the exact l1 penalty merit
 f(t) = y' log pi(t) / n - mu ||h(t)||_1 picks the step length (Han 1977;
@@ -351,8 +351,7 @@ class _Workspace:
         self.pi2d = self.pi.reshape(shape)
         self._gamma_args = (*spec.pair, spec.family.lam)
         self.gamma = kernels.gamma_values(self.pi2d, *self._gamma_args)
-        # read-only, so the jacobian may reuse the pivot search made on it
-        self.gamma.flags.writeable = False
+        self._plan = None
         self._loglik = None, None
 
     def _margins(self):
@@ -378,27 +377,31 @@ class _Workspace:
         return _in_theta(np.vstack([np.repeat(jr, i2, axis=1), np.tile(jc, (1, i1))]), self.pi)
 
     def constraints(self, plan=None):
-        """(h, plan); selects deflation pivots when plan is None."""
+        """(h, plan); selects deflation pivots when plan is None and replays
+        ``plan`` otherwise.  The plan returned is the one at this point's
+        gamma, which ``constraint_jacobian`` then uses."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
             if plan is None:
                 resid, plan = rank_residual(self.gamma, spec.rank)
             else:
-                resid = apply_plan(self.gamma, plan)
+                resid, plan = apply_plan(self.gamma, plan)
+            self._plan = plan
             parts.append(resid)
         if self._linear is not None:
             a, off = self._linear
             parts.append(a @ self.invariants - off)
         return (np.concatenate(parts) if parts else np.zeros(0)), plan
 
-    def constraint_jacobian(self, plan):
-        """dh/dtheta (rows are constraint gradients) with the pivots of ``plan``;
-        the linear block takes A's columns blockwise, never a d x d invariant jacobian."""
+    def constraint_jacobian(self):
+        """dh/dtheta (rows are constraint gradients) with the pivots of the plan
+        that ``constraints`` kept; the linear block takes A's columns
+        blockwise, never a d x d invariant jacobian."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
-            parts.append(rank_residual_jacobian(self.gamma, plan, self.gamma_jac))
+            parts.append(rank_residual_jacobian(self._plan, self.gamma_jac))
         if self._linear is not None:
             a = self._linear[0]
             e = shape[0] + shape[1] - 2
@@ -428,8 +431,8 @@ def constraint_eval(p, spec, plan=None):
     of dh/dtheta.  Pass ``plan`` to freeze the deflation pivots.
     """
     ws = _Workspace(p.theta, spec, p.shape, spec.linear_system(p.shape))
-    h, plan = ws.constraints(plan)
-    return h, ws.constraint_jacobian(plan).T
+    h, _ = ws.constraints(plan)
+    return h, ws.constraint_jacobian().T
 
 
 def _info_solve(n, pi, w):
@@ -475,18 +478,18 @@ def _factor(jac, n, pi, warn):
     return piv[:rank], r[:rank, :rank]
 
 
-def _multiplier_step(s, h, jac, n, pi, warn=False, factor=None):
+def _multiplier_step(s, h, jac, n, pi, factor):
     """Aitchison-Silvey step in multiplier form: (direction, lambda, residual, rank).
 
     ``jac`` is H' (rows are constraint gradients) and ``factor`` is
-    ``_factor(jac, n, pi, warn)``, computed here when not given.  With the
+    ``_factor(jac, n, pi, warn)``, the iteration's one factorization.  With the
     kept rows H1, h1, lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0,
     the multipliers are lambda = lambda0 + G^-1 h1 and the direction is
     F^-1 (s - H1 lambda).  ``lambda`` is indexed like the rows of ``jac``,
     zero on dropped rows.  With h = 0 the direction is P s, the F-metric
     projection of F^-1 s onto the tangent space {H1' e = 0}.
     """
-    rows, r = _factor(jac, n, pi, warn) if factor is None else factor
+    rows, r = factor
     kept = jac[rows]
     rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[rows]])
     # G = R'R: the two triangular solves of cho_solve, without its input scans
@@ -515,7 +518,7 @@ def _multiplier_gradient(pi, shape, spec, linear, plan, lam):
     if spec.rank_block_active(shape):
         rows = (shape[0] - 1 - spec.rank) * (shape[1] - 1 - spec.rank)
         gamma = kernels.gamma_values(pi2d, *args)
-        weights += rank_residual_gradient(gamma, plan, lam[:rows])
+        weights += rank_residual_gradient(apply_plan(gamma, plan)[1], lam[:rows])
     if linear is not None:
         coef = linear[0].T @ lam[rows:]
         e = shape[0] + shape[1] - 2
@@ -707,7 +710,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         try:
             h, plan = ws.constraints()
             with np.errstate(all="ignore"):  # a non-finite jacobian stops the fit below
-                jac = ws.constraint_jacobian(plan)
+                jac = ws.constraint_jacobian()
         except PivotError as exc:
             message = f"deflation pivot failure: {exc}"
             break

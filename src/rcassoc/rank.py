@@ -18,10 +18,11 @@ replayed at nearby points.
 With E(I) the columns I of the identity, S = P' G Q for
 P' = E(I')' - G[I', J] G[I, J]^-1 E(I)' and Q = E(J') - E(J) G[I, J]^-1 G[I, J'],
 so dS = P' dG Q, and the gradient of w' vec S is P W Q' with W the matrix
-of w.  The elimination's row operations applied to an identity give P',
-and its column operations applied to another give Q.  The jacobian and the
-gradient at the read-only matrix whose pivot search made a plan reuse that
-search's steps; at any other matrix they replay the plan first.
+of w.  Each elimination applies its row operations to an identity, giving
+P', and its column operations to another, giving Q, in the same loop that
+gives S, so every plan that ``rank_residual`` or ``apply_plan`` returns
+carries the P' and Q of the matrix it was made or replayed at; the
+jacobian and the gradient read them from the plan.
 """
 
 from dataclasses import dataclass, field
@@ -46,21 +47,21 @@ class PivotError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeflationPlan:
-    """Pivot positions (row, column) in elimination order, in the matrix's own indices."""
+    """Pivot positions (row, column) in elimination order, in the matrix's own
+    indices, with the P' and Q of the matrix the plan was made or replayed
+    at, which take no part in equality, hashing or repr."""
 
     shape: tuple[int, int]
     pivots: tuple[tuple[int, int], ...]
-    # the read-only matrix whose pivot search made this plan, and that
-    # search's kept rows, columns and steps, which its jacobian reuses
-    _matrix: np.ndarray = field(default=None, compare=False, repr=False)
-    _elimination: tuple = field(default=None, compare=False, repr=False)
+    p_t: np.ndarray = field(default=None, compare=False, repr=False)
+    q: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def rank(self):
         return len(self.pivots)
 
 
-def _check_matrix(m, rank):
+def _checked(m, rank):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
@@ -75,14 +76,16 @@ def _eliminate(m, rank, pivots=None):
     """``rank`` elimination steps on a copy of ``m``, in its own indices.
 
     Each step pivots on the largest remaining entry, or on the next of
-    ``pivots`` when given.  Returns vec S, the rows and columns S keeps,
-    and the steps (i, j, q, w[:, j], w[i, :]), read before each update.
+    ``pivots`` when given, and applies its row operation to P' and its
+    column operation to Q.  Returns vec S and the plan of the steps taken,
+    carrying P' and Q.
     """
     w = m.copy()
     if pivots is None:
         tol = _REL_TOL * max(np.abs(m).max(), 1e-300)
     rows, cols = list(range(m.shape[0])), list(range(m.shape[1]))
-    steps = []
+    p, q = np.eye(m.shape[0]), np.eye(m.shape[1])
+    taken = []
     for k in range(rank):
         if pivots is None:
             i, j = divmod(int(np.argmax(np.abs(w))), m.shape[1])
@@ -95,64 +98,46 @@ def _eliminate(m, rank, pivots=None):
             i, j = pivots[k]
             if w[i, j] == 0.0:
                 raise PivotError(f"zero pivot at {(i, j)}")
-        q, c, r = w[i, j], w[:, j].copy(), w[i].copy()
-        w -= c[:, None] * r / q
+        piv, c, r = w[i, j], w[:, j].copy(), w[i].copy()
+        w -= c[:, None] * r / piv
         w[i] = 0.0
         w[:, j] = 0.0
+        p -= (c / piv)[:, None] * p[i]
+        q -= q[:, j, None] * (r / piv)
         rows.remove(i)
         cols.remove(j)
-        steps.append((i, j, q, c, r))
-    return w.take(rows, 0).take(cols, 1).ravel(), rows, cols, steps
+        taken.append((i, j))
+    plan = DeflationPlan(m.shape, tuple(taken), p.take(rows, 0), q.take(cols, 1))
+    return w.take(rows, 0).take(cols, 1).ravel(), plan
 
 
-def _replay(m, plan):
-    m = _check_matrix(m, plan.rank)
+def rank_residual(m, rank):
+    """(vec S in C order, length ``(m - K) * (n - K)``, its pivot plan).
+
+    The residual vanishes exactly when rank(m) <= K; PivotError when no
+    remaining entry exceeds 1e-10 times the largest of ``m``.
+    """
+    return _eliminate(_checked(m, rank), rank)
+
+
+def apply_plan(m, plan):
+    """Replay a frozen pivot plan at ``m``: (residual, the plan replayed at ``m``)."""
+    m = _checked(m, plan.rank)
     if m.shape != plan.shape:
         raise ValueError(f"plan is for shape {plan.shape}, got {m.shape}")
     return _eliminate(m, plan.rank, plan.pivots)
 
 
-def rank_residual(m, rank):
-    """vec S in C order, length ``(m - K) * (n - K)``, and its pivot plan.
-
-    The residual vanishes exactly when rank(m) <= K; PivotError when no
-    remaining entry exceeds 1e-10 times the largest of ``m``.  For a
-    read-only ``m`` the plan also keeps the search's steps, which
-    ``rank_residual_jacobian`` at ``m`` reuses.
-    """
-    m = _check_matrix(m, rank)
-    resid, rows, cols, steps = _eliminate(m, rank)
-    pivots = tuple((i, j) for i, j, *_ in steps)
-    if m.flags.writeable:
-        return resid, DeflationPlan(m.shape, pivots)
-    return resid, DeflationPlan(m.shape, pivots, m, (rows, cols, steps))
+def _carried(plan):
+    """The P' and Q that ``plan`` carries; ValueError for a plan made by hand."""
+    if plan.q is None:
+        raise ValueError("the plan carries no P' and Q; take it from rank_residual or apply_plan")
+    return plan.p_t, plan.q
 
 
-def apply_plan(m, plan):
-    """Replay a frozen pivot plan; returns the residual vector."""
-    return _replay(m, plan)[0]
-
-
-def _projectors(m, plan):
-    """P' and Q of the plan at ``m``, so that the residual is P' m Q.
-
-    At the matrix whose pivot search made ``plan``, while it stays
-    read-only, the search's steps are reused; anywhere else the plan is
-    replayed.
-    """
-    if plan._matrix is not None and m is plan._matrix and not m.flags.writeable:
-        rows, cols, steps = plan._elimination
-    else:
-        _, rows, cols, steps = _replay(m, plan)
-    p, q = np.eye(plan.shape[0]), np.eye(plan.shape[1])
-    for i, j, piv, c, r in steps:
-        p -= (c / piv)[:, None] * p[i]
-        q -= q[:, j, None] * (r / piv)
-    return p.take(rows, 0), q.take(cols, 1)
-
-
-def rank_residual_jacobian(m, plan, dm):
-    """d residual / dtheta = P' dG Q for a frozen plan, given dm = d vec(m) / dtheta.
+def rank_residual_jacobian(plan, dm):
+    """d residual / dtheta = P' dG Q at the plan's own matrix, given
+    dm = d vec(m) / dtheta.
 
     ``dm`` has shape ``(m.size, p)``; the result has shape
     ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
@@ -161,14 +146,14 @@ def rank_residual_jacobian(m, plan, dm):
     dm = np.asarray(dm, dtype=np.float64)
     if dm.ndim != 2 or dm.shape[0] != shape[0] * shape[1]:
         raise ValueError(f"tangent must have {shape[0] * shape[1]} rows, got shape {dm.shape}")
-    p, q = _projectors(m, plan)
+    p, q = _carried(plan)
     left = p @ dm.reshape(shape[0], -1)
     right = q.T @ left.reshape(len(p), shape[1], -1)
     return right.reshape(-1, dm.shape[1])
 
 
-def rank_residual_gradient(m, plan, weights):
-    """d (weights' residual) / d m = P weights Q' for a frozen plan, shaped
-    like ``m``; ``weights`` is indexed like the residual."""
-    p, q = _projectors(m, plan)
+def rank_residual_gradient(plan, weights):
+    """d (weights' residual) / d m = P weights Q' at the plan's own matrix,
+    shaped like it; ``weights`` is indexed like the residual."""
+    p, q = _carried(plan)
     return p.T @ np.asarray(weights, dtype=np.float64).reshape(len(p), -1) @ q.T

@@ -677,6 +677,14 @@ def test_collect_rejects_bad_input_before_drawing(shape, count):
     assert rng.bit_generator.state == state
 
 
+def test_collect_rejects_a_bad_logit_pair_before_drawing():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown logit type 'X'"):
+        collect_nonnegative_gamma_tables(rng, (3, 3), ("G", "X"), kl(), 5)
+    assert rng.bit_generator.state == state
+
+
 # targets that raised something other than ReconstructionError, or carried a
 # residual of -0.0: (pair, margin sizes, gamma, what the error names)
 UNATTAINABLE_EDGES = [

@@ -79,10 +79,10 @@ def _iterate(theta, y, spec, shape, mu=0.0):
     linear = spec.linear_system(shape)
     ws = _Workspace(theta, spec, shape, linear)
     h, plan = ws.constraints()
-    jac = ws.constraint_jacobian(plan)
+    jac = ws.constraint_jacobian()
     s = ws.score(y)
     n = y.sum()
-    direction, lam, _, _ = _multiplier_step(s, h, jac, n, ws.pi, warn=True)
+    direction, lam, _, _ = _multiplier_step(s, h, jac, n, ws.pi, _factor(jac, n, ws.pi, warn=True))
     mu = max(mu, 2.0 * float(np.abs(lam).max(initial=0.0)) / n)
     f0 = ws.loglik(y) / n - mu * float(np.abs(h).sum())
     fp0 = float(s @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
@@ -522,8 +522,8 @@ def test_fit_stops_before_a_cell_underflows(counts, pair, lam, cell):
     assert np.isfinite(result.deviance) and np.isfinite(result.loglik)
     assert result.pi_hat.min() >= np.finfo(np.float64).tiny
     ws = _Workspace(result.theta_hat, spec, counts.shape, None)
-    h, plan = ws.constraints()
-    assert np.isfinite(ws.constraint_jacobian(plan)).all()
+    h, _ = ws.constraints()
+    assert np.isfinite(ws.constraint_jacobian()).all()
     assert result.constraint_norm == np.abs(h).max()
 
 
@@ -665,7 +665,7 @@ def test_factor_constraints_full_row_rank():
     jac = rng.normal(size=(6, 15))
     h = rng.normal(size=6)
     n, pi, s = _random_point(rng, 15)
-    direction, lam, resid, rank = _multiplier_step(s, h, jac, n, pi, warn=True)
+    direction, lam, resid, rank = _multiplier_step(s, h, jac, n, pi, _factor(jac, n, pi, warn=True))
     assert rank == 6
     np.testing.assert_allclose(jac @ direction, -h, rtol=0, atol=1e-10)
     # the direction is F^-1 (s - H lambda) in the step's own multipliers
@@ -683,7 +683,8 @@ def test_factor_constraints_drops_duplicated_row():
     doubled_h = np.append(h, h[1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        direction, lam, resid, rank = _multiplier_step(s, doubled_h, doubled_jac, n, pi, warn=True)
+        factor = _factor(doubled_jac, n, pi, warn=True)
+        direction, lam, resid, rank = _multiplier_step(s, doubled_h, doubled_jac, n, pi, factor)
     redundant = [w for w in caught if issubclass(w.category, RedundantConstraintWarning)]
     assert len(redundant) == 1
     assert "1 of 5" in str(redundant[0].message)
@@ -694,7 +695,7 @@ def test_factor_constraints_drops_duplicated_row():
     np.testing.assert_allclose(
         direction, _info_solve(n, pi, s - lam @ doubled_jac), rtol=0, atol=1e-10
     )
-    single = _multiplier_step(s, h, jac, n, pi, warn=True)
+    single = _multiplier_step(s, h, jac, n, pi, _factor(jac, n, pi, warn=True))
     for got, want in zip((direction, resid), (single[0], single[2])):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     merged = lam[:4].copy()
@@ -731,10 +732,10 @@ def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
     theta = theta + t * first
     linear = spec.linear_system(counts.shape)
     ws = _Workspace(theta, spec, counts.shape, linear)
-    h, plan = ws.constraints()
-    jac = ws.constraint_jacobian(plan)
+    h, _ = ws.constraints()
+    jac = ws.constraint_jacobian()
     s = ws.score(y)
-    direction = _multiplier_step(s, h, jac, n, ws.pi, warn=False)[0]
+    direction = _multiplier_step(s, h, jac, n, ws.pi, _factor(jac, n, ws.pi, warn=False))[0]
     want = _null_space_direction(s, h, jac, n, ws.pi)
     np.testing.assert_allclose(direction, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
@@ -807,8 +808,9 @@ def test_multiplier_step_with_no_independent_row_is_the_saturated_step():
     n, pi, s = _random_point(rng, 8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        jac = np.zeros((2, 8))
         direction, lam, resid, rank = _multiplier_step(
-            s, np.ones(2), np.zeros((2, 8)), n, pi, warn=True
+            s, np.ones(2), jac, n, pi, _factor(jac, n, pi, warn=True)
         )
     assert [str(w.message) for w in caught] == [
         "2 of 2 constraint equations are redundant; dropping dependent rows"
@@ -897,7 +899,7 @@ def _multiplier_point(rng, spec, random_table):
     linear = spec.linear_system((5, 5))
     ws = _Workspace(theta_from_prob(random_table(rng, (5, 5))), spec, (5, 5), linear)
     h, plan = ws.constraints()
-    return ws, linear, plan, ws.constraint_jacobian(plan), rng.standard_normal(h.size)
+    return ws, linear, plan, ws.constraint_jacobian(), rng.standard_normal(h.size)
 
 
 @pytest.mark.parametrize("case", sorted(CURVATURE_SPECS))
@@ -909,7 +911,8 @@ def test_multiplier_gradient_is_the_weighted_constraint_jacobian(case, random_ta
     ws, linear, plan, jac, lam = _multiplier_point(rng, spec, random_table)
     for theta in (ws.theta, ws.theta + 1e-3 * rng.standard_normal(ws.theta.size)):
         other = _Workspace(theta, spec, (5, 5), linear)
-        want = lam @ other.constraint_jacobian(plan)
+        other.constraints(plan)
+        want = lam @ other.constraint_jacobian()
         got = _multiplier_gradient(other.pi, (5, 5), spec, linear, plan, lam)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -925,7 +928,9 @@ def test_curvature_product_is_the_lagrangian_hessian(case, random_table):
     delta = 1e-5
 
     def grad(theta):
-        return lam @ _Workspace(theta, spec, (5, 5), linear).constraint_jacobian(plan)
+        other = _Workspace(theta, spec, (5, 5), linear)
+        other.constraints(plan)
+        return lam @ other.constraint_jacobian()
 
     want = (grad(ws.theta + delta * v) - grad(ws.theta - delta * v)) / (2.0 * delta)
     got = product(v)
@@ -968,6 +973,18 @@ def test_newton_cg_stops_at_non_positive_curvature():
     corrected, made = _newton_cg(plain, project, info, lambda v: -2.0 * info(v))
     assert corrected is None
     assert made == 2
+
+
+def test_newton_cg_takes_no_step_where_the_frozen_pivot_vanishes():
+    # a uniform LL table has gamma = 0 exactly, and along ones gamma[0, 0]
+    # stays 0: the product point's replay finds no pivot, the product is
+    # NaN, and CG stops before its first step
+    ws = _Workspace(np.zeros(15), _spec(1, lam=0.0, pair=("L", "L")), (4, 4), None)
+    plan = DeflationPlan((3, 3), ((0, 0),))
+    product = _curvature(ws, np.zeros((4, 15)), None, plan, np.ones(4))
+    v = np.ones(15)
+    assert np.isnan(product(v)).all()
+    assert _newton_cg(v, lambda r: r, lambda e: e, product) == (None, 1)
 
 
 def test_fit_corrects_steps_only_when_every_count_is_positive(mobility_counts):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import rcassoc.rank
 from rcassoc.rank import (
     DeflationPlan,
     PivotError,
@@ -33,7 +32,7 @@ def test_deflate_rank_one_vanishes():
 
 
 def test_deflate_identity_by_hand():
-    out = apply_plan(np.eye(3), DeflationPlan((3, 3), ((0, 0),)))
+    out, _ = apply_plan(np.eye(3), DeflationPlan((3, 3), ((0, 0),)))
     np.testing.assert_array_equal(out, np.eye(2).ravel())
 
 
@@ -68,7 +67,7 @@ def test_rank_residual_shapes_and_plan():
     assert plan.rank == 1
     assert plan.shape == (5, 5)
     assert res.shape == (16,)
-    np.testing.assert_array_equal(apply_plan(m, plan), res)
+    np.testing.assert_array_equal(apply_plan(m, plan)[0], res)
 
 
 def test_rank_residual_k0_is_vec():
@@ -111,7 +110,7 @@ def test_residual_zero_set_is_pivot_independent():
             first = tuple(int(v) for v in nz[0])
             last = tuple(int(v) for v in nz[-1])
             for piv in {first, last}:
-                res = apply_plan(m, DeflationPlan(m.shape, (piv,)))
+                res, _ = apply_plan(m, DeflationPlan(m.shape, (piv,)))
                 if expect_zero:
                     assert np.abs(res).max() <= 1e-9 * np.abs(m).max()
                 else:
@@ -122,7 +121,7 @@ def test_jacobian_identity_at_k0():
     rng = np.random.default_rng(48)
     m = rng.standard_normal((3, 3))
     _, plan = rank_residual(m, 0)
-    np.testing.assert_array_equal(rank_residual_jacobian(m, plan, np.eye(9)), np.eye(9))
+    np.testing.assert_array_equal(rank_residual_jacobian(plan, np.eye(9)), np.eye(9))
 
 
 def test_jacobian_finite_difference():
@@ -134,13 +133,13 @@ def test_jacobian_finite_difference():
         m = _low_rank(rng, (3, 3), 2) + 0.01 * rng.standard_normal((3, 3))
         res, plan = rank_residual(m, 1)
         for dm in (np.eye(m.size), rng.standard_normal((m.size, 4))):
-            jac = rank_residual_jacobian(m, plan, dm)
+            jac = rank_residual_jacobian(plan, dm)
             assert jac.shape == (res.size, dm.shape[1])
             fd = np.empty_like(jac)
             for c in range(dm.shape[1]):
                 d = eps * dm[:, c]
-                hi = apply_plan((m.ravel() + d).reshape(3, 3), plan)
-                lo = apply_plan((m.ravel() - d).reshape(3, 3), plan)
+                hi, _ = apply_plan((m.ravel() + d).reshape(3, 3), plan)
+                lo, _ = apply_plan((m.ravel() - d).reshape(3, 3), plan)
                 fd[:, c] = (hi - lo) / (2 * eps)
             np.testing.assert_allclose(jac, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
 
@@ -153,10 +152,10 @@ def test_jacobian_finite_difference_two_stages():
         m = _low_rank(rng, shape, 3) + 0.01 * rng.standard_normal(shape)
         res, plan = rank_residual(m, k)
         dm = rng.standard_normal((m.size, 6))
-        jac = rank_residual_jacobian(m, plan, dm)
+        jac = rank_residual_jacobian(plan, dm)
         fd = np.column_stack([
-            (apply_plan(m + eps * d.reshape(shape), plan)
-             - apply_plan(m - eps * d.reshape(shape), plan)) / (2 * eps)
+            (apply_plan(m + eps * d.reshape(shape), plan)[0]
+             - apply_plan(m - eps * d.reshape(shape), plan)[0]) / (2 * eps)
             for d in dm.T
         ])
         assert jac.shape == (res.size, 6)
@@ -170,7 +169,7 @@ def test_jacobian_annihilates_rank_one_tangents():
         b = rng.standard_normal(5)
         m = np.outer(a, b)
         _, plan = rank_residual(m, 1)
-        jac = rank_residual_jacobian(m, plan, np.eye(m.size))
+        jac = rank_residual_jacobian(plan, np.eye(m.size))
         da = rng.standard_normal(4)
         db = rng.standard_normal(5)
         tangent = np.outer(a, db) + np.outer(da, b)
@@ -184,10 +183,8 @@ def test_plan_shape_mismatch():
     _, plan = rank_residual(m, 1)
     with pytest.raises(ValueError):
         apply_plan(np.eye(3), plan)
-    with pytest.raises(ValueError):
-        rank_residual_jacobian(np.eye(3), plan, np.eye(9))
     with pytest.raises(ValueError, match="tangent must have 16 rows"):
-        rank_residual_jacobian(m, plan, np.eye(9))
+        rank_residual_jacobian(plan, np.eye(9))
     with pytest.raises(ValueError):
         rank_residual(m, 5)
     with pytest.raises(ValueError, match="expected a matrix"):
@@ -211,7 +208,7 @@ def test_deflation_matches_delete_reference():
         rows, cols = (int(v) for v in rng.integers(2, 10, size=2))
         m = rng.standard_normal((rows, cols))
         pivot = (int(rng.integers(rows)), int(rng.integers(cols)))
-        one_step = apply_plan(m, DeflationPlan(m.shape, (pivot,)))
+        one_step, _ = apply_plan(m, DeflationPlan(m.shape, (pivot,)))
         assert np.array_equal(one_step, _deflate_ref(m, pivot).ravel())
         resid, plan = rank_residual(m, int(rng.integers(0, min(rows, cols) + 1)))
         cur, left, right = m, list(range(rows)), list(range(cols))
@@ -220,7 +217,7 @@ def test_deflation_matches_delete_reference():
             assert piv == (left.pop(i), right.pop(j))
             cur = _deflate_ref(cur, (i, j))
         assert np.array_equal(resid, cur.ravel())
-        assert np.array_equal(apply_plan(m, plan), cur.ravel())
+        assert np.array_equal(apply_plan(m, plan)[0], cur.ravel())
 
 
 def test_schur_complement_matches_solve_reference():
@@ -244,79 +241,42 @@ def test_schur_complement_matches_solve_reference():
             want = np.einsum("ar,rct,cb->abt", p_t, dm.reshape(shape + (7,)), q).reshape(-1, 7)
             scale = np.abs(schur).max()
             np.testing.assert_allclose(res, schur.ravel(), rtol=0, atol=1e-12 * scale)
-            np.testing.assert_allclose(apply_plan(g, plan), schur.ravel(), rtol=0, atol=1e-12 * scale)
-            jac = rank_residual_jacobian(g, plan, dm)
+            np.testing.assert_allclose(apply_plan(g, plan)[0], schur.ravel(), rtol=0, atol=1e-12 * scale)
+            jac = rank_residual_jacobian(plan, dm)
             np.testing.assert_allclose(jac, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def test_jacobian_reuses_the_search_only_at_its_matrix(monkeypatch):
-    # the jacobian at the read-only matrix whose pivot search made the plan
-    # takes that search's steps; at any other matrix, even an equal copy or
-    # a nearby trial point that the plan travels to, it replays the plan
-    calls = []
-    eliminate = rcassoc.rank._eliminate
-
-    def counting(m, rank, pivots=None):
-        calls.append(pivots)
-        return eliminate(m, rank, pivots)
-
-    monkeypatch.setattr(rcassoc.rank, "_eliminate", counting)
+def test_replay_at_the_search_matrix_carries_the_same_projectors():
+    # a plan replayed at the matrix whose search made it gives the same S,
+    # P' and Q bit for bit, and compares equal to the searched plan and to a
+    # plan made by hand; one made by hand carries no P' and Q, so the
+    # jacobian and the gradient refuse it
     rng = np.random.default_rng(53)
-    for shape, k in [((4, 4), 1), ((5, 4), 2), ((4, 6), 3)]:
+    for shape, k in [((4, 4), 1), ((5, 4), 2), ((4, 6), 3), ((3, 3), 0)]:
         m = rng.standard_normal(shape)
-        m.flags.writeable = False
-        dm = rng.standard_normal((m.size, 7))
-        _, plan = rank_residual(m, k)
-        calls.clear()
-        reused = rank_residual_jacobian(m, plan, dm)
-        assert calls == []
-        replayed = rank_residual_jacobian(m.copy(), plan, dm)
-        assert calls == [plan.pivots]
-        np.testing.assert_array_equal(reused, replayed)
-        trial = m + 1e-3 * rng.standard_normal(shape)
-        trial.flags.writeable = False
-        calls.clear()
-        want = rank_residual_jacobian(trial.copy(), plan, dm)
-        np.testing.assert_array_equal(rank_residual_jacobian(trial, plan, dm), want)
-        assert calls == [plan.pivots, plan.pivots]
-    # a matrix made writable again may have changed since its search
-    m.flags.writeable = True
-    calls.clear()
-    rank_residual_jacobian(m, plan, dm)
-    assert calls == [plan.pivots]
-    # a writable matrix may change after its search, so its plan keeps no steps
-    w = rng.standard_normal((4, 4))
-    _, plan = rank_residual(w, 1)
-    assert plan._matrix is None
-    calls.clear()
-    rank_residual_jacobian(w, plan, np.eye(16))
-    assert calls == [plan.pivots]
-    # the search's steps never enter a plan's equality
-    assert plan == DeflationPlan(plan.shape, plan.pivots)
+        res, plan = rank_residual(m, k)
+        again, replayed = apply_plan(m, plan)
+        assert np.array_equal(again, res)
+        assert np.array_equal(replayed.p_t, plan.p_t) and np.array_equal(replayed.q, plan.q)
+        bare = DeflationPlan(plan.shape, plan.pivots)
+        assert replayed == plan == bare and hash(bare) == hash(plan)
+        with pytest.raises(ValueError, match="carries no P' and Q"):
+            rank_residual_jacobian(bare, np.eye(m.size))
+        with pytest.raises(ValueError, match="carries no P' and Q"):
+            rank_residual_gradient(bare, res)
 
 
-def test_gradient_is_the_weighted_jacobian(monkeypatch):
+def test_gradient_is_the_weighted_jacobian():
     # d (w' residual) / d m = P W Q' is w' (d residual / d vec(m)), shaped
-    # like m; at the searched read-only matrix it reuses the search's steps,
-    # elsewhere it replays the plan once
-    calls = []
-    eliminate = rcassoc.rank._eliminate
-
-    def counting(m, rank, pivots=None):
-        calls.append(pivots)
-        return eliminate(m, rank, pivots)
-
-    monkeypatch.setattr(rcassoc.rank, "_eliminate", counting)
+    # like m, at the searched matrix and at a nearby one the plan is replayed at
     rng = np.random.default_rng(59)
     for shape, k in [((4, 4), 1), ((5, 4), 2), ((4, 6), 3), ((3, 3), 0)]:
         m = rng.standard_normal(shape)
-        m.flags.writeable = False
         res, plan = rank_residual(m, k)
         weights = rng.standard_normal(res.size)
         for point in (m, m + 1e-3 * rng.standard_normal(shape)):
-            want = weights @ rank_residual_jacobian(point, plan, np.eye(m.size))
-            calls.clear()
-            got = rank_residual_gradient(point, plan, weights)
-            assert calls == ([] if point is m else [plan.pivots])
+            _, at_point = apply_plan(point, plan)
+            want = weights @ rank_residual_jacobian(at_point, np.eye(m.size))
+            got = rank_residual_gradient(at_point, weights)
             assert got.shape == shape
             np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13 * np.abs(want).max())
