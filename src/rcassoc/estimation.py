@@ -20,13 +20,18 @@ Evans & Forcina (2013) use:
 
 On the first d = cells - 1 cells, F = n (diag(p) - p p') and
 F^-1 w = (w / p + sum(w) / pi_last) / n in closed form, so F is never
-formed or factorized.  The one factorization per iteration is a Q-free
-pivoted QR of the (d + 1) x k matrix C H, where C'C = F^-1, built in one
-buffer: it gives G = R'R, the rank (dependent constraint rows are
-dropped), and the two triangular solves with R' and R for both right-hand
-sides of lambda, by the LAPACK routine that ``cho_solve`` wraps; scipy
-scans C H for non-finite entries before the QR, and R is computed from
-it, so the solves scan nothing.  The direction solves H' direction = -h.
+formed or factorized.  The one factorization per iteration is LAPACK's
+pivoted Cholesky (``dpstrf``) of G = (C H)'(C H), where C'C = F^-1 and C H
+is built in one (d + 1) x k buffer: it gives the pivot order, the rank and
+G1 = R'R on the independent rows, and the two triangular solves with R'
+and R for both right-hand sides of lambda run by the LAPACK routine that
+``cho_solve`` wraps.  A pivot of G is R_jj^2, so a row is dropped as
+dependent once R_jj / R_00 falls to sqrt(max(k, d) eps), about 2.4e-7 on
+a 16x16 table; rows dependent to within a smaller relative margin are
+dropped with a ``RedundantConstraintWarning``.  LAPACK scans nothing, so
+G is tested for finiteness before it is factorized, and the fit stops at a
+non-finite G, which a cell near 0 or entries of C H above about 1e154
+give.  The direction solves H' direction = -h.
 The stationarity test is on the multiplier residual s - H lambda0, with
 lambda0 = G^-1 H' F^-1 s: the score that the constraint gradients leave
 unexplained.  With no constraint rows (the saturated model) the step is
@@ -70,7 +75,7 @@ at most two steps of projected preconditioned CG (Nocedal & Wright 2006,
 Alg. 16.2) correct it toward the Newton step of the Lagrangian: CG runs on
 s'e - e'(F + M)e / 2 over {H1' e = -h1} from the plain step, with the
 F-metric projection F^-1 - F^-1 H1 G^-1 H1' F^-1 as preconditioner, applied
-with the R of the iteration's one QR.  A product M v is the forward
+with the R of the iteration's one factorization.  A product M v is the forward
 difference of the gradient of lambda' h along v with the pivots frozen.
 That gradient needs no jacobian: it is sum_ij W_ij d gamma_ij / dtheta with
 W = P lambda_S Q' (``rank``), two small GEMMs with the event slabs, plus the
@@ -449,33 +454,42 @@ def _info_product(n, pi, v):
 
 
 def _factor(jac, n, pi, warn):
-    """The one factorization of a step: a Q-free pivoted QR of C H.
+    """The one factorization of a step: a pivoted Cholesky of G = H' F^-1 H.
 
-    ``jac`` is H' (rows are constraint gradients).  Returns the indices of
-    the leading ``rank`` pivoted rows H1', which are independent, and the
-    R factor of G = H1' F^-1 H1 = R'R.  The rank is the number of |diag R|
-    above a ``matrix_rank``-style tolerance; the other rows are dropped,
-    with a warning when ``warn`` is set.  With no rows no QR runs.
+    ``jac`` is H' (rows are constraint gradients).  G = (C H)'(C H) is one
+    GEMM, and LAPACK's blocked pivoted Cholesky ``dpstrf`` (Lucas 2004;
+    Higham 2002, ch. 10) orders its rows by pivot.  Returns the indices of
+    the leading ``rank`` pivoted rows H1', which are independent, and a
+    matrix whose upper triangle is the R of G1 = H1' F^-1 H1 = R'R.  A pivot
+    is R_jj^2 and G carries rounding of about max(k, d) eps |G|, so pivot j
+    is kept while R_jj^2 > max(k, d) eps max diag(G), that is while
+    R_jj / R_00 > sqrt(max(k, d) eps); the other rows are dropped, with a
+    warning when ``warn`` is set.  Returns None when G is not finite, as
+    for a cell near 0 or entries of C H above about 1e154, so LAPACK never
+    sees NaN or inf.  With no rows nothing is factored.
     """
     k, d = jac.shape
     if k == 0:
         return np.zeros(0, dtype=int), np.zeros((0, 0))
     # (C H)' in one buffer, with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n),
-    # so C'C = F^-1; its transpose is Fortran-ordered, so the QR overwrites it
+    # so C'C = F^-1
     hc = np.empty((k, d + 1))
     hc[:, :d] = jac
     hc[:, d] = jac.sum(axis=1)
     hc /= np.sqrt(n * pi)
-    _, r, piv = scipy.linalg.qr(hc.T, overwrite_a=True, mode="raw", pivoting=True)
-    diag = np.abs(r.diagonal())
-    rank = int(np.count_nonzero(diag > diag[0] * max(k, d) * np.finfo(np.float64).eps))
+    gram = hc @ hc.T
+    if not np.isfinite(gram).all():
+        return None
+    tol = max(k, d) * np.finfo(np.float64).eps * gram.diagonal().max()
+    # G is symmetric, so its transpose is the Fortran-ordered G that dpstrf overwrites
+    r, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram.T, tol=tol, overwrite_a=True)
     if rank < k and warn:
         warnings.warn(
             f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows",
             RedundantConstraintWarning,
             stacklevel=3,
         )
-    return piv[:rank], r[:rank, :rank]
+    return piv[:rank] - 1, r[:rank, :rank]
 
 
 def _multiplier_step(s, h, jac, n, pi, factor):
@@ -709,13 +723,15 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
     for iterations in range(1, max_iter + 1):
         try:
             h, plan = ws.constraints()
-            with np.errstate(all="ignore"):  # a non-finite jacobian stops the fit below
+            with np.errstate(all="ignore"):  # a non-finite G stops the fit below
                 jac = ws.constraint_jacobian()
+                factor = _factor(jac, n, ws.pi, warn=(iterations == 1))
         except PivotError as exc:
             message = f"deflation pivot failure: {exc}"
             break
-        # F^-1 divides by each cell, so a subnormal cell overflows it
-        if ws.pi.min() < np.finfo(np.float64).tiny or not np.isfinite(jac).all():
+        # F^-1 divides by each cell, so a subnormal cell overflows it; a finite
+        # G = (C H)'(C H) has a finite jacobian
+        if factor is None or ws.pi.min() < np.finfo(np.float64).tiny:
             cell = tuple(int(i) for i in np.unravel_index(np.argmin(ws.pi), shape))
             message = (
                 f"cell {cell} probability {ws.pi.min():.3g} is too close to 0 "
@@ -725,7 +741,6 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max(initial=0.0))
         s0 = ws.score(yv)
-        factor = _factor(jac, n, ws.pi, warn=(iterations == 1))
         direction, lam, resid, rank = _multiplier_step(s0, h, jac, n, ws.pi, factor=factor)
         last = ws, h, rank
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):

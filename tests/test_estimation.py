@@ -94,6 +94,20 @@ def _iterate(theta, y, spec, shape, mu=0.0):
     return h, s, ws.pi, direction, t, mu
 
 
+def _record_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record the keyword arguments of each call;
+    returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def test_canonical_zero_theta_is_uniform():
     p = CanonicalParam(np.zeros(8), (3, 3))
     np.testing.assert_allclose(canonical_to_prob(p), np.full((3, 3), 1.0 / 9.0), atol=1e-15)
@@ -372,17 +386,10 @@ def test_search_stops_at_rounding_floor():
 
 
 def test_fit_saturated_reproduces_empirical(mobility_counts, monkeypatch):
-    # no constraint rows: the step is F^-1 s in closed form, with no QR
-    qr_calls = []
-    qr = scipy.linalg.qr
-
-    def recording_qr(*args, **kwargs):
-        qr_calls.append(kwargs)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    # no constraint rows: the step is F^-1 s in closed form, with no factorization
+    factor_calls = _record_calls(monkeypatch, scipy.linalg.lapack, "dpstrf")
     result = fit(mobility_counts, _spec(4))
-    assert qr_calls == []
+    assert factor_calls == []
     assert result.converged
     np.testing.assert_allclose(result.pi_hat, mobility_counts / mobility_counts.sum(), atol=1e-10)
     assert result.deviance <= 1e-8
@@ -443,25 +450,18 @@ def test_projected_score_at_fit(mobility_counts):
 
 def test_fit_stops_at_max_iter(mobility_counts, monkeypatch):
     # the stop reports iterate max_iter, the last whose step was computed,
-    # with that step's constraint norm and rank: one QR per iteration and
-    # none after; at max_iter = 1 that iterate is the start
-    qr_calls = []
-    qr = scipy.linalg.qr
-
-    def recording_qr(*args, **kwargs):
-        qr_calls.append(kwargs.get("mode"))
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    # with that step's constraint norm and rank: one factorization per
+    # iteration and none after; at max_iter = 1 that iterate is the start
+    factor_calls = _record_calls(monkeypatch, scipy.linalg.lapack, "dpstrf")
     spec = _spec(1, (MarginalShift(),))
     results = {}
     for max_iter in (1, 3):
-        qr_calls.clear()
+        factor_calls.clear()
         results[max_iter] = result = fit(mobility_counts, spec, max_iter=max_iter)
         assert not result.converged
         assert result.message == "maximum iterations reached"
         assert result.iterations == max_iter
-        assert qr_calls == ["raw"] * max_iter
+        assert len(factor_calls) == max_iter
         h, _ = constraint_eval(CanonicalParam(result.theta_hat, (5, 5)), spec)
         assert result.constraint_norm == np.abs(h).max()
         assert result.dof == 12
@@ -703,6 +703,88 @@ def test_factor_constraints_drops_duplicated_row():
     np.testing.assert_allclose(merged, single[1], rtol=0, atol=1e-10)
 
 
+def _dependent_row(rng, jac, rel):
+    """A random combination of the rows of ``jac`` plus a random row of
+    ``rel`` times its size: a row dependent on them to within about ``rel``."""
+    row = rng.normal(size=len(jac)) @ jac
+    noise = rng.normal(size=jac.shape[1])
+    return row + rel * np.linalg.norm(row) / np.linalg.norm(noise) * noise
+
+
+@pytest.mark.parametrize(
+    "case, rank",
+    [
+        ("full-rank", 6),
+        ("duplicated", 6),
+        ("duplicate-scaled-1e6", 6),
+        ("dependent-within-1e-4", 7),
+        ("dependent-within-1e-10", 6),
+    ],
+)
+def test_factor_matches_pivoted_qr(case, rank):
+    # the pivoted Cholesky of G = H' F^-1 H against a pivoted QR of C H, with
+    # C'C = F^-1: both take the row of largest remaining F^-1 norm first, so
+    # they give the same |diag R|.  A pivot of G is R_jj^2, so a row is kept
+    # while R_jj / R_00 > sqrt(max(k, d) eps): a row dependent to within
+    # 1e-4 is kept, one dependent to within 1e-10 is dropped
+    rng = np.random.default_rng(8)
+    jac = rng.normal(size=(6, 15))
+    n, pi, _ = _random_point(rng, 15)
+    extra = {
+        "full-rank": [],
+        "duplicated": [jac[2]],
+        "duplicate-scaled-1e6": [1e6 * jac[2]],
+        "dependent-within-1e-4": [_dependent_row(rng, jac, 1e-4)],
+        "dependent-within-1e-10": [_dependent_row(rng, jac, 1e-10)],
+    }[case]
+    jac = np.vstack([jac, *extra])
+    k, d = jac.shape
+    p = pi[:-1]
+    # C H and G, formed apart from _factor
+    ch = np.column_stack([jac / np.sqrt(p), jac.sum(axis=1) / np.sqrt(pi[-1])]) / np.sqrt(n)
+    gram = jac @ (jac / p).T / n + np.outer(jac.sum(axis=1), jac.sum(axis=1)) / (n * pi[-1])
+    r_qr = scipy.linalg.qr(ch.T, mode="r", pivoting=True)[0]
+    diag_qr = np.abs(r_qr.diagonal())
+    threshold = np.sqrt(max(k, d) * np.finfo(np.float64).eps)
+    assert np.count_nonzero(diag_qr > threshold * diag_qr[0]) == rank
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows, r = _factor(jac, n, pi, warn=True)
+    assert len(rows) == rank
+    assert [str(w.message) for w in caught] == (
+        [] if rank == k else [f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows"]
+    )
+    r = np.triu(r)
+    np.testing.assert_allclose(r.T @ r, gram[np.ix_(rows, rows)], rtol=0, atol=1e-12 * np.abs(gram).max())
+    np.testing.assert_allclose(np.abs(r.diagonal()), diag_qr[:rank], rtol=1e-6)
+
+
+def test_fit_stops_at_an_overflowing_gram(mobility_counts, monkeypatch):
+    # entries of C H above about 1e154 are finite but overflow G: a finite
+    # jacobian whose G overflows stops the fit at the previous iterate with
+    # the cell message, with no warning and no exception, and LAPACK never
+    # sees the inf
+    jacobian = _Workspace.constraint_jacobian
+    built = []
+
+    def scaled(self):
+        built.append(None)
+        return jacobian(self) * (1e160 if len(built) == 2 else 1.0)
+
+    monkeypatch.setattr(_Workspace, "constraint_jacobian", scaled)
+    factor_calls = _record_calls(monkeypatch, scipy.linalg.lapack, "dpstrf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
+    assert result.iterations == 2
+    assert len(factor_calls) == 1
+    assert not result.converged
+    assert result.message.startswith("cell ")
+    assert result.message.endswith("finite step; stopped at the previous iterate")
+    assert result.dof == 12
+    assert np.isfinite(result.deviance)
+
+
 def _null_space_direction(s, h, jac, n, pi):
     """v - u with u = H'^+ h, X = null_space(H') and dense F: the direction
     the fitter took before the multiplier form."""
@@ -743,16 +825,11 @@ def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
 def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     # jacobians are built once per outer iteration, never at line-search
     # trial points, and the converged result reuses the last iterate's; one
-    # R-only QR per outer iteration; the only workspaces are the start and
-    # one per merit evaluation, so none is built outside the line search;
+    # pivoted Cholesky per outer iteration; the only workspaces are the start
+    # and one per merit evaluation, so none is built outside the line search;
     # the linear constraint matrix is built once per fit
     calls = {"jacobian": 0, "workspace": 0, "coefficients": 0}
-    qr_modes = []
-    qr = scipy.linalg.qr
-
-    def recording_qr(*args, **kwargs):
-        qr_modes.append(kwargs.get("mode"))
-        return qr(*args, **kwargs)
+    factor_calls = _record_calls(monkeypatch, scipy.linalg.lapack, "dpstrf")
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -766,7 +843,6 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
         "gamma_jacobian_values",
         counting("jacobian", rcassoc.kernels.gamma_jacobian_values),
     )
-    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
     monkeypatch.setattr(_Workspace, "__init__", counting("workspace", _Workspace.__init__))
     monkeypatch.setattr(
         MarginalShift, "coefficients", counting("coefficients", MarginalShift.coefficients)
@@ -774,7 +850,7 @@ def test_fit_work_per_iteration(mobility_counts, monkeypatch):
     result = fit(mobility_counts, _spec(1, (MarginalShift(),)))
     assert result.converged
     assert calls["jacobian"] == result.iterations
-    assert qr_modes == ["raw"] * result.iterations
+    assert len(factor_calls) == result.iterations
     assert calls["coefficients"] == 1
     assert calls["workspace"] == 1 + result.evaluations, (calls, result.evaluations)
 
