@@ -751,11 +751,11 @@ def test_factor_matches_pivoted_qr(case, rank):
         warnings.simplefilter("always")
         rows, r = _factor(jac, n, pi, warn=True)
     assert len(rows) == rank
-    assert [str(w.message) for w in caught] == (
-        [] if rank == k else [f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows"]
-    )
+    dropped = f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows"
+    assert [str(w.message) for w in caught] == ([] if rank == k else [dropped])
     r = np.triu(r)
-    np.testing.assert_allclose(r.T @ r, gram[np.ix_(rows, rows)], rtol=0, atol=1e-12 * np.abs(gram).max())
+    scale = np.abs(gram).max()
+    np.testing.assert_allclose(r.T @ r, gram[np.ix_(rows, rows)], rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(np.abs(r.diagonal()), diag_qr[:rank], rtol=1e-6)
 
 

@@ -47,9 +47,9 @@ def test_tracer_sites_resolve_and_record(mobility_counts):
     assert metrics["estimation.iterations_per_fit"] == result.iterations
     assert metrics["rank.rank_residual_jacobian.us_per_call"] > 0
     assert metrics["rank.apply_plan.calls_per_fit"] > 0
-    # the tracer wraps scipy.linalg.qr, which the fitter no longer calls; its
-    # factorization is LAPACK's dpstrf (ROADMAP item 7), and the fitter tests
-    # in test_estimation.py assert one per iteration
+    # the tracer counts scipy.linalg.qr calls, and the fitter factorizes with
+    # LAPACK's dpstrf, which it does not wrap (ROADMAP item 7); the fitter
+    # tests in test_estimation.py assert one dpstrf call per iteration
     assert metrics["linalg.factorizations_per_iteration"] == 0
 
 
