@@ -22,10 +22,10 @@ On the first d = cells - 1 cells, F = n (diag(p) - p p') and
 F^-1 w = (w / p + sum(w) / pi_last) / n in closed form, so F is never
 formed or factorized.  The one factorization per iteration is LAPACK's
 pivoted Cholesky (``dpstrf``) of G = (C H)'(C H), where C'C = F^-1 and C H
-is built in one (d + 1) x k buffer: it gives the pivot order, the rank and
-G1 = R'R on the independent rows, and the two triangular solves with R'
-and R for both right-hand sides of lambda run by the LAPACK routine that
-``cho_solve`` wraps.  A pivot of G is R_jj^2, so a row is dropped as
+is the workspace's one k x (d + 1) buffer of constraint gradients: it
+gives the pivot order, the rank and G1 = R'R on the independent rows, and
+the two triangular solves with R' and R for both right-hand sides of lambda
+run by the LAPACK routine that ``cho_solve`` wraps.  A pivot of G is R_jj^2, so a row is dropped as
 dependent once R_jj / R_00 falls to sqrt(max(k, d) eps), about 2.4e-7 on
 a 16x16 table; rows dependent to within a smaller relative margin are
 dropped with a ``RedundantConstraintWarning``.  LAPACK scans nothing, so
@@ -37,13 +37,20 @@ lambda0 = G^-1 H' F^-1 s: the score that the constraint gradients leave
 unexplained.  With no constraint rows (the saturated model) the step is
 F^-1 s and no factorization runs.
 
-Every jacobian is formed once, in theta: dpi/dtheta = (diag(pi) - pi pi')
-without its last column, so a pi-jacobian J maps to column c
-(J[:, c] - J pi) pi_c.  The rank residual is the Schur complement S of a
-pivot block of gamma, so its jacobian is P' (d vec(gamma) / dtheta) Q, with
-P' and Q built in the elimination that gives S (``rank``) and carried by
-its plan: a workspace keeps the plan of its own gamma, searched or
-replayed, and its jacobian reads P' and Q from that plan.
+The constraint jacobian is formed once per iteration, as C H in cell
+coordinates, and never in theta.  dpi/dtheta = (diag(pi) - pi pi') without
+its last column, so a pi-jacobian J = dh/dpi gives column c < d of H' as
+(J_c - J pi) pi_c, and with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n)
+column c of C H is (J_c - J pi) sqrt(pi_c / n), the last column negated:
+one pass over J.  Every other use of H reads that buffer by matvecs,
+H' v = (C H)[:, :d] (sqrt(n p) v) and H lambda = sqrt(n p) (lambda' C H)[:d].
+The rank residual is the Schur complement S = P' gamma Q of a pivot block
+of gamma, with P' and Q built in the elimination that gives S (``rank``)
+and carried by its plan: a workspace keeps the plan of its own gamma,
+searched or replayed, and ``rank_residual_jacobian`` hands P' and Q to
+``kernels.gamma_jacobian_values``, which applies them to the factors of
+d gamma / dpi, so the (I1-1)(I2-1) x cells gamma jacobian is formed only
+for a linear constraint on gamma.
 
 A line search on the exact l1 penalty merit
 f(t) = y' log pi(t) / n - mu ||h(t)||_1 picks the step length (Han 1977;
@@ -61,11 +68,12 @@ stops as soon as no step can gain: at once when f'(0) <= 0, and once the
 predicted gain t f'(0) falls to a few ulps of max(1, |f(0)|); the fit then
 ends.  Deflation pivots are frozen for one outer iteration so h stays
 smooth along the search path.  A workspace computes the marginal logits
-and the jacobians only when they are first read, so line-search trial
-points, which need only h and the log-likelihood, never build them; the
-accepted trial point's workspace, with the log-likelihood its merit
-evaluation computed, is the next iteration's, so an iteration whose unit
-step is taken builds one workspace.
+only when they are first read and C H only when asked, so line-search
+trial points, which need only h and the log-likelihood, never build them,
+nor the P' and Q of their replayed plan; the accepted trial point's
+workspace, with the log-likelihood its merit evaluation computed, is the
+next iteration's, so an iteration whose unit step is taken builds one
+workspace.
 
 The step leaves out the curvature M = sum_k lambda_k d2h_k of the
 constraints, so F stands in for the Lagrangian hessian F + M and the
@@ -334,18 +342,18 @@ def theta_from_prob(pi):
 # ---------------------------------------------------------------------------
 
 
-def _in_theta(jac_pi, pi):
-    """jac_pi @ dpi/dtheta, for a jacobian or a gradient in pi: column c of
-    dpi/dtheta is pi_c (e_c - pi)."""
-    return (jac_pi[..., :-1] - (jac_pi @ pi)[..., None]) * pi[:-1]
+def _in_theta(grad_pi, pi):
+    """grad_pi @ dpi/dtheta for a gradient in pi: column c of dpi/dtheta is
+    pi_c (e_c - pi)."""
+    return (grad_pi[:-1] - grad_pi @ pi) * pi[:-1]
 
 
 class _Workspace:
     """All quantities needed at one theta: pi and gamma, plus the invariant
-    vector [eta_row; eta_col; vec gamma] and its jacobians in theta, which
-    are built on first read.  ``linear`` is the stacked (A, offset) of the
-    linear constraints from ``ModelSpec.linear_system``, built once per fit,
-    or None."""
+    vector [eta_row; eta_col; vec gamma], which is built on first read, and
+    the scaled constraint jacobian C H on request.  ``linear`` is the
+    stacked (A, offset) of the linear constraints from
+    ``ModelSpec.linear_system``, built once per fit, or None."""
 
     def __init__(self, theta, spec, shape, linear):
         self.theta = np.asarray(theta, dtype=np.float64)
@@ -369,29 +377,22 @@ class _Workspace:
         rows, cols = (kernels.marginal_logit_values(*mc) for mc in self._margins())
         return np.concatenate([rows, cols, self.gamma.ravel()])
 
-    @cached_property
-    def gamma_jac(self):
-        """d vec(gamma) / dtheta."""
-        return _in_theta(kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args), self.pi)
+    def _gamma_jacobian(self, rows=None, cols=None):
+        """d vec(rows @ gamma @ cols) / dpi, the full gamma jacobian by default."""
+        return kernels.gamma_jacobian_values(self.pi2d, *self._gamma_args, rows, cols)
 
-    @cached_property
-    def _eta_jac(self):
-        """d [eta_row; eta_col] / dtheta."""
-        jr, jc = (kernels.marginal_logit_jacobian(*mc) for mc in self._margins())
-        i1, i2 = self.shape
-        return _in_theta(np.vstack([np.repeat(jr, i2, axis=1), np.tile(jc, (1, i1))]), self.pi)
-
-    def constraints(self, plan=None):
+    def constraints(self, plan=None, projectors=True):
         """(h, plan); selects deflation pivots when plan is None and replays
         ``plan`` otherwise.  The plan returned is the one at this point's
-        gamma, which ``constraint_jacobian`` then uses."""
+        gamma, which ``scaled_jacobian`` then uses; it carries no P' and Q
+        when ``projectors`` is False, for a point where only h is read."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
             if plan is None:
                 resid, plan = rank_residual(self.gamma, spec.rank)
             else:
-                resid, plan = apply_plan(self.gamma, plan)
+                resid, plan = apply_plan(self.gamma, plan, projectors)
             self._plan = plan
             parts.append(resid)
         if self._linear is not None:
@@ -399,19 +400,37 @@ class _Workspace:
             parts.append(a @ self.invariants - off)
         return (np.concatenate(parts) if parts else np.zeros(0)), plan
 
-    def constraint_jacobian(self):
-        """dh/dtheta (rows are constraint gradients) with the pivots of the plan
-        that ``constraints`` kept; the linear block takes A's columns
-        blockwise, never a d x d invariant jacobian."""
+    def scaled_jacobian(self, n):
+        """C H for sample size ``n``: the constraint gradients scaled so that
+        C'C = F^-1, shape (k, cells), with the pivots of the plan that
+        ``constraints`` kept.
+
+        Built from J = dh/dpi in one pass (see the module docstring): the
+        rank block is P' (d gamma / dpi) Q from the factors of d gamma / dpi,
+        and the linear block takes A's columns blockwise, forming the full
+        gamma jacobian only when A has gamma coefficients.
+        """
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
-            parts.append(rank_residual_jacobian(self._plan, self.gamma_jac))
+            parts.append(rank_residual_jacobian(self._plan, self._gamma_jacobian))
         if self._linear is not None:
             a = self._linear[0]
-            e = shape[0] + shape[1] - 2
-            parts.append(a[:, :e] @ self._eta_jac + a[:, e:] @ self.gamma_jac)
-        return np.vstack(parts) if parts else np.zeros((0, self.theta.shape[0]))
+            m1, e = shape[0] - 1, shape[0] + shape[1] - 2
+            jr, jc = (kernels.marginal_logit_jacobian(*mc) for mc in self._margins())
+            block = (a[:, :m1] @ jr)[:, :, None] + (a[:, m1:e] @ jc)[:, None, :]
+            block = block.reshape(len(a), -1)
+            if a[:, e:].any():
+                block += a[:, e:] @ self._gamma_jacobian()
+            parts.append(block)
+        if not parts:
+            return np.zeros((0, self.pi.size))
+        hc = parts[0] if len(parts) == 1 else np.vstack(parts)
+        scale = np.sqrt(self.pi / n)
+        scale[-1] = -scale[-1]
+        hc -= (hc @ self.pi)[:, None]
+        hc *= scale
+        return hc
 
     def score(self, y):
         """Gradient of the log-likelihood y' log pi in theta."""
@@ -437,7 +456,7 @@ def constraint_eval(p, spec, plan=None):
     """
     ws = _Workspace(p.theta, spec, p.shape, spec.linear_system(p.shape))
     h, _ = ws.constraints(plan)
-    return h, ws.constraint_jacobian().T
+    return h, (ws.scaled_jacobian(1.0)[:, :-1] * np.sqrt(ws.pi[:-1])).T
 
 
 def _info_solve(n, pi, w):
@@ -453,36 +472,32 @@ def _info_product(n, pi, v):
     return n * p * (v - p @ v)
 
 
-def _factor(jac, n, pi, warn):
+def _factor(hc, warn):
     """The one factorization of a step: a pivoted Cholesky of G = H' F^-1 H.
 
-    ``jac`` is H' (rows are constraint gradients).  G = (C H)'(C H) is one
-    GEMM, and LAPACK's blocked pivoted Cholesky ``dpstrf`` (Lucas 2004;
-    Higham 2002, ch. 10) orders its rows by pivot.  Returns the indices of
-    the leading ``rank`` pivoted rows H1', which are independent, and a
-    matrix whose upper triangle is the R of G1 = H1' F^-1 H1 = R'R.  A pivot
-    is R_jj^2 and G carries rounding of about max(k, d) eps |G|, so pivot j
-    is kept while R_jj^2 > max(k, d) eps max diag(G), that is while
+    ``hc`` is C H, with C'C = F^-1 (``_Workspace.scaled_jacobian``), so
+    G = (C H)'(C H) is one BLAS ``dsyrk``, and LAPACK's blocked pivoted
+    Cholesky ``dpstrf`` (Lucas 2004; Higham 2002, ch. 10) orders its rows by
+    pivot.  Returns the indices of the leading ``rank`` pivoted rows H1', which are
+    independent, and a matrix whose upper triangle is the R of
+    G1 = H1' F^-1 H1 = R'R.  A pivot is R_jj^2 and G carries rounding of
+    about max(k, d) eps |G|, so pivot j is kept while
+    R_jj^2 > max(k, d) eps max diag(G), that is while
     R_jj / R_00 > sqrt(max(k, d) eps); the other rows are dropped, with a
     warning when ``warn`` is set.  Returns None when G is not finite, as
     for a cell near 0 or entries of C H above about 1e154, so LAPACK never
     sees NaN or inf.  With no rows nothing is factored.
     """
-    k, d = jac.shape
+    k, d = hc.shape[0], hc.shape[1] - 1
     if k == 0:
         return np.zeros(0, dtype=int), np.zeros((0, 0))
-    # (C H)' in one buffer, with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n),
-    # so C'C = F^-1
-    hc = np.empty((k, d + 1))
-    hc[:, :d] = jac
-    hc[:, d] = jac.sum(axis=1)
-    hc /= np.sqrt(n * pi)
-    gram = hc @ hc.T
+    # the upper triangle of G, Fortran-ordered, from the C-ordered C H read as
+    # its Fortran-ordered transpose; dpstrf reads only that triangle
+    gram = scipy.linalg.blas.dsyrk(1.0, hc.T, trans=1)
     if not np.isfinite(gram).all():
         return None
     tol = max(k, d) * np.finfo(np.float64).eps * gram.diagonal().max()
-    # G is symmetric, so its transpose is the Fortran-ordered G that dpstrf overwrites
-    r, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram.T, tol=tol, overwrite_a=True)
+    r, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram, tol=tol, overwrite_a=True)
     if rank < k and warn:
         warnings.warn(
             f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows",
@@ -492,26 +507,37 @@ def _factor(jac, n, pi, warn):
     return piv[:rank] - 1, r[:rank, :rank]
 
 
-def _multiplier_step(s, h, jac, n, pi, factor):
+def _along(hc, n, pi, v):
+    """H' v from C H: column c < d of C H is column c of H' over sqrt(n p_c)."""
+    return hc[:, :-1] @ (np.sqrt(n * pi[:-1]) * v)
+
+
+def _weighted(hc, n, pi, lam):
+    """H lam from C H, for weights ``lam`` indexed like its rows."""
+    return np.sqrt(n * pi[:-1]) * (lam @ hc)[:-1]
+
+
+def _multiplier_step(s, h, hc, n, pi, factor):
     """Aitchison-Silvey step in multiplier form: (direction, lambda, residual, rank).
 
-    ``jac`` is H' (rows are constraint gradients) and ``factor`` is
-    ``_factor(jac, n, pi, warn)``, the iteration's one factorization.  With the
-    kept rows H1, h1, lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0,
+    ``hc`` is C H (``_Workspace.scaled_jacobian``) and ``factor`` is
+    ``_factor(hc, warn)``, the iteration's one factorization.  With the kept
+    rows H1, h1, lambda0 = G^-1 H1' F^-1 s and residual = s - H1 lambda0,
     the multipliers are lambda = lambda0 + G^-1 h1 and the direction is
-    F^-1 (s - H1 lambda).  ``lambda`` is indexed like the rows of ``jac``,
+    F^-1 (s - H1 lambda).  Every product with H1 is a matvec on C H, so no
+    row of it is copied.  ``lambda`` is indexed like the rows of ``hc``,
     zero on dropped rows.  With h = 0 the direction is P s, the F-metric
     projection of F^-1 s onto the tangent space {H1' e = 0}.
     """
     rows, r = factor
-    kept = jac[rows]
-    rhs = np.column_stack([kept @ _info_solve(n, pi, s), h[rows]])
+    rhs = np.column_stack([_along(hc, n, pi, _info_solve(n, pi, s))[rows], h[rows]])
     # G = R'R: the two triangular solves of cho_solve, without its input scans
     lam0, lam_h = (scipy.linalg.lapack.dpotrs(r, rhs)[0] if len(rows) else rhs).T
-    resid = s - lam0 @ kept
-    lam = np.zeros(len(jac))
-    lam[rows] = lam0 + lam_h
-    return _info_solve(n, pi, resid - lam_h @ kept), lam, resid, len(rows)
+    lam = np.zeros(len(hc))
+    lam[rows] = lam0
+    resid = s - _weighted(hc, n, pi, lam)
+    lam[rows] += lam_h
+    return _info_solve(n, pi, s - _weighted(hc, n, pi, lam)), lam, resid, len(rows)
 
 
 def _multiplier_gradient(pi, shape, spec, linear, plan, lam):
@@ -544,13 +570,12 @@ def _multiplier_gradient(pi, shape, spec, linear, plan, lam):
     return _in_theta(grad.ravel(), pi)
 
 
-def _curvature(ws, jac, linear, plan, lam):
+def _curvature(ws, base, linear, plan, lam):
     """v -> M v for M = sum_k lam_k d2h_k at ``ws``: the forward difference
-    of the gradient of lam' h along v, from its value lam' jac at ``ws``,
-    with the pivots of ``plan`` frozen.  A product point builds no
+    of the gradient of lam' h along v, from its value ``base`` = H lam at
+    ``ws``, with the pivots of ``plan`` frozen.  A product point builds no
     workspace and no jacobian; where the plan finds no pivot the product is
     NaN."""
-    base = lam @ jac
     scale = np.sqrt(np.finfo(np.float64).eps) * max(1.0, float(np.abs(ws.theta).max()))
 
     def product(v):
@@ -613,7 +638,7 @@ def _objective(ws, y, plan, mu):
     where it is not finite."""
     with np.errstate(all="ignore"):
         try:
-            h, _ = ws.constraints(plan)
+            h, _ = ws.constraints(plan, projectors=False)
         except PivotError:
             return -np.inf
         val = ws.loglik(y) / y.sum() - mu * float(np.abs(h).sum())
@@ -724,13 +749,13 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         try:
             h, plan = ws.constraints()
             with np.errstate(all="ignore"):  # a non-finite G stops the fit below
-                jac = ws.constraint_jacobian()
-                factor = _factor(jac, n, ws.pi, warn=(iterations == 1))
+                hc = ws.scaled_jacobian(n)
+                factor = _factor(hc, warn=(iterations == 1))
         except PivotError as exc:
             message = f"deflation pivot failure: {exc}"
             break
         # F^-1 divides by each cell, so a subnormal cell overflows it; a finite
-        # G = (C H)'(C H) has a finite jacobian
+        # G = (C H)'(C H) has a finite C H
         if factor is None or ws.pi.min() < np.finfo(np.float64).tiny:
             cell = tuple(int(i) for i in np.unravel_index(np.argmin(ws.pi), shape))
             message = (
@@ -741,7 +766,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         ll = ws.loglik(yv)
         hnorm = float(np.abs(h).max(initial=0.0))
         s0 = ws.score(yv)
-        direction, lam, resid, rank = _multiplier_step(s0, h, jac, n, ws.pi, factor=factor)
+        direction, lam, resid, rank = _multiplier_step(s0, h, hc, n, ws.pi, factor=factor)
         last = ws, h, rank
         if hnorm <= tol_h and prev_ll is not None and abs(ll - prev_ll) <= tol_rel * (abs(prev_ll) + 1.0):
             if float(np.abs(resid).max()) <= tol_score * n:
@@ -754,7 +779,7 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
         f0 = ll / n - mu * float(np.abs(h).sum())
 
         def slope(d):
-            return float(s0 @ d) / n - mu * float(np.sign(h) @ (jac @ d))
+            return float(s0 @ d) / n - mu * float(np.sign(h) @ _along(hc, n, ws.pi, d))
 
         directions = [direction]
         size = float(np.abs(direction).max())
@@ -764,9 +789,9 @@ def fit(y, spec, tol_h=1e-7, tol_rel=1e-9, tol_score=1e-6, max_iter=500):
             with np.errstate(all="ignore"):  # a non-finite product ends the CG
                 corrected, made = _newton_cg(
                     direction,
-                    lambda r: _multiplier_step(r, zero, jac, n, ws.pi, factor=factor)[0],
+                    lambda r: _multiplier_step(r, zero, hc, n, ws.pi, factor=factor)[0],
                     lambda v: _info_product(n, ws.pi, v),
-                    _curvature(ws, jac, linear, plan, lam),
+                    _curvature(ws, _weighted(hc, n, ws.pi, lam), linear, plan, lam),
                 )
             products += made
             if corrected is not None and slope(corrected) > 0.0:

@@ -159,22 +159,34 @@ def _coefficients(pi, l1, l2, lam):
     return coef
 
 
-def gamma_jacobian_values(pi, l1, l2, lam):
-    """d vec(gamma) / d vec(pi) in C order; shape ((I1-1)(I2-1), I1*I2).
+def gamma_jacobian_values(pi, l1, l2, lam, rows=None, cols=None):
+    """d vec(rows @ gamma @ cols) / d vec(pi) in C order, ``rows`` and
+    ``cols`` being the identity when None; shape (r s, I1*I2) for ``rows``
+    of shape (r, I1-1) and ``cols`` of shape (I2-1, s).
 
     gamma is a signed sum of F(rho_uv) with log rho_uv = log p_uv - log p1_u
     - log p2_v.  With w_uv = +-F'(rho_uv) rho_uv, each quadrant adds
     w_uv / p_uv on the cells of kron(E1[u], E2[v]) and subtracts w_uv / p1_u
     on its row event and w_uv / p2_v on its column event.  So row (i, j) of
-    the jacobian is A_i' C_ij B_j, where A_i stacks the two row-event
-    indicators at cut i and a row of ones, B_j likewise for the columns,
-    and C_ij is the 3x3 matrix of those weights.
+    d vec(gamma) / d vec(pi) is A_i' C_ij B_j, where A_i stacks the two
+    row-event indicators at cut i and a row of ones, B_j likewise for the
+    columns, and C_ij is the 3x3 matrix of those weights.  Row (a, b) of the
+    projected jacobian is then sum_ij rows_ai cols_jb A_i' C_ij B_j: with
+    the slabs weighted by ``rows`` as L[(a, x), (u, i)] = rows_ai A_i[u, x],
+    and likewise R for the columns, it is block (a, b) of L C R, two GEMMs
+    with inner sizes 3(I1-1) and 3(I2-1) (Van Loan 2000).
     """
     pi = _as_table(pi)
     i1, i2 = pi.shape
-    half = np.einsum("aih,aibj->ijhb", _slabs(i1, l1), _coefficients(pi, l1, l2, lam))
-    jac = half @ _slabs(i2, l2).transpose(1, 0, 2)
-    return jac.reshape((i1 - 1) * (i2 - 1), i1 * i2)
+    rows = np.eye(i1 - 1) if rows is None else np.asarray(rows, dtype=np.float64)
+    cols = np.eye(i2 - 1) if cols is None else np.asarray(cols, dtype=np.float64)
+    r, s = len(rows), cols.shape[1]
+    # L[(a, x), (u, i)] = rows[a, i] A_i[u, x] and R[(v, j), (b, y)] = cols[j, b] B_j[v, y]
+    left = rows[:, None, None, :] * _slabs(i1, l1).transpose(2, 0, 1)
+    right = cols[None, :, :, None] * _slabs(i2, l2)[:, :, None, :]
+    coef = _coefficients(pi, l1, l2, lam).reshape(3 * (i1 - 1), 3 * (i2 - 1))
+    jac = left.reshape(r * i1, -1) @ (coef @ right.reshape(-1, s * i2))
+    return jac.reshape(r, i1, s, i2).transpose(0, 2, 1, 3).reshape(r * s, i1 * i2)
 
 
 def gamma_gradient_values(pi, l1, l2, lam, weights):

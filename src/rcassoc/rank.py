@@ -21,8 +21,11 @@ so dS = P' dG Q, and the gradient of w' vec S is P W Q' with W the matrix
 of w.  Each elimination applies its row operations to an identity, giving
 P', and its column operations to another, giving Q, in the same loop that
 gives S, so every plan that ``rank_residual`` or ``apply_plan`` returns
-carries the P' and Q of the matrix it was made or replayed at; the
-jacobian and the gradient read them from the plan.
+carries the P' and Q of the matrix it was made or replayed at, unless the
+replay was asked for S alone.  The jacobian and the gradient read them from
+the plan.  The jacobian takes dG as a matrix, or as a function that applies
+P' and Q itself, as ``kernels.gamma_jacobian_values`` does on its factors,
+so that the full dG is never formed.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +52,8 @@ class PivotError(RuntimeError):
 class DeflationPlan:
     """Pivot positions (row, column) in elimination order, in the matrix's own
     indices, with the P' and Q of the matrix the plan was made or replayed
-    at, which take no part in equality, hashing or repr."""
+    at (None for a replay made without them), which take no part in
+    equality, hashing or repr."""
 
     shape: tuple[int, int]
     pivots: tuple[tuple[int, int], ...]
@@ -72,19 +76,20 @@ def _checked(m, rank):
     return m
 
 
-def _eliminate(m, rank, pivots=None):
+def _eliminate(m, rank, pivots=None, projectors=True):
     """``rank`` elimination steps on a copy of ``m``, in its own indices.
 
     Each step pivots on the largest remaining entry, or on the next of
-    ``pivots`` when given, and applies its row operation to P' and its
-    column operation to Q.  Returns vec S and the plan of the steps taken,
-    carrying P' and Q.
+    ``pivots`` when given, and, when ``projectors`` is set, applies its row
+    operation to P' and its column operation to Q.  Returns vec S and the
+    plan of the steps taken, carrying P' and Q when they were built.
     """
     w = m.copy()
     if pivots is None:
         tol = _REL_TOL * max(np.abs(m).max(), 1e-300)
     rows, cols = list(range(m.shape[0])), list(range(m.shape[1]))
-    p, q = np.eye(m.shape[0]), np.eye(m.shape[1])
+    if projectors:
+        p, q = np.eye(m.shape[0]), np.eye(m.shape[1])
     taken = []
     for k in range(rank):
         if pivots is None:
@@ -102,13 +107,14 @@ def _eliminate(m, rank, pivots=None):
         w -= c[:, None] * r / piv
         w[i] = 0.0
         w[:, j] = 0.0
-        p -= (c / piv)[:, None] * p[i]
-        q -= q[:, j, None] * (r / piv)
+        if projectors:
+            p -= (c / piv)[:, None] * p[i]
+            q -= q[:, j, None] * (r / piv)
         rows.remove(i)
         cols.remove(j)
         taken.append((i, j))
-    plan = DeflationPlan(m.shape, tuple(taken), p.take(rows, 0), q.take(cols, 1))
-    return w.take(rows, 0).take(cols, 1).ravel(), plan
+    carried = (p.take(rows, 0), q.take(cols, 1)) if projectors else ()
+    return w.take(rows, 0).take(cols, 1).ravel(), DeflationPlan(m.shape, tuple(taken), *carried)
 
 
 def rank_residual(m, rank):
@@ -120,12 +126,13 @@ def rank_residual(m, rank):
     return _eliminate(_checked(m, rank), rank)
 
 
-def apply_plan(m, plan):
-    """Replay a frozen pivot plan at ``m``: (residual, the plan replayed at ``m``)."""
+def apply_plan(m, plan, projectors=True):
+    """Replay a frozen pivot plan at ``m``: (residual, the plan replayed at
+    ``m``), which carries P' and Q unless ``projectors`` is False."""
     m = _checked(m, plan.rank)
     if m.shape != plan.shape:
         raise ValueError(f"plan is for shape {plan.shape}, got {m.shape}")
-    return _eliminate(m, plan.rank, plan.pivots)
+    return _eliminate(m, plan.rank, plan.pivots, projectors)
 
 
 def _carried(plan):
@@ -136,17 +143,20 @@ def _carried(plan):
 
 
 def rank_residual_jacobian(plan, dm):
-    """d residual / dtheta = P' dG Q at the plan's own matrix, given
-    dm = d vec(m) / dtheta.
+    """d residual / dtheta = P' dG Q at the plan's own matrix.
 
-    ``dm`` has shape ``(m.size, p)``; the result has shape
-    ``(len(residual), p)``.  Pass ``np.eye(m.size)`` for d residual / d vec(m).
+    ``dm`` is d vec(m) / dtheta, of shape ``(m.size, p)``, or a function
+    ``dm(rows, cols)`` that returns d vec(rows @ m @ cols) / dtheta for the
+    plan's P' and Q; the result has shape ``(len(residual), p)``.  Pass
+    ``np.eye(m.size)`` for d residual / d vec(m).
     """
+    p, q = _carried(plan)
+    if callable(dm):
+        return dm(p, q)
     shape = plan.shape
     dm = np.asarray(dm, dtype=np.float64)
     if dm.ndim != 2 or dm.shape[0] != shape[0] * shape[1]:
         raise ValueError(f"tangent must have {shape[0] * shape[1]} rows, got shape {dm.shape}")
-    p, q = _carried(plan)
     left = p @ dm.reshape(shape[0], -1)
     right = q.T @ left.reshape(len(p), shape[1], -1)
     return right.reshape(-1, dm.shape[1])

@@ -32,6 +32,7 @@ from rcassoc import (
 from rcassoc import estimation
 from rcassoc.estimation import (
     _GAIN_ULPS,
+    _along,
     _curvature,
     _factor,
     _info_product,
@@ -45,6 +46,7 @@ from rcassoc.estimation import (
     constraint_from_name,
     sweep,
 )
+from rcassoc.estimation import LinearConstraint
 from rcassoc.rank import DeflationPlan
 
 PAPER_LAMBDA = -0.04
@@ -79,19 +81,26 @@ def _iterate(theta, y, spec, shape, mu=0.0):
     linear = spec.linear_system(shape)
     ws = _Workspace(theta, spec, shape, linear)
     h, plan = ws.constraints()
-    jac = ws.constraint_jacobian()
     s = ws.score(y)
     n = y.sum()
-    direction, lam, _, _ = _multiplier_step(s, h, jac, n, ws.pi, _factor(jac, n, ws.pi, warn=True))
+    hc = ws.scaled_jacobian(n)
+    direction, lam, _, _ = _multiplier_step(s, h, hc, n, ws.pi, _factor(hc, warn=True))
     mu = max(mu, 2.0 * float(np.abs(lam).max(initial=0.0)) / n)
     f0 = ws.loglik(y) / n - mu * float(np.abs(h).sum())
-    fp0 = float(s @ direction) / n - mu * float(np.sign(h) @ (jac @ direction))
+    fp0 = float(s @ direction) / n - mu * float(np.sign(h) @ _along(hc, n, ws.pi, direction))
     t = _search(
         f0,
         fp0,
         lambda t: _objective(_Workspace(theta + t * direction, spec, shape, linear), y, plan, mu),
     )
     return h, s, ws.pi, direction, t, mu
+
+
+def _scaled(jac, n, pi):
+    """C H for the theta jacobian ``jac`` (rows are constraint gradients),
+    with C = [diag(p)^-1/2; pi_last^-1/2 1'] / sqrt(n), so C'C = F^-1,
+    formed apart from the workspace."""
+    return np.column_stack([jac / np.sqrt(pi[:-1]), jac.sum(axis=1) / np.sqrt(pi[-1])]) / np.sqrt(n)
 
 
 def _record_calls(monkeypatch, module, name):
@@ -226,13 +235,22 @@ def test_constraint_jacobian_finite_difference(random_table):
         np.testing.assert_allclose(big_h, fd, atol=1e-5 * scale)
 
 
+class _AllInvariants(LinearConstraint):
+    """The identity restriction on every invariant, so that the constraint
+    jacobian is d [eta_row; eta_col; vec gamma] / dtheta."""
+
+    def coefficients(self, shape, pair):
+        size = shape[0] + shape[1] - 2 + (shape[0] - 1) * (shape[1] - 1)
+        return np.eye(size), np.zeros(size)
+
+
 def test_invariant_jacobians_match_dense_chain_rule(random_table):
     # the closed form against jac_pi @ dpi/dtheta with the covariance formed
     rng = np.random.default_rng(69)
     for shape, pair, lam in [((4, 4), ("G", "G"), -0.04), ((3, 5), ("L", "C"), 1.5)]:
         pi = random_table(rng, shape)
-        spec = _spec(1, lam=lam, pair=pair)
-        ws = _Workspace(theta_from_prob(pi), spec, shape, None)
+        # the rank bound is vacuous, so the linear block is all of h
+        spec = _spec(min(shape) - 1, (_AllInvariants(),), lam=lam, pair=pair)
         p = pi.reshape(-1)
         cov = (np.diag(p) - np.outer(p, p))[:, :-1]
         c1, c2 = spec.pair
@@ -240,12 +258,68 @@ def test_invariant_jacobians_match_dense_chain_rule(random_table):
         rows_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=1), c1)
         cols_pi = rcassoc.kernels.marginal_logit_jacobian(pi.sum(axis=0), c2)
         eta_pi = np.vstack([np.repeat(rows_pi, shape[1], axis=1), np.tile(cols_pi, (1, shape[0]))])
-        np.testing.assert_allclose(ws.gamma_jac, gamma_pi @ cov, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ws._eta_jac, eta_pi @ cov, rtol=0, atol=1e-12)
+        h, big_h = constraint_eval(_param(pi), spec)
+        assert big_h.shape == (pi.size - 1, pi.size - 1)
+        e = sum(shape) - 2
+        np.testing.assert_allclose(big_h.T[e:], gamma_pi @ cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(big_h.T[:e], eta_pi @ cov, rtol=0, atol=1e-12)
+        ws = _Workspace(theta_from_prob(pi), spec, shape, spec.linear_system(shape))
         rows, cols, g = extract_invariants(ContingencyTable(pi, *pair), fam=spec.family)
         expected = np.concatenate([rows.values, cols.values, g.values.ravel()])
         np.testing.assert_allclose(ws.invariants, expected, rtol=0, atol=1e-14)
-        assert np.vstack([ws._eta_jac, ws.gamma_jac]).shape == (pi.size - 1, pi.size - 1)
+        np.testing.assert_allclose(h, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "shape, spec",
+    [
+        ((5, 5), _spec(1)),
+        ((5, 5), _spec(1, (MarginalShift(),))),
+        ((5, 5), _spec(4, (MarginalShift(),))),
+        ((5, 5), _spec(1, (EqualRowSpacing(),))),
+        ((16, 16), _spec(2)),
+    ],
+    ids=["rank", "rank-shift", "shift", "row-spacing", "large-16x16"],
+)
+def test_scaled_jacobian_is_c_times_the_constraint_jacobian(shape, spec, random_table, monkeypatch):
+    # the workspace's C H, built in cell coordinates, against C H formed
+    # from constraint_eval's H in theta; the full gamma jacobian (no P' and
+    # Q passed) is formed only for a linear constraint on gamma
+    full = []
+    jacobian = rcassoc.kernels.gamma_jacobian_values
+
+    def recording(pi, l1, l2, lam, rows=None, cols=None):
+        full.append(rows is None and cols is None)
+        return jacobian(pi, l1, l2, lam, rows, cols)
+
+    monkeypatch.setattr(rcassoc.kernels, "gamma_jacobian_values", recording)
+    pi = random_table(np.random.default_rng(81), shape)
+    h, big_h = constraint_eval(_param(pi), spec)
+    ws = _Workspace(theta_from_prob(pi), spec, shape, spec.linear_system(shape))
+    ws.constraints()
+    full.clear()
+    n = 1234.0
+    got = ws.scaled_jacobian(n)
+    want = _scaled(big_h.T, n, ws.pi)
+    assert got.shape == (h.size, pi.size)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    gamma_rows = any(isinstance(c, EqualRowSpacing) for c in spec.linear_constraints)
+    assert any(full) == gamma_rows
+
+
+def test_merit_evaluation_replays_without_projectors(mobility_counts):
+    # a merit evaluation reads only h: its replayed plan carries no P' and
+    # Q, so a C H asked of that point fails loudly instead of reading them
+    spec = _spec(1)
+    y = mobility_counts.reshape(-1)
+    theta = theta_from_prob((mobility_counts + 0.5) / (y.sum() + 12.5))
+    _, plan = _Workspace(theta, spec, (5, 5), None).constraints()
+    trial = _Workspace(theta + 1e-3 * np.arange(theta.size), spec, (5, 5), None)
+    assert np.isfinite(_objective(trial, y, plan, 1.0))
+    assert trial._plan == plan
+    assert trial._plan.p_t is None and trial._plan.q is None
+    with pytest.raises(ValueError, match="carries no P' and Q"):
+        trial.scaled_jacobian(y.sum())
 
 
 def test_as_step_unconstrained_is_newton(random_table):
@@ -523,7 +597,7 @@ def test_fit_stops_before_a_cell_underflows(counts, pair, lam, cell):
     assert result.pi_hat.min() >= np.finfo(np.float64).tiny
     ws = _Workspace(result.theta_hat, spec, counts.shape, None)
     h, _ = ws.constraints()
-    assert np.isfinite(ws.constraint_jacobian()).all()
+    assert np.isfinite(ws.scaled_jacobian(counts.sum())).all()
     assert result.constraint_norm == np.abs(h).max()
 
 
@@ -665,7 +739,8 @@ def test_factor_constraints_full_row_rank():
     jac = rng.normal(size=(6, 15))
     h = rng.normal(size=6)
     n, pi, s = _random_point(rng, 15)
-    direction, lam, resid, rank = _multiplier_step(s, h, jac, n, pi, _factor(jac, n, pi, warn=True))
+    hc = _scaled(jac, n, pi)
+    direction, lam, resid, rank = _multiplier_step(s, h, hc, n, pi, _factor(hc, warn=True))
     assert rank == 6
     np.testing.assert_allclose(jac @ direction, -h, rtol=0, atol=1e-10)
     # the direction is F^-1 (s - H lambda) in the step's own multipliers
@@ -683,8 +758,9 @@ def test_factor_constraints_drops_duplicated_row():
     doubled_h = np.append(h, h[1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        factor = _factor(doubled_jac, n, pi, warn=True)
-        direction, lam, resid, rank = _multiplier_step(s, doubled_h, doubled_jac, n, pi, factor)
+        doubled_hc = _scaled(doubled_jac, n, pi)
+        factor = _factor(doubled_hc, warn=True)
+        direction, lam, resid, rank = _multiplier_step(s, doubled_h, doubled_hc, n, pi, factor)
     redundant = [w for w in caught if issubclass(w.category, RedundantConstraintWarning)]
     assert len(redundant) == 1
     assert "1 of 5" in str(redundant[0].message)
@@ -695,7 +771,8 @@ def test_factor_constraints_drops_duplicated_row():
     np.testing.assert_allclose(
         direction, _info_solve(n, pi, s - lam @ doubled_jac), rtol=0, atol=1e-10
     )
-    single = _multiplier_step(s, h, jac, n, pi, _factor(jac, n, pi, warn=True))
+    hc = _scaled(jac, n, pi)
+    single = _multiplier_step(s, h, hc, n, pi, _factor(hc, warn=True))
     for got, want in zip((direction, resid), (single[0], single[2])):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     merged = lam[:4].copy()
@@ -741,7 +818,7 @@ def test_factor_matches_pivoted_qr(case, rank):
     k, d = jac.shape
     p = pi[:-1]
     # C H and G, formed apart from _factor
-    ch = np.column_stack([jac / np.sqrt(p), jac.sum(axis=1) / np.sqrt(pi[-1])]) / np.sqrt(n)
+    ch = _scaled(jac, n, pi)
     gram = jac @ (jac / p).T / n + np.outer(jac.sum(axis=1), jac.sum(axis=1)) / (n * pi[-1])
     r_qr = scipy.linalg.qr(ch.T, mode="r", pivoting=True)[0]
     diag_qr = np.abs(r_qr.diagonal())
@@ -749,7 +826,7 @@ def test_factor_matches_pivoted_qr(case, rank):
     assert np.count_nonzero(diag_qr > threshold * diag_qr[0]) == rank
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows, r = _factor(jac, n, pi, warn=True)
+        rows, r = _factor(ch, warn=True)
     assert len(rows) == rank
     dropped = f"{k - rank} of {k} constraint equations are redundant; dropping dependent rows"
     assert [str(w.message) for w in caught] == ([] if rank == k else [dropped])
@@ -764,14 +841,14 @@ def test_fit_stops_at_an_overflowing_gram(mobility_counts, monkeypatch):
     # jacobian whose G overflows stops the fit at the previous iterate with
     # the cell message, with no warning and no exception, and LAPACK never
     # sees the inf
-    jacobian = _Workspace.constraint_jacobian
+    jacobian = _Workspace.scaled_jacobian
     built = []
 
-    def scaled(self):
+    def scaled(self, n):
         built.append(None)
-        return jacobian(self) * (1e160 if len(built) == 2 else 1.0)
+        return jacobian(self, n) * (1e160 if len(built) == 2 else 1.0)
 
-    monkeypatch.setattr(_Workspace, "constraint_jacobian", scaled)
+    monkeypatch.setattr(_Workspace, "scaled_jacobian", scaled)
     factor_calls = _record_calls(monkeypatch, scipy.linalg.lapack, "dpstrf")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -815,9 +892,10 @@ def test_multiplier_direction_matches_null_space_form(case, mobility_counts):
     linear = spec.linear_system(counts.shape)
     ws = _Workspace(theta, spec, counts.shape, linear)
     h, _ = ws.constraints()
-    jac = ws.constraint_jacobian()
+    hc = ws.scaled_jacobian(n)
     s = ws.score(y)
-    direction = _multiplier_step(s, h, jac, n, ws.pi, _factor(jac, n, ws.pi, warn=False))[0]
+    direction = _multiplier_step(s, h, hc, n, ws.pi, _factor(hc, warn=False))[0]
+    jac = constraint_eval(CanonicalParam(theta, counts.shape), spec)[1].T
     want = _null_space_direction(s, h, jac, n, ws.pi)
     np.testing.assert_allclose(direction, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
@@ -864,9 +942,9 @@ def test_fit_eliminates_once_per_pivot_search_and_merit(pair, mobility_counts, m
     calls = []
     eliminate = rcassoc.rank._eliminate
 
-    def counting(m, rank, pivots=None):
+    def counting(m, rank, pivots=None, projectors=True):
         calls.append(pivots is None)
-        return eliminate(m, rank, pivots)
+        return eliminate(m, rank, pivots, projectors)
 
     monkeypatch.setattr(rcassoc.rank, "_eliminate", counting)
     for lam in (-0.5, 0.0, 1.0):
@@ -884,10 +962,8 @@ def test_multiplier_step_with_no_independent_row_is_the_saturated_step():
     n, pi, s = _random_point(rng, 8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        jac = np.zeros((2, 8))
-        direction, lam, resid, rank = _multiplier_step(
-            s, np.ones(2), jac, n, pi, _factor(jac, n, pi, warn=True)
-        )
+        hc = np.zeros((2, 9))
+        direction, lam, resid, rank = _multiplier_step(s, np.ones(2), hc, n, pi, _factor(hc, warn=True))
     assert [str(w.message) for w in caught] == [
         "2 of 2 constraint equations are redundant; dropping dependent rows"
     ]
@@ -970,12 +1046,17 @@ CURVATURE_SPECS = {
 }
 
 
+def _theta_jacobian(theta, spec, plan):
+    """dh/dtheta (rows are constraint gradients) at a 5x5 ``theta`` with the pivots of ``plan``."""
+    return constraint_eval(CanonicalParam(theta, (5, 5)), spec, plan=plan)[1].T
+
+
 def _multiplier_point(rng, spec, random_table):
     """A workspace at a random 5x5 table, its plan and jacobian, and random multipliers."""
     linear = spec.linear_system((5, 5))
     ws = _Workspace(theta_from_prob(random_table(rng, (5, 5))), spec, (5, 5), linear)
     h, plan = ws.constraints()
-    return ws, linear, plan, ws.constraint_jacobian(), rng.standard_normal(h.size)
+    return ws, linear, plan, _theta_jacobian(ws.theta, spec, plan), rng.standard_normal(h.size)
 
 
 @pytest.mark.parametrize("case", sorted(CURVATURE_SPECS))
@@ -987,8 +1068,7 @@ def test_multiplier_gradient_is_the_weighted_constraint_jacobian(case, random_ta
     ws, linear, plan, jac, lam = _multiplier_point(rng, spec, random_table)
     for theta in (ws.theta, ws.theta + 1e-3 * rng.standard_normal(ws.theta.size)):
         other = _Workspace(theta, spec, (5, 5), linear)
-        other.constraints(plan)
-        want = lam @ other.constraint_jacobian()
+        want = lam @ _theta_jacobian(theta, spec, plan)
         got = _multiplier_gradient(other.pi, (5, 5), spec, linear, plan, lam)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -999,14 +1079,12 @@ def test_curvature_product_is_the_lagrangian_hessian(case, random_table):
     spec = CURVATURE_SPECS[case]
     rng = np.random.default_rng(73)
     ws, linear, plan, jac, lam = _multiplier_point(rng, spec, random_table)
-    product = _curvature(ws, jac, linear, plan, lam)
+    product = _curvature(ws, lam @ jac, linear, plan, lam)
     u, v = rng.standard_normal((2, ws.theta.size))
     delta = 1e-5
 
     def grad(theta):
-        other = _Workspace(theta, spec, (5, 5), linear)
-        other.constraints(plan)
-        return lam @ other.constraint_jacobian()
+        return lam @ _theta_jacobian(theta, spec, plan)
 
     want = (grad(ws.theta + delta * v) - grad(ws.theta - delta * v)) / (2.0 * delta)
     got = product(v)
@@ -1016,25 +1094,27 @@ def test_curvature_product_is_the_lagrangian_hessian(case, random_table):
 
 def _tangent_problem(seed):
     """A 6-parameter point with 4 independent constraints, so a 2-dimensional
-    tangent space: (n, pi, s, h, jac, the projection, v -> F v)."""
+    tangent space: (n, pi, s, h, jac, its C H, the factor, the projection,
+    v -> F v)."""
     rng = np.random.default_rng(seed)
     n, pi, s = _random_point(rng, 6)
     jac, h = rng.normal(size=(4, 6)), rng.normal(size=4)
-    factor = _factor(jac, n, pi, warn=False)
+    hc = _scaled(jac, n, pi)
+    factor = _factor(hc, warn=False)
 
     def project(r):
-        return _multiplier_step(r, np.zeros(4), jac, n, pi, factor=factor)[0]
+        return _multiplier_step(r, np.zeros(4), hc, n, pi, factor=factor)[0]
 
-    return n, pi, s, h, jac, factor, project, lambda v: _info_product(n, pi, v)
+    return n, pi, s, h, jac, hc, factor, project, lambda v: _info_product(n, pi, v)
 
 
 def test_newton_cg_solves_a_two_dimensional_tangent_problem():
     # two CG steps are exact on a 2-dimensional tangent space: the result is
     # the maximum of s'e - e'(F + M)e / 2 subject to H'e = -h
-    n, pi, s, h, jac, factor, project, info = _tangent_problem(79)
+    n, pi, s, h, jac, hc, factor, project, info = _tangent_problem(79)
     a = np.random.default_rng(80).normal(size=(6, 6))
     curv = n * (a @ a.T) / 10.0
-    plain = _multiplier_step(s, h, jac, n, pi, factor=factor)[0]
+    plain = _multiplier_step(s, h, hc, n, pi, factor=factor)[0]
     corrected, made = _newton_cg(plain, project, info, lambda v: curv @ v)
     kkt = np.block([[_dense_info(pi, n) + curv, jac.T], [jac, np.zeros((4, 4))]])
     want = np.linalg.solve(kkt, np.concatenate([s, -h]))[:6]
@@ -1044,8 +1124,8 @@ def test_newton_cg_solves_a_two_dimensional_tangent_problem():
 
 
 def test_newton_cg_stops_at_non_positive_curvature():
-    n, pi, s, h, jac, factor, project, info = _tangent_problem(83)
-    plain = _multiplier_step(s, h, jac, n, pi, factor=factor)[0]
+    n, pi, s, h, _, hc, factor, project, info = _tangent_problem(83)
+    plain = _multiplier_step(s, h, hc, n, pi, factor=factor)[0]
     corrected, made = _newton_cg(plain, project, info, lambda v: -2.0 * info(v))
     assert corrected is None
     assert made == 2
@@ -1057,7 +1137,7 @@ def test_newton_cg_takes_no_step_where_the_frozen_pivot_vanishes():
     # NaN, and CG stops before its first step
     ws = _Workspace(np.zeros(15), _spec(1, lam=0.0, pair=("L", "L")), (4, 4), None)
     plan = DeflationPlan((3, 3), ((0, 0),))
-    product = _curvature(ws, np.zeros((4, 15)), None, plan, np.ones(4))
+    product = _curvature(ws, np.zeros(15), None, plan, np.ones(4))
     v = np.ones(15)
     assert np.isnan(product(v)).all()
     assert _newton_cg(v, lambda r: r, lambda e: e, product) == (None, 1)

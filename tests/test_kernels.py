@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcassoc import kernels
+from rcassoc.rank import DeflationPlan, apply_plan, rank_residual, rank_residual_jacobian
 
 CODES = "LGCR"
 PAIRS = [(a, b) for a in CODES for b in CODES]
@@ -134,6 +135,44 @@ def test_gamma_gradient_is_the_weighted_jacobian():
                 np.testing.assert_allclose(
                     got.ravel(), want, rtol=0, atol=1e-13 * np.abs(want).max()
                 )
+
+
+def _pivot_sets(shape, rank):
+    """Hand-made pivots in other rows and columns than a search would take:
+    down the diagonal, from the last row of the first column, and through
+    the middle of the last column."""
+    m1, m2 = shape[0] - 1, shape[1] - 1
+    sets = [
+        [(k, k) for k in range(rank)],
+        [(m1 - 1, 0), (0, m2 - 1)],
+        [(m1 // 2, m2 - 1), (m1 - 1, m2 // 2)],
+    ]
+    return [tuple(pivots[:rank]) for pivots in sets]
+
+
+@pytest.mark.parametrize("shape, rank", [((5, 5), 1), ((5, 6), 2), ((16, 16), 2)])
+def test_projected_jacobian_is_the_dense_projection(shape, rank):
+    # d vec(P' gamma Q) / d vec(pi) from the kernel's factors, through the
+    # plan, against P' (d vec(gamma) / d vec(pi)) Q formed from the full
+    # jacobian, at the searched plan and at hand-made ones replayed at gamma
+    pi = _tables(np.random.default_rng(37), shape, 1)[0]
+    m1, m2 = shape[0] - 1, shape[1] - 1
+    for c1, c2 in PAIRS:
+        for lam in (-0.5, 0.0, 0.7, 2.0):
+            gamma = kernels.gamma_values(pi, c1, c2, lam)
+            plans = [rank_residual(gamma, rank)[1]]
+            plans += [apply_plan(gamma, DeflationPlan(gamma.shape, pivots))[1]
+                      for pivots in _pivot_sets(shape, rank)]
+            full = kernels.gamma_jacobian_values(pi, c1, c2, lam).reshape(m1, m2, pi.size)
+            for plan in plans:
+                want = np.einsum("ai,ijc,jb->abc", plan.p_t, full, plan.q).reshape(-1, pi.size)
+
+                def projected(rows, cols):
+                    return kernels.gamma_jacobian_values(pi, c1, c2, lam, rows, cols)
+
+                got = rank_residual_jacobian(plan, projected)
+                assert got.shape == ((m1 - rank) * (m2 - rank), pi.size)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_lor_precision_near_zero_cell():

@@ -266,6 +266,24 @@ def test_replay_at_the_search_matrix_carries_the_same_projectors():
             rank_residual_gradient(bare, res)
 
 
+def test_replay_for_the_residual_alone_carries_no_projectors():
+    # a replay that skips P' and Q gives the same residual bit for bit and a
+    # plan equal to the replayed one, which the jacobian and the gradient refuse
+    rng = np.random.default_rng(57)
+    for shape, k in [((4, 4), 1), ((5, 4), 2), ((15, 15), 2), ((3, 3), 0)]:
+        m = rng.standard_normal(shape)
+        _, plan = rank_residual(m, k)
+        point = m + 1e-3 * rng.standard_normal(shape)
+        res, replayed = apply_plan(point, plan)
+        alone, bare = apply_plan(point, plan, projectors=False)
+        assert np.array_equal(alone, res)
+        assert bare == replayed and bare.p_t is None and bare.q is None
+        with pytest.raises(ValueError, match="carries no P' and Q"):
+            rank_residual_jacobian(bare, np.eye(m.size))
+        with pytest.raises(ValueError, match="carries no P' and Q"):
+            rank_residual_gradient(bare, res)
+
+
 def test_gradient_is_the_weighted_jacobian():
     # d (w' residual) / d m = P W Q' is w' (d residual / d vec(m)), shaped
     # like m, at the searched matrix and at a nearby one the plan is replayed at
