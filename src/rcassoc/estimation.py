@@ -401,15 +401,11 @@ class _Workspace:
         return (np.concatenate(parts) if parts else np.zeros(0)), plan
 
     def scaled_jacobian(self, n):
-        """C H for sample size ``n``: the constraint gradients scaled so that
-        C'C = F^-1, shape (k, cells), with the pivots of the plan that
-        ``constraints`` kept.
-
-        Built from J = dh/dpi in one pass (see the module docstring): the
-        rank block is P' (d gamma / dpi) Q from the factors of d gamma / dpi,
-        and the linear block takes A's columns blockwise, forming the full
-        gamma jacobian only when A has gamma coefficients.
-        """
+        """C H for sample size ``n``, shape (k, cells), with C'C = F^-1 and
+        the pivots of the plan that ``constraints`` kept, built from dh/dpi
+        in one pass (see the module docstring).  The linear block takes A's
+        columns blockwise and forms the full gamma jacobian only when A has
+        gamma coefficients."""
         spec, shape = self.spec, self.shape
         parts = []
         if spec.rank_block_active(shape):
