@@ -43,10 +43,10 @@ from rcassoc.estimation import (
     _objective,
     _search,
     _Workspace,
+    LinearConstraint,
     constraint_from_name,
     sweep,
 )
-from rcassoc.estimation import LinearConstraint
 from rcassoc.rank import DeflationPlan
 
 PAPER_LAMBDA = -0.04
